@@ -22,6 +22,7 @@ from .chordal import (
     NotChordal,
     QuasiForestDecomposition,
     clique_tree,
+    decompose,
     is_chordal,
     maximal_cliques_chordal,
     quasi_forest_order,
@@ -113,6 +114,7 @@ __all__ = [
     "clique_tree",
     "complement",
     "d_tree_signature",
+    "decompose",
     "depth",
     "enumerate_labeled",
     "f_vector",

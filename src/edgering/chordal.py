@@ -10,6 +10,14 @@ Clique trees are maximum-weight spanning forests of the clique intersection
 graph (weight = separator size) with deterministic tie-breaking; traversing
 each tree root-first realizes a quasi-forest ordering of the facets, with
 attachment dimension -1 whenever a new connected component starts.
+
+One kernel on bitmasks, `_quasi_forest_masks`, builds that forest and
+ordering from clique masks; it is the only implementation.  `decompose`
+(one MCS, cliques from the verified PEO, then the kernel) is what every
+pipeline calls, and the frozenset `QuasiForestDecomposition` is built, and
+re-checked, only at its edge.  `maximal_cliques_chordal`, `clique_tree` and
+`quasi_forest_order` are validated views over the same kernel functions for
+outside callers.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ContractViolationError, InternalInvariantError
+from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
 from .graphs import Graph, bits
 
 
@@ -216,29 +224,124 @@ class CliqueTree:
         return sorted(out)
 
 
-class _DSU:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _spanning_forest(cl: Sequence[int]) -> list[tuple[int, int]]:
+    """Kruskal maximum-weight spanning forest of the clique intersection graph.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    Weight is separator size; candidate edges are taken in (-weight, i, j)
+    order, so ties break lexicographically on index pairs.
+    """
+    k = len(cl)
+    weighted = []
+    for i in range(k):
+        ci = cl[i]
+        for j in range(i + 1, k):
+            w = (ci & cl[j]).bit_count()
+            if w:
+                weighted.append((-w, i, j))
+    weighted.sort()
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    edges = []
+    for _, i, j in weighted:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            edges.append((i, j))
+    return edges
+
+
+def _facet_order(
+    cl: Sequence[int], edges: Sequence[tuple[int, int]], roots: dict[int, int] | None = None
+) -> list[int]:
+    """Clique indices root-first over a spanning forest.
+
+    Components are sorted by their smallest vertex; each is walked in
+    preorder with ascending children from its clique with the smallest
+    minimum vertex (then index), unless `roots` overrides the root of that
+    component index.
+    """
+    k = len(cl)
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    comps: list[list[int]] = []
+    seen = [False] * k
+    for i in range(k):
+        if not seen[i]:
+            seen[i] = True
+            comp, stack = [i], [i]
+            while stack:
+                for b in adj[stack.pop()]:
+                    if not seen[b]:
+                        seen[b] = True
+                        comp.append(b)
+                        stack.append(b)
+            comps.append(comp)
+    key = [((c & -c).bit_length(), i) for i, c in enumerate(cl)]  # (smallest vertex + 1, index)
+    comps.sort(key=lambda comp: min(key[i] for i in comp)[0])
+    order: list[int] = []
+    placed = [False] * k
+    for ci, comp in enumerate(comps):
+        root = min(comp, key=key.__getitem__)
+        if roots is not None and ci in roots:
+            root = roots[ci]
+            if root not in comp:
+                raise ContractViolationError(f"root {root} is not in component {ci}")
+        placed[root] = True
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            order.append(a)
+            for b in sorted(adj[a], reverse=True):
+                if not placed[b]:
+                    placed[b] = True
+                    stack.append(b)
+    return order
+
+
+def _quasi_forest_masks(cliques: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The decomposition kernel: maximal clique masks of a chordal graph to
+    (ordered facet masks, attachment sizes).
+
+    Cliques are sorted by their sorted vertex lists, joined by the spanning
+    forest of `_spanning_forest` and ordered by `_facet_order`; the
+    attachment sizes are those of `_attachment_sizes`.
+    """
+    cl = sorted(cliques, key=lambda m: sorted(bits(m)))
+    facets = [cl[i] for i in _facet_order(cl, _spanning_forest(cl))]
+    return facets, _attachment_sizes(facets)
+
+
+def _attachment_sizes(facets: Sequence[int]) -> list[int]:
+    """|F_i intersect (F_1 u ... u F_(i-1))| for i >= 2."""
+    sizes = []
+    union = 0
+    for f in facets:
+        sizes.append((f & union).bit_count())
+        union |= f
+    return sizes[1:]
+
+
+def _mask(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def clique_tree(cliques: Sequence[frozenset[int]], g: Graph) -> CliqueTree:
     """Maximum-weight spanning forest of the clique intersection graph.
 
     Weight is separator size; ties break lexicographically on index pairs, so
-    the output is deterministic.  The running intersection property of the
+    the output is deterministic.  The input is checked to be the maximal
+    cliques of a chordal graph, and the running intersection property of the
     result is verified.
     """
     if isinstance(is_chordal(g), NotChordal):
@@ -258,17 +361,7 @@ def clique_tree(cliques: Sequence[frozenset[int]], g: Graph) -> CliqueTree:
         covered |= c
     if covered != set(range(g.n)):
         raise ContractViolationError("cliques do not cover every vertex")
-    k = len(cl)
-    weighted = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = len(cl[i] & cl[j])
-            if w:
-                weighted.append((-w, i, j))
-    weighted.sort()
-    dsu = _DSU(k)
-    edges = tuple((i, j) for negw, i, j in weighted if dsu.union(i, j))
-    tree = CliqueTree(tuple(cl), edges)
+    tree = CliqueTree(tuple(cl), tuple(_spanning_forest([_mask(c) for c in cl])))
     _verify_running_intersection(tree)
     return tree
 
@@ -353,33 +446,6 @@ class QuasiForestDecomposition:
         return min(self.attach_dims) if self.attach_dims else None
 
 
-def _forest_components(tree: CliqueTree) -> list[list[int]]:
-    k = len(tree.cliques)
-    dsu = _DSU(k)
-    for a, b in tree.edges:
-        dsu.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(dsu.find(i), []).append(i)
-    comps = list(groups.values())
-    comps.sort(key=lambda idxs: min(min(tree.cliques[i]) for i in idxs))
-    return comps
-
-
-def _preorder(tree: CliqueTree, root: int) -> list[int]:
-    order = []
-    seen = {root}
-    stack = [root]
-    while stack:
-        a = stack.pop()
-        order.append(a)
-        for b in reversed(tree.neighbors(a)):
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return order
-
-
 def quasi_forest_order(tree: CliqueTree, roots: dict[int, int] | None = None) -> QuasiForestDecomposition:
     """Order the facets root-first so every attachment is a face of its parent.
 
@@ -387,22 +453,32 @@ def quasi_forest_order(tree: CliqueTree, roots: dict[int, int] | None = None) ->
     component is its clique with the smallest minimum vertex.  `roots` may
     override the root per component index (used by root-invariance checks).
     """
-    comps = _forest_components(tree)
-    order: list[int] = []
-    for ci, comp in enumerate(comps):
-        if roots is not None and ci in roots:
-            root = roots[ci]
-            if root not in comp:
-                raise ContractViolationError(f"root {root} is not in component {ci}")
-        else:
-            root = min(comp, key=lambda i: (min(tree.cliques[i]), i))
-        order.extend(_preorder(tree, root))
-    facets = tuple(tree.cliques[i] for i in order)
-    dims = tuple(len(f) - 1 for f in facets)
-    union: frozenset[int] = frozenset()
-    attach = []
-    for i, f in enumerate(facets):
-        if i:
-            attach.append(len(f & union) - 1)
-        union |= f
-    return QuasiForestDecomposition(facets, dims, tuple(attach), len(union))
+    masks = [_mask(c) for c in tree.cliques]
+    facets = [masks[i] for i in _facet_order(masks, tree.edges, roots)]
+    n = len(frozenset().union(*tree.cliques))
+    return _decomposition(facets, _attachment_sizes(facets), n)
+
+
+def _decomposition(facets: Sequence[int], attach: Sequence[int], n: int) -> QuasiForestDecomposition:
+    return QuasiForestDecomposition(
+        facets=tuple(frozenset(bits(f)) for f in facets),
+        dims=tuple(f.bit_count() - 1 for f in facets),
+        attach_dims=tuple(a - 1 for a in attach),
+        n=n,
+    )
+
+
+def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | None]:
+    """Chordality certificate of g and, when g is chordal, the quasi-forest
+    decomposition of its flag complex (facets = maximal cliques of g).
+
+    One maximum cardinality search; the cliques come from the perfect
+    elimination ordering it just verified.
+    """
+    if g.n < 1:
+        raise UndefinedInputError("a quasi-forest decomposition needs at least one vertex")
+    res = is_chordal(g)
+    if isinstance(res, NotChordal):
+        return res, None
+    facets, attach = _quasi_forest_masks(_clique_masks_from_peo(g.n, g.rows, res.peo))
+    return res, _decomposition(facets, attach, g.n)

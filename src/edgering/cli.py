@@ -23,6 +23,7 @@ import sys
 from . import chordal, complexes, conjecture, invariants, oracle
 from .errors import (
     EdgeRingError,
+    InternalInvariantError,
     MalformedInputError,
     UndefinedInputError,
     UnsupportedSizeError,
@@ -51,17 +52,6 @@ ANALYZE_KEYS = (
 )
 
 
-def _decompose_graph(g: Graph):
-    """Chordality result plus (cliques, tree, decomposition) of the complement."""
-    gbar = complement(g)
-    res = chordal.is_chordal(gbar)
-    if isinstance(res, chordal.NotChordal):
-        return res, None
-    cliques = chordal.maximal_cliques_chordal(gbar, res.peo)
-    tree = chordal.clique_tree(cliques, gbar)
-    return res, chordal.quasi_forest_order(tree)
-
-
 def analyze_record(g: Graph) -> dict:
     """The full analyze document; formula fields are null when the complement
     is not chordal."""
@@ -72,7 +62,7 @@ def analyze_record(g: Graph) -> dict:
     rec["n"] = g.n
     rec["max_deg"] = max_degree(g)
     rec["notes"] = []
-    res, qfd = _decompose_graph(g)
+    res, qfd = chordal.decompose(complement(g))
     if qfd is None:
         rec["complement_chordal"] = False
         rec["chordless_cycle"] = list(res.cycle)
@@ -90,12 +80,8 @@ def analyze_record(g: Graph) -> dict:
     rec["depth"] = invariants.depth(qfd)
     rec["dim"] = invariants.krull_dim(qfd)
     rec["cm"] = invariants.is_cm(qfd)
-    try:
-        sig = invariants.d_tree_signature(qfd)
-        rec["d_tree"] = list(sig) if sig is not None else None
-    except UnsupportedSizeError:
-        rec["d_tree"] = None
-        rec["notes"].append("d-tree recognition inconclusive above the facet cap")
+    sig = invariants.d_tree_signature(qfd)
+    rec["d_tree"] = list(sig) if sig is not None else None
     report = conjecture.report_from_decomposition(g, qfd)
     rec["conjecture_holds"] = report.holds
     rec["gap"] = report.gap
@@ -162,7 +148,8 @@ def cmd_analyze(args) -> int:
 
 def _survey_worker(item) -> tuple[int, bool, str, bool, bool, str]:
     """(line_no, ok, payload, is_2linear, holds, graph6); payload is a JSON
-    line or an error message."""
+    line or an error message.  An InternalInvariantError is a bug, not a bad
+    input line, and propagates."""
     kind, line_no, data = item
     try:
         if kind == "mask":
@@ -171,6 +158,8 @@ def _survey_worker(item) -> tuple[int, bool, str, bool, bool, str]:
         else:
             g = parse_graph6(data)
         rec = survey_record(g)
+    except InternalInvariantError:
+        raise
     except EdgeRingError as exc:
         return (line_no, False, str(exc), False, False, "")
     return (
@@ -239,7 +228,11 @@ def cmd_survey(args) -> int:
 def _load_complex(args) -> complexes.SimplicialComplex:
     if args.complex is not None:
         with open(args.complex, "r", encoding="ascii") as fh:
-            return complexes.parse_complex(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise MalformedInputError(f"{args.complex}: not ASCII text ({exc.reason})") from None
+        return complexes.parse_complex(text)
     if args.graph6 is None:
         raise MalformedInputError("either a graph6 argument or --complex FILE is required")
     g = parse_graph6(args.graph6)
@@ -250,14 +243,14 @@ def cmd_oracle(args) -> int:
     try:
         cx = _load_complex(args)
         table = oracle.hochster_betti(cx)
+        qf = complexes.as_quasi_forest(cx)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (MalformedInputError, OSError) as exc:
+    except (MalformedInputError, UndefinedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     match = None
-    qf = complexes.as_quasi_forest(cx)
     if qf.decomposition is not None:
         formula = invariants.betti_from_numerator(
             invariants.hilbert_from_decomposition(qf.decomposition)
@@ -286,14 +279,13 @@ def cmd_decompose(args) -> int:
         else:
             if args.graph6 is None:
                 raise MalformedInputError("either a graph6 argument or --complex FILE is required")
-            g = parse_graph6(args.graph6)
-            res, qfd = _decompose_graph(g)
+            res, qfd = chordal.decompose(complement(parse_graph6(args.graph6)))
             reason = complexes.SKELETON_NOT_CHORDAL if qfd is None else None
             cycle = tuple(res.cycle) if qfd is None else None
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (MalformedInputError, OSError) as exc:
+    except (MalformedInputError, UndefinedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     if qfd is None:

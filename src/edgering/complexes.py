@@ -264,19 +264,12 @@ def as_quasi_forest(c: SimplicialComplex) -> QuasiForestResult:
     """Recognize c as a quasi-forest and return an ordered decomposition.
 
     Criterion: the 1-skeleton is chordal and c is the flag complex of it.
+    The complex on the empty ground set raises UndefinedInputError.
     """
-    skel = one_skeleton(c)
     labels = c.vertices
-    res = chordal.is_chordal(skel)
-    if isinstance(res, chordal.NotChordal):
-        cycle = tuple(labels[i] for i in res.cycle)
-        return QuasiForestResult(None, SKELETON_NOT_CHORDAL, cycle)
-    cliques = chordal.maximal_cliques_chordal(skel, res.peo)
-    facet_positions = {frozenset(labels[i] for i in cl) for cl in cliques}
-    if facet_positions != set(c.facets):
-        return QuasiForestResult(None, NOT_FLAG)
-    tree = chordal.clique_tree(cliques, skel)
-    qfd = chordal.quasi_forest_order(tree)
+    res, qfd = chordal.decompose(one_skeleton(c))
+    if qfd is None:
+        return QuasiForestResult(None, SKELETON_NOT_CHORDAL, tuple(labels[i] for i in res.cycle))
     if labels != tuple(range(c.n)):
         qfd = chordal.QuasiForestDecomposition(
             facets=tuple(frozenset(labels[i] for i in f) for f in qfd.facets),
@@ -284,6 +277,8 @@ def as_quasi_forest(c: SimplicialComplex) -> QuasiForestResult:
             attach_dims=qfd.attach_dims,
             n=qfd.n,
         )
+    if set(qfd.facets) != set(c.facets):
+        return QuasiForestResult(None, NOT_FLAG)
     return QuasiForestResult(qfd)
 
 

@@ -78,16 +78,9 @@ def free_vertex_witness(
 
 def classify(g: Graph) -> ConjectureReport:
     """Full pipeline: complement, chordality, decomposition, formula pd, verdict."""
-    if g.n < 1:
-        raise UndefinedInputError("classification needs at least one vertex")
-    g6 = to_graph6(g)
-    gbar = complement(g)
-    res = chordal.is_chordal(gbar)
-    if isinstance(res, chordal.NotChordal):
-        return ConjectureReport(graph6=g6, has_2linear=False)
-    cliques = chordal.maximal_cliques_chordal(gbar, res.peo)
-    tree = chordal.clique_tree(cliques, gbar)
-    qfd = chordal.quasi_forest_order(tree)
+    _, qfd = chordal.decompose(complement(g))
+    if qfd is None:
+        return ConjectureReport(graph6=to_graph6(g), has_2linear=False)
     return report_from_decomposition(g, qfd)
 
 

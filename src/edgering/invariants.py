@@ -23,12 +23,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .chordal import QuasiForestDecomposition
-from .errors import (
-    ContractViolationError,
-    InternalInvariantError,
-    NotTwoLinearError,
-    UnsupportedSizeError,
-)
+from .errors import ContractViolationError, InternalInvariantError, NotTwoLinearError
 
 if TYPE_CHECKING:
     from .complexes import FVector
@@ -205,123 +200,32 @@ def is_cm(qfd: QuasiForestDecomposition) -> bool:
     return structural
 
 
-D_TREE_EXHAUSTIVE_CAP = 8
-
-
 def d_tree_signature(qfd: QuasiForestDecomposition) -> tuple[int, ...] | None:
-    """Nonincreasing facet dimensions iff some ordering attaches every facet
-    along a face of codimension one (each step adds exactly one vertex).
+    """Nonincreasing facet dimensions iff some quasi-forest ordering attaches
+    every facet after the first along a face of codimension one (each step
+    adds exactly one vertex); None otherwise.
 
-    Searches rootings of a clique tree of the facets; below the exhaustive
-    cap a subset-DP over all valid orderings is the fallback authority for a
-    negative answer, above it a failed root search raises UnsupportedSizeError
-    rather than guessing.
+    Closed form: such an ordering exists iff the largest facet has
+    n - k + 1 vertices.  In any quasi-forest ordering F_1..F_k, each F_i with
+    i >= 2 adds at least one new vertex, because its attachment lies in a
+    single earlier facet and the facets are inclusion-free.  So every
+    ordering has n >= |F_1| + k - 1, with equality iff each step adds exactly
+    one vertex.  Rooting any clique-tree preorder at a largest facet (its
+    component first) gives a quasi-forest ordering, so n >= omega + k - 1
+    for the largest facet size omega.  A d-tree ordering has
+    n = |F_1| + k - 1 <= omega + k - 1, hence omega = n - k + 1.  Conversely,
+    when omega = n - k + 1, the preorder rooted at a largest facet adds
+    n - omega = k - 1 new vertices in k - 1 steps, one per step.
     """
-    signature = tuple(sorted(qfd.dims, reverse=True))
-    if qfd.k == 1:
-        return signature
-    if _root_search(qfd):
-        return signature
-    if qfd.k <= D_TREE_EXHAUSTIVE_CAP:
-        return signature if _ordering_dp(qfd) else None
-    raise UnsupportedSizeError(
-        f"d-tree recognition above {D_TREE_EXHAUSTIVE_CAP} facets is inconclusive "
-        "when the clique-tree root search fails"
-    )
+    if not _d_tree_exists(qfd.n, qfd.k, max(qfd.dims) + 1):
+        return None
+    return tuple(sorted(qfd.dims, reverse=True))
 
 
-def _parent_forest(qfd: QuasiForestDecomposition) -> list[int]:
-    """parent[i] = index of the first earlier facet containing attachment i, else -1."""
-    parents = [-1] * qfd.k
-    union: frozenset[int] = frozenset()
-    for i, f in enumerate(qfd.facets):
-        if i:
-            inter = f & union
-            if inter:
-                parents[i] = next(j for j in range(i) if inter <= qfd.facets[j])
-        union |= f
-    return parents
-
-
-def _root_search(qfd: QuasiForestDecomposition) -> bool:
-    """Try every root of every tree; non-first components must be isolated vertices."""
-    parents = _parent_forest(qfd)
-    adj: dict[int, list[int]] = {i: [] for i in range(qfd.k)}
-    for i, p in enumerate(parents):
-        if p >= 0:
-            adj[i].append(p)
-            adj[p].append(i)
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for i in range(qfd.k):
-        if i in seen:
-            continue
-        comp = [i]
-        seen.add(i)
-        stack = [i]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    comp.append(b)
-                    stack.append(b)
-        comps.append(comp)
-    big = [comp for comp in comps if not (len(comp) == 1 and len(qfd.facets[comp[0]]) == 1)]
-    if len(big) > 1:
-        return False
-    if not big:
-        return True
-    comp = big[0]
-    for root in comp:
-        if _root_works(qfd, adj, comp, root):
-            return True
-    return False
-
-
-def _root_works(qfd, adj, comp, root) -> bool:
-    seen = {root}
-    stack = [root]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in seen:
-                if len(qfd.facets[b] & qfd.facets[a]) != len(qfd.facets[b]) - 1:
-                    return False
-                seen.add(b)
-                stack.append(b)
-    return True
-
-
-def _ordering_dp(qfd: QuasiForestDecomposition) -> bool:
-    """Exhaustive check over all quasi-forest orderings with one-new-vertex steps."""
-    k = qfd.k
-    facets = qfd.facets
-    memo: dict[int, bool] = {}
-    full = (1 << k) - 1
-
-    def feasible(used: int, union: frozenset[int]) -> bool:
-        if used == full:
-            return True
-        if used in memo:
-            return memo[used]
-        ok = False
-        for i in range(k):
-            if used >> i & 1:
-                continue
-            f = facets[i]
-            inter = f & union
-            if len(inter) != len(f) - 1:
-                continue
-            if inter and not any(used >> j & 1 and inter <= facets[j] for j in range(k)):
-                continue
-            if feasible(used | 1 << i, union | f):
-                ok = True
-                break
-        memo[used] = ok
-        return ok
-
-    return any(feasible(1 << i, facets[i]) for i in range(k))
+def _d_tree_exists(n: int, k: int, largest: int) -> bool:
+    """The d-tree criterion of `d_tree_signature` on n vertices, k facets and
+    a largest facet of `largest` vertices."""
+    return largest == n - k + 1
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ violates a claimed identity.  The oracle variant additionally computes the
 Hochster Betti table of the flag complex of the complement and compares it
 entry by entry.
 
-The per-graph worker operates on bitmask rows throughout; a test pins its
-agreement with the public object-level API.  Chunks of the edge-mask range
+The per-graph worker operates on bitmask rows throughout: it calls the
+decomposition kernel of `chordal` on clique masks directly and takes the
+d-tree criterion from `invariants`, so the sweep and the object-level API
+share one decomposition and one d-tree rule.  Chunks of the edge-mask range
 can be processed by a worker pool; results merge deterministically in mask
 order, so the outcome is identical for every worker count.
 """
@@ -19,10 +21,10 @@ import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order
+from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order, _quasi_forest_masks
 from .complexes import SimplicialComplex, _maximal_clique_masks
 from .graphs import Graph, bits, rows_from_edge_mask, to_graph6
-from .invariants import one_minus_t_pow
+from .invariants import _d_tree_exists, one_minus_t_pow
 from .oracle import hochster_betti, oracle_is_2linear, oracle_pd
 
 VIOLATION_KINDS = (
@@ -116,77 +118,6 @@ def has_long_induced_cycle(n: int, rows: list[int] | tuple[int, ...], subsets=No
     return False
 
 
-def _fast_decomposition(cliques: list[int]) -> tuple[list[int], list[int]]:
-    """Quasi-forest order of clique masks: (ordered facet masks, attachment sizes).
-
-    Mirrors clique_tree + quasi_forest_order: maximum-weight spanning forest
-    with (-weight, i, j) tie-breaking, components by smallest vertex, root =
-    clique with the smallest minimum vertex, preorder with ascending children.
-    """
-    cl = sorted(cliques, key=lambda m: sorted(bits(m)))
-    k = len(cl)
-    weighted = []
-    for i in range(k):
-        ci = cl[i]
-        for j in range(i + 1, k):
-            w = (ci & cl[j]).bit_count()
-            if w:
-                weighted.append((-w, i, j))
-    weighted.sort()
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for _, i, j in weighted:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-            adj[i].append(j)
-            adj[j].append(i)
-    comps: list[list[int]] = []
-    seen = [False] * k
-    for i in range(k):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        stack = [i]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    comp.append(b)
-                    stack.append(b)
-        comps.append(comp)
-    comps.sort(key=lambda idxs: min((cl[i] & -cl[i]).bit_length() for i in idxs))
-    order: list[int] = []
-    for comp in comps:
-        root = min(comp, key=lambda i: ((cl[i] & -cl[i]).bit_length(), i))
-        visited = {root}
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            order.append(a)
-            for b in sorted(adj[a], reverse=True):
-                if b not in visited:
-                    visited.add(b)
-                    stack.append(b)
-    facets = [cl[i] for i in order]
-    attach = []
-    union = 0
-    for i, f in enumerate(facets):
-        if i:
-            attach.append((f & union).bit_count())
-        union |= f
-    return facets, attach
-
-
 def _fast_fvector(facets: list[int]) -> list[int]:
     seen = {0}
     for fm in facets:
@@ -199,89 +130,6 @@ def _fast_fvector(facets: list[int]) -> list[int]:
     for m in seen:
         counts[m.bit_count()] += 1
     return counts
-
-
-def _fast_dtree_exists(facets: list[int], attach: list[int]) -> bool:
-    """Mask-level twin of invariants.d_tree_signature's search (k <= 8 per sweep)."""
-    k = len(facets)
-    if k == 1:
-        return True
-    par = [-1] * k
-    union = 0
-    for i, f in enumerate(facets):
-        if i:
-            inter = f & union
-            if inter:
-                par[i] = next(j for j in range(i) if inter & ~facets[j] == 0)
-        union |= f
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for i, p in enumerate(par):
-        if p >= 0:
-            adj[i].append(p)
-            adj[p].append(i)
-    comps: list[list[int]] = []
-    seen = [False] * k
-    for i in range(k):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        stack = [i]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    comp.append(b)
-                    stack.append(b)
-        comps.append(comp)
-    big = [c for c in comps if not (len(c) == 1 and facets[c[0]].bit_count() == 1)]
-    if not big:
-        return True
-    if len(big) == 1:
-        comp = big[0]
-        for root in comp:
-            ok = True
-            seen2 = {root}
-            stack = [root]
-            while stack and ok:
-                a = stack.pop()
-                for b in adj[a]:
-                    if b not in seen2:
-                        fb = facets[b]
-                        if (fb & facets[a]).bit_count() != fb.bit_count() - 1:
-                            ok = False
-                            break
-                        seen2.add(b)
-                        stack.append(b)
-            if ok:
-                return True
-    # exhaustive fallback over one-new-vertex orderings
-    full = (1 << k) - 1
-    memo: dict[int, bool] = {}
-
-    def feasible(used: int, union_mask: int) -> bool:
-        if used == full:
-            return True
-        if used in memo:
-            return memo[used]
-        ok = False
-        for i in range(k):
-            if used >> i & 1:
-                continue
-            f = facets[i]
-            inter = f & union_mask
-            if inter.bit_count() != f.bit_count() - 1:
-                continue
-            if inter and not any(used >> j & 1 and inter & ~facets[j] == 0 for j in range(k)):
-                continue
-            if feasible(used | 1 << i, union_mask | f):
-                ok = True
-                break
-        memo[used] = ok
-        return ok
-
-    return any(feasible(1 << i, facets[i]) for i in range(k))
 
 
 def _to_g6(n: int, mask: int) -> str:
@@ -305,7 +153,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         if chordal_flag == has_long_induced_cycle(n, crow, subsets):
             vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
         if with_oracle:
-            complex_facets = _bk_masks(n, crow)
+            complex_facets = _maximal_clique_masks(n, crow)
             cx = SimplicialComplex.of(n, [list(bits(m)) for m in complex_facets])
             table = hochster_betti(cx)
             if oracle_is_2linear(table) != chordal_flag:
@@ -318,7 +166,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         cliques = _clique_masks_from_peo(n, crow, elim)
         if with_oracle and set(cliques) != set(complex_facets):
             vio["clique_paths_disagree"].append(_to_g6(n, mask))
-        facets, attach = _fast_decomposition(cliques)
+        facets, attach = _quasi_forest_masks(cliques)
         k = len(facets)
         dims = [f.bit_count() - 1 for f in facets]
         # Hilbert numerator from the decomposition
@@ -386,7 +234,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
             counts["isolated"] += 1
             if not holds:
                 vio["isolated_not_holds"].append(_to_g6(n, mask))
-        if _fast_dtree_exists(facets, attach):
+        if _d_tree_exists(n, k, max(dims) + 1):
             counts["dtree"] += 1
             if not holds:
                 vio["dtree_not_holds"].append(_to_g6(n, mask))
@@ -402,10 +250,6 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
                 vio["ab_identity"].append(_to_g6(n, mask))
             _check_knum(n, table, fcounts, pow_cache, vio, mask)
     return res
-
-
-def _bk_masks(n: int, rows: list[int]) -> list[int]:
-    return _maximal_clique_masks(n, rows)
 
 
 def _check_knum(n, table, fcounts, pow_cache, vio, mask) -> None:

@@ -5,13 +5,20 @@ from edgering.chordal import (
     NotChordal,
     QuasiForestDecomposition,
     clique_tree,
+    decompose,
     is_chordal,
     maximal_cliques_chordal,
     quasi_forest_order,
 )
-from edgering.errors import ContractViolationError
+from edgering.errors import ContractViolationError, UndefinedInputError
 from edgering.graphs import Graph, complement, enumerate_labeled
-from conftest import brute_is_chordal, check_chordless_cycle, check_peo, random_graph
+from conftest import (
+    brute_is_chordal,
+    check_chordless_cycle,
+    check_peo,
+    random_graph,
+    random_quasi_forest_facets,
+)
 
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -221,6 +228,31 @@ class TestQuasiForestOrder:
         tree = clique_tree(maximal_cliques_chordal(g, is_chordal(g).peo), g)
         with pytest.raises(ContractViolationError):
             quasi_forest_order(tree, roots={0: 99})
+
+
+class TestDecompose:
+    def test_matches_validated_public_chain(self, rng):
+        graphs = [g for n in range(1, 5) for g in enumerate_labeled(n)]
+        graphs += [random_graph(rng, 6) for _ in range(150)]
+        for _ in range(150):
+            # chordal: the 1-skeleton of a randomly relabelled quasi-forest
+            facets = random_quasi_forest_facets(rng, max_n=14)
+            n = len(set().union(*facets))
+            label = rng.sample(range(n), n)
+            edges = [(label[u], label[v]) for f in facets for u in f for v in f if u < v]
+            graphs.append(Graph.from_edges(n, edges))
+        for g in graphs:
+            res, qfd = decompose(g)
+            assert res == is_chordal(g)
+            if isinstance(res, NotChordal):
+                assert qfd is None
+            else:
+                cliques = maximal_cliques_chordal(g, res.peo)
+                assert qfd == quasi_forest_order(clique_tree(cliques, g))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(UndefinedInputError):
+            decompose(Graph(0, ()))
 
 
 def _components(tree):

@@ -1,12 +1,16 @@
+import io
 import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from edgering import cli
 from edgering.cli import main
+from edgering.errors import InternalInvariantError
 from edgering.graphs import Graph, complement, enumerate_labeled, to_graph6
 from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
 from edgering.complexes import flag_complex
@@ -15,6 +19,7 @@ from edgering.complexes import flag_complex
 C4_G6 = to_graph6(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 K4_G6 = "C~"
 EDGELESS4_G6 = "C?"
+HOLLOW_CX = Path(__file__).parent / "fixtures" / "hollow.cx"
 
 
 def schema(name):
@@ -96,17 +101,20 @@ class TestAnalyze:
         b = run_cli(["analyze", C4_G6]).stdout
         assert a == b
 
-    def test_d_tree_cap_noted(self, capsys):
-        # complement of nine disjoint edges: the complement's flag complex has
-        # nine edge facets in nine components, so no rooting works and the
-        # facet count is past the exhaustive-search cap
-        matching = Graph.from_edges(18, [(2 * i, 2 * i + 1) for i in range(9)])
-        assert main(["analyze", to_graph6(complement(matching))]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        jsonschema.validate(rec, schema("analyze"))
-        assert rec["d_tree"] is None
-        assert any("d-tree" in note for note in rec["notes"])
-        assert rec["conjecture_holds"] is not None
+    def test_d_tree_decided_past_eight_facets(self, capsys):
+        cases = [
+            # nine disjoint edges: n = 18, k = 9, largest facet 2 != n - k + 1
+            (Graph.from_edges(18, [(2 * i, 2 * i + 1) for i in range(9)]), None),
+            # the path on 12 vertices: k = 11 edges, largest facet 2 = n - k + 1
+            (Graph.from_edges(12, [(i, i + 1) for i in range(11)]), [1] * 11),
+        ]
+        for complement_graph, d_tree in cases:
+            assert main(["analyze", to_graph6(complement(complement_graph))]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            jsonschema.validate(rec, schema("analyze"))
+            assert rec["d_tree"] == d_tree
+            assert rec["notes"] == []
+            assert rec["conjecture_holds"] is not None
 
 
 class TestSurvey:
@@ -146,6 +154,16 @@ class TestSurvey:
         assert summary["total"] == len(records)
         assert summary["2linear"] == sum(1 for r in records if r["complement_chordal"])
         assert summary["holds"] == sum(1 for r in records if r["holds"])
+
+    def test_internal_error_is_not_a_skipped_line(self, monkeypatch, capsys):
+        def broken(g):
+            raise InternalInvariantError("simulated bug")
+
+        monkeypatch.setattr(cli, "survey_record", broken)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(C4_G6 + "\n"))
+        with pytest.raises(InternalInvariantError):
+            main(["survey"])
+        assert "line 1" not in capsys.readouterr().err
 
     def test_stdin_with_bad_line(self):
         stdin = f"{C4_G6}\nnot-a-graph\n{K4_G6}\n"
@@ -189,14 +207,13 @@ class TestOracle:
         rec = json.loads(capsys.readouterr().out)
         assert rec["betti"] == [[0, 0, 1]] and rec["match"] is True
 
-    def test_complex_file(self, tmp_path, capsys):
-        path = tmp_path / "hollow.cx"
-        path.write_text("3\n0 1\n1 2\n0 2\n")
-        assert main(["oracle", "--complex", str(path)]) == 0
+    def test_complex_file(self, capsys):
+        # the README example
+        assert main(["oracle", "--complex", str(HOLLOW_CX)]) == 0
         rec = json.loads(capsys.readouterr().out)
         jsonschema.validate(rec, schema("oracle"))
         assert rec["two_linear"] is False and rec["match"] is None
-        assert [1, 3, 1] in rec["betti"]
+        assert rec["betti"] == [[0, 0, 1], [1, 3, 1]]
 
     def test_size_cap_exit_3(self, capsys):
         g6 = to_graph6(Graph(13, (0,) * 13))
@@ -204,6 +221,33 @@ class TestOracle:
 
     def test_missing_input(self, capsys):
         assert main(["oracle"]) == 2
+
+
+class TestBadInputExit2:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "?"],
+            ["oracle", "?"],
+            ["decompose", "--complex", "EMPTY"],
+            ["oracle", "--complex", "EMPTY"],
+        ],
+    )
+    def test_no_vertices(self, tmp_path, capsys, argv):
+        path = tmp_path / "empty.cx"
+        path.write_text("0\n")
+        argv = [str(path) if a == "EMPTY" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["oracle", "decompose"])
+    def test_non_ascii_complex(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.cx"
+        path.write_bytes(b"1\n0\xe9\n")
+        assert main([command, "--complex", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDecompose:
@@ -229,13 +273,12 @@ class TestDecompose:
         jsonschema.validate(rec, schema("decompose"))
         assert rec["d"] == [2, 2] and rec["r"] == [1] and rec["r_min"] == 1
 
-    def test_not_flag_complex_file(self, tmp_path, capsys):
-        path = tmp_path / "hollow.cx"
-        path.write_text("3\n0 1\n1 2\n0 2\n")
-        assert main(["decompose", "--complex", str(path)]) == 4
+    def test_not_flag_complex_file(self, capsys):
+        # the README example
+        assert main(["decompose", "--complex", str(HOLLOW_CX)]) == 4
         rec = json.loads(capsys.readouterr().out)
         jsonschema.validate(rec, schema("decompose"))
-        assert rec["error"] == "not-flag"
+        assert rec == {"chordless_cycle": None, "error": "not-flag"}
 
     def test_not_chordal_exit_4(self, capsys):
         g6 = to_graph6(complement(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])))

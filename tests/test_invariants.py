@@ -171,7 +171,7 @@ class TestDTreeSignature:
         assert d_tree_signature(qfd_of([[0, 1, 2], [2, 3], [3, 4, 5]])) is None
 
     def test_against_exhaustive_orderings(self, rng):
-        """Root search agrees with brute force over all one-vertex-step orders."""
+        """The closed form agrees with brute force over all one-vertex-step orders."""
         from itertools import permutations
 
         checked = 0

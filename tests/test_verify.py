@@ -1,17 +1,30 @@
-"""The sweep's mask-level fast path must agree with the public object API."""
+"""The sweep's mask-level path (the chordal kernel plus the shared d-tree
+criterion) must agree with the public object API."""
 
 import pytest
 
 from edgering import verify
-from edgering.chordal import Chordal, clique_tree, is_chordal, maximal_cliques_chordal, quasi_forest_order
+from edgering.chordal import (
+    Chordal,
+    _clique_masks_from_peo,
+    _first_peo_violation,
+    _mcs_order,
+    _quasi_forest_masks,
+    clique_tree,
+    is_chordal,
+    maximal_cliques_chordal,
+    quasi_forest_order,
+)
 from edgering.complexes import f_vector, flag_complex
 from edgering.graphs import Graph, bits, complement, enumerate_labeled, max_degree
 from edgering.invariants import (
+    _d_tree_exists,
     d_tree_signature,
     depth,
     hilbert_from_decomposition,
     is_cm,
     krull_dim,
+    one_minus_t_pow,
     projective_dimension,
 )
 from edgering.conjecture import classify
@@ -44,19 +57,16 @@ def public_reference(g: Graph):
 
 
 def fast_reference(g: Graph):
-    """The same quantities via verify's internal helpers."""
+    """The same quantities on masks, via the kernel the sweep calls."""
     n = g.n
     full = (1 << n) - 1
     crow = [full & ~r & ~(1 << v) for v, r in enumerate(g.rows)]
-    from edgering.chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order
-
     elim = _mcs_order(n, crow)[::-1]
     if _first_peo_violation(n, crow, elim) is not None:
         return None
     cliques = _clique_masks_from_peo(n, crow, elim)
-    facets, attach = verify._fast_decomposition(cliques)
+    facets, attach = _quasi_forest_masks(cliques)
     dims = [f.bit_count() - 1 for f in facets]
-    from edgering.invariants import one_minus_t_pow
 
     num = [0] * (n + 1)
     for d in dims:
@@ -96,7 +106,7 @@ def fast_reference(g: Graph):
         "depth": depth_val,
         "dim": dim_val,
         "cm": cm,
-        "dtree": verify._fast_dtree_exists(facets, attach),
+        "dtree": _d_tree_exists(n, k, max(dims) + 1),
         "holds": holds,
         "witness": witness,
         "single": k == 1,
