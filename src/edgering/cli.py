@@ -8,9 +8,10 @@ Subcommands:
              complement flag complex
 
 Exit codes: 0 ok, 1 partial (some survey lines skipped), 2 malformed input,
-3 size cap exceeded, 4 not a quasi-forest.  All JSON is emitted with sorted
-keys and stable list orders, so identical inputs and flags produce
-byte-identical output for every --jobs value.
+3 size cap exceeded, 4 not a quasi-forest, 5 internal error (a failed
+consistency check, that is a bug, reported as `internal error: ...`).  All
+JSON is emitted with sorted keys and stable list orders, so identical inputs
+and flags produce byte-identical output for every --jobs value.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_PARTIAL = 1
 EXIT_MALFORMED = 2
 EXIT_SIZE_CAP = 3
 EXIT_NOT_QUASI_FOREST = 4
+EXIT_INTERNAL = 5
 
 ANALYZE_KEYS = (
     "input", "n", "complement_chordal", "chordless_cycle", "facets", "d", "r",
@@ -58,12 +60,12 @@ def analyze_record(g: Graph) -> dict:
     if g.n < 1:
         raise UndefinedInputError("analysis needs at least one vertex")
     rec: dict = {key: None for key in ANALYZE_KEYS}
-    rec["input"] = to_graph6(g)
     rec["n"] = g.n
     rec["max_deg"] = max_degree(g)
     rec["notes"] = []
     res, qfd = chordal.decompose(complement(g))
     if qfd is None:
+        rec["input"] = to_graph6(g)
         rec["complement_chordal"] = False
         rec["chordless_cycle"] = list(res.cycle)
         return rec
@@ -83,6 +85,7 @@ def analyze_record(g: Graph) -> dict:
     sig = invariants.d_tree_signature(qfd)
     rec["d_tree"] = list(sig) if sig is not None else None
     report = conjecture.report_from_decomposition(g, qfd)
+    rec["input"] = report.graph6
     rec["conjecture_holds"] = report.holds
     rec["gap"] = report.gap
     if report.witness is not None:
@@ -353,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

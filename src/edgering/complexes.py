@@ -303,6 +303,13 @@ def parse_complex(text: str) -> SimplicialComplex:
             if not 0 <= v < n:
                 raise MalformedInputError(f"vertex {v} outside 0..{n - 1}")
         facets.append(facet)
+    entries = sum(len(f) for f in facets)
+    if n > entries:
+        # checked before the ground set range(n) is built
+        raise MalformedInputError(
+            f"vertex count {n} exceeds the {entries} vertex entries of the facet lines; "
+            "every vertex must lie in a facet"
+        )
     return SimplicialComplex.of(n, facets)
 
 

@@ -20,7 +20,7 @@ from . import chordal, invariants
 from .chordal import QuasiForestDecomposition
 from .complexes import SimplicialComplex
 from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
-from .graphs import Graph, complement, max_degree, to_graph6
+from .graphs import Graph, bits, complement, max_degree, to_graph6
 
 KRR_GAP_NOTE = (
     "complete-bipartite family: the gap for K_(r,r) is sometimes quoted as r, but the "
@@ -51,6 +51,26 @@ class ConjectureReport:
                 raise InternalInvariantError("holds flag inconsistent with pd and max_deg")
 
 
+def _free_vertex_witness_masks(facets, r_min: int) -> tuple[int, int] | None:
+    """The witness of `free_vertex_witness` on facet masks: (facet mask, vertex)
+    for the first witness facet in canonical order (sorted vertex lists), or None.
+
+    A facet is a witness iff it has r_min + 2 vertices and exactly one of
+    them lies in no other facet; that vertex is the free vertex.
+    """
+    seen = twice = 0
+    for f in facets:
+        twice |= seen & f
+        seen |= f
+    once = seen & ~twice
+    target = r_min + 2
+    found = [f for f in facets if f.bit_count() == target and (f & once).bit_count() == 1]
+    if not found:
+        return None
+    f = min(found, key=lambda m: list(bits(m)))
+    return f, (f & once).bit_length() - 1
+
+
 def free_vertex_witness(
     c: SimplicialComplex, r_min: int
 ) -> tuple[frozenset[int], int] | None:
@@ -63,17 +83,13 @@ def free_vertex_witness(
     """
     if len(c.facets) < 2:
         raise ContractViolationError("witness search requires at least two facets")
-    count: dict[int, int] = {}
-    for f in c.facets:
-        for v in f:
-            count[v] = count.get(v, 0) + 1
-    for f in c.facets:
-        if len(f) != r_min + 2:
-            continue
-        for v in sorted(f):
-            if count[v] == 1 and all(count[u] >= 2 for u in f if u != v):
-                return (f, v)
-    return None
+    pos = {v: i for i, v in enumerate(c.vertices)}
+    masks = [sum(1 << pos[v] for v in f) for f in c.facets]
+    found = _free_vertex_witness_masks(masks, r_min)
+    if found is None:
+        return None
+    f, v = found
+    return c.facets[masks.index(f)], c.vertices[v]
 
 
 def classify(g: Graph) -> ConjectureReport:
@@ -93,12 +109,15 @@ def report_from_decomposition(g: Graph, qfd: QuasiForestDecomposition) -> Conjec
     single = qfd.k == 1
     witness = None
     if not single:
-        cx = SimplicialComplex(tuple(range(qfd.n)), qfd.facets)
-        witness = free_vertex_witness(cx, qfd.r_min)
-        if witness is not None and not holds:
-            raise InternalInvariantError(
-                f"witness exists but pd {pd} != max degree {md} for {g6}"
-            )
+        found = _free_vertex_witness_masks(
+            [sum(1 << v for v in f) for f in qfd.facets], qfd.r_min
+        )
+        if found is not None:
+            witness = (frozenset(bits(found[0])), found[1])
+            if not holds:
+                raise InternalInvariantError(
+                    f"witness exists but pd {pd} != max degree {md} for {g6}"
+                )
     return ConjectureReport(
         graph6=g6,
         has_2linear=True,

@@ -121,7 +121,10 @@ def edge_mask_from_rows(n: int, rows: tuple[int, ...] | list[int]) -> int:
 
 def parse_graph6(text: str | bytes) -> Graph:
     """Parse one short-form graph6 graph (optional '>>graph6<<' header)."""
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    try:
+        data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    except UnicodeEncodeError as exc:
+        raise MalformedInputError(f"graph6 text must be ASCII ({exc.reason})") from None
     data = data.strip()
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):]

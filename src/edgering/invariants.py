@@ -118,17 +118,34 @@ class BettiTable:
         return f"BettiTable({self.entries})"
 
 
+def _numerator(n: int, dims, attach_dims) -> list[int]:
+    """Numerator over (1-t)^n of sum_i 1/(1-t)^(d_i+1) - sum_i 1/(1-t)^(r_i+1),
+    untrimmed: n + 1 coefficients."""
+    coeffs = [0] * (n + 1)
+    for d in dims:
+        for i, c in enumerate(one_minus_t_pow(n - d - 1)):
+            coeffs[i] += c
+    for r in attach_dims:
+        for i, c in enumerate(one_minus_t_pow(n - r - 1)):
+            coeffs[i] -= c
+    return coeffs
+
+
+def _fvector_numerator(counts, n: int) -> list[int]:
+    """Numerator over (1-t)^n of sum_s f_(s-1) t^s/(1-t)^s, where counts[s] is
+    the number of faces with s vertices; untrimmed: n + 1 coefficients."""
+    coeffs = [0] * (n + 1)
+    for s, count in enumerate(counts):
+        if count:
+            for i, c in enumerate(one_minus_t_pow(n - s)):
+                coeffs[s + i] += count * c
+    return coeffs
+
+
 def hilbert_from_decomposition(qfd: QuasiForestDecomposition) -> HilbertSeries:
     """Expand the facet/attachment series over (1-t)^n with exact binomials."""
     n = qfd.n
-    coeffs = [0] * (n + 1)
-    for d in qfd.dims:
-        for i, c in enumerate(one_minus_t_pow(n - d - 1)):
-            coeffs[i] += c
-    for r in qfd.attach_dims:
-        for i, c in enumerate(one_minus_t_pow(n - r - 1)):
-            coeffs[i] -= c
-    series = HilbertSeries(tuple(coeffs), n)
+    series = HilbertSeries(tuple(_numerator(n, qfd.dims, qfd.attach_dims)), n)
     if series.coefficient(0) != 1:
         raise InternalInvariantError("Hilbert numerator must start at 1")
     if qfd.k >= 2:
@@ -146,13 +163,17 @@ def hilbert_from_fvector(fv: "FVector", n: int) -> HilbertSeries:
     """Standard Stanley-Reisner Hilbert series sum_s f_(s-1) t^s/(1-t)^s over (1-t)^n."""
     if len(fv.counts) - 1 > n:
         raise ContractViolationError("f-vector has faces larger than the ground set")
-    coeffs = [0] * (n + 1)
-    for s, count in enumerate(fv.counts):
-        if count == 0:
-            continue
-        for i, c in enumerate(one_minus_t_pow(n - s)):
-            coeffs[s + i] += count * c
-    return HilbertSeries(tuple(coeffs), n)
+    return HilbertSeries(tuple(_fvector_numerator(fv.counts, n)), n)
+
+
+def _linear_strand(p) -> dict[tuple[int, int], int]:
+    """The nonzero values (-1)^i * p_(i+1) at (i, i+1), i >= 1, ascending in i."""
+    entries = {}
+    for i in range(1, len(p) - 1):
+        value = (-1) ** i * p[i + 1]
+        if value:
+            entries[(i, i + 1)] = value
+    return entries
 
 
 def betti_from_numerator(h: HilbertSeries) -> BettiTable:
@@ -162,39 +183,46 @@ def betti_from_numerator(h: HilbertSeries) -> BettiTable:
         raise NotTwoLinearError(f"numerator constant term {p[0]} != 1")
     if len(p) > 1 and p[1] != 0:
         raise NotTwoLinearError("numerator has a t^1 term; input is not 2-linear")
-    entries = {}
-    for i in range(1, len(p) - 1):
-        value = (-1) ** i * p[i + 1]
+    entries = _linear_strand(p)
+    for (i, j), value in entries.items():
         if value < 0:
-            raise NotTwoLinearError(f"sign violation at degree {i + 1}; input is not 2-linear")
-        if value:
-            entries[(i, i + 1)] = value
+            raise NotTwoLinearError(f"sign violation at degree {j}; input is not 2-linear")
     return BettiTable(entries)
 
 
+def _pd_depth(n: int, k: int, r_min: int | None) -> tuple[int, int]:
+    """(pd, depth) of a quasi-forest with k facets on n vertices."""
+    if k == 1:
+        return 0, n
+    return n - r_min - 2, r_min + 2
+
+
+def _krull_dim(dims) -> int:
+    return 1 + max(dims)
+
+
+def _cm_structural(dims, attach_dims) -> bool:
+    """All facets of one dimension d and every attachment of dimension d - 1
+    (vacuous for a single facet)."""
+    d = dims[0]
+    return all(di == d for di in dims) and all(r == d - 1 for r in attach_dims)
+
+
 def projective_dimension(qfd: QuasiForestDecomposition) -> int:
-    if qfd.k == 1:
-        return 0
-    return qfd.n - min(qfd.attach_dims) - 2
+    return _pd_depth(qfd.n, qfd.k, qfd.r_min)[0]
 
 
 def depth(qfd: QuasiForestDecomposition) -> int:
-    if qfd.k == 1:
-        return qfd.n
-    return min(qfd.attach_dims) + 2
+    return _pd_depth(qfd.n, qfd.k, qfd.r_min)[1]
 
 
 def krull_dim(qfd: QuasiForestDecomposition) -> int:
-    return 1 + max(qfd.dims)
+    return _krull_dim(qfd.dims)
 
 
 def is_cm(qfd: QuasiForestDecomposition) -> bool:
     """Cohen-Macaulay test; cross-checked against depth = Krull dimension."""
-    if qfd.k == 1:
-        structural = True
-    else:
-        d = qfd.dims[0]
-        structural = all(di == d for di in qfd.dims) and all(r == d - 1 for r in qfd.attach_dims)
+    structural = _cm_structural(qfd.dims, qfd.attach_dims)
     if structural != (depth(qfd) == krull_dim(qfd)):
         raise InternalInvariantError("CM structural test disagrees with depth = dim")
     return structural

@@ -7,12 +7,17 @@ violates a claimed identity.  The oracle variant additionally computes the
 Hochster Betti table of the flag complex of the complement and compares it
 entry by entry.
 
-The per-graph worker operates on bitmask rows throughout: it calls the
-decomposition kernel of `chordal` on clique masks directly and takes the
-d-tree criterion from `invariants`, so the sweep and the object-level API
-share one decomposition and one d-tree rule.  Chunks of the edge-mask range
-can be processed by a worker pool; results merge deterministically in mask
-order, so the outcome is identical for every worker count.
+The per-graph worker operates on bitmask rows throughout and computes no
+formula of its own: it calls the decomposition kernel of `chordal` on clique
+masks, takes the Hilbert numerator, its Betti read-off, pd, depth, Krull
+dimension, the CM test and the d-tree rule from `invariants` and the
+free-vertex witness from `conjecture`, the same functions that `analyze`,
+`survey` and `classify` reach.  It checks them against references computed
+apart from them: brute-force induced cycles, the numerator of the f-vector
+series and, in the oracle variant, the Hochster Betti table.  Chunks of the
+edge-mask range can be processed by a worker pool; results merge
+deterministically in mask order, so the outcome is identical for every
+worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +29,16 @@ from itertools import combinations
 from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order, _quasi_forest_masks
 from .complexes import SimplicialComplex, _maximal_clique_masks
 from .graphs import Graph, bits, rows_from_edge_mask, to_graph6
-from .invariants import _d_tree_exists, one_minus_t_pow
+from .conjecture import _free_vertex_witness_masks
+from .invariants import (
+    _cm_structural,
+    _d_tree_exists,
+    _fvector_numerator,
+    _krull_dim,
+    _linear_strand,
+    _numerator,
+    _pd_depth,
+)
 from .oracle import hochster_betti, oracle_is_2linear, oracle_pd
 
 VIOLATION_KINDS = (
@@ -143,7 +157,6 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
     vio = res.violations
     subsets = _long_cycle_subsets(n)
     full = (1 << n) - 1
-    pow_cache = [one_minus_t_pow(j) for j in range(n + 1)]
     for mask in range(start, stop):
         counts["total"] += 1
         rows = rows_from_edge_mask(n, mask)
@@ -160,7 +173,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
                 vio["twolinear_vs_chordal"].append(_to_g6(n, mask))
         if not chordal_flag:
             if with_oracle:
-                _check_knum(n, table, _fast_fvector(complex_facets), pow_cache, vio, mask)
+                _check_knum(n, table, _fvector_numerator(_fast_fvector(complex_facets), n), vio, mask)
             continue
         counts["twolinear"] += 1
         cliques = _clique_masks_from_peo(n, crow, elim)
@@ -169,64 +182,32 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         facets, attach = _quasi_forest_masks(cliques)
         k = len(facets)
         dims = [f.bit_count() - 1 for f in facets]
-        # Hilbert numerator from the decomposition
-        num = [0] * (n + 1)
-        for d in dims:
-            for i, c in enumerate(pow_cache[n - d - 1]):
-                num[i] += c
-        for r in attach:
-            # attach entries are sizes; dimension = size - 1, exponent n - dim - 1 = n - size
-            for i, c in enumerate(pow_cache[n - r]):
-                num[i] -= c
-        fcounts = _fast_fvector(facets)
-        num2 = [0] * (n + 1)
-        for s, count in enumerate(fcounts):
-            if count:
-                row = pow_cache[n - s]
-                for i, c in enumerate(row):
-                    num2[s + i] += count * c
-        if num != num2:
+        attach_dims = [size - 1 for size in attach]
+        r_min = min(attach_dims) if attach_dims else None
+        num = _numerator(n, dims, attach_dims)
+        fnum = _fvector_numerator(_fast_fvector(facets), n)
+        if num != fnum:
             vio["hilbert_mismatch"].append(_to_g6(n, mask))
-        r_min = min(attach) - 1 if attach else None
         deg = n
         while deg > 0 and num[deg] == 0:
             deg -= 1
         if k >= 2 and deg != n - r_min - 1:
             vio["numerator_degree"].append(_to_g6(n, mask))
-        pd = 0 if k == 1 else n - r_min - 2
-        depth_val = n if k == 1 else r_min + 2
-        dim_val = 1 + max(dims)
-        max_deg = max(r.bit_count() for r in rows)
-        holds = pd == max_deg
+        pd, depth_val = _pd_depth(n, k, r_min)
+        holds = pd == max(r.bit_count() for r in rows)
         counts["holds"] += holds
         counts["fails"] += not holds
         if k == 1:
             counts["single_facet"] += 1
-        # attach holds intersection SIZES, so r_dim = size - 1 and the CM
-        # condition r_dim = d - 1 reads size == d
-        cm_structural = k == 1 or (
-            all(d == dims[0] for d in dims) and all(r == dims[0] for r in attach)
-        )
-        if cm_structural != (depth_val == dim_val):
+        cm = _cm_structural(dims, attach_dims)
+        if cm != (depth_val == _krull_dim(dims)):
             vio["cm_inconsistent"].append(_to_g6(n, mask))
-        if cm_structural:
+        if cm:
             counts["cm"] += 1
             if not holds:
                 vio["cm_not_holds"].append(_to_g6(n, mask))
         if k >= 2:
-            vcount = [0] * n
-            for f in facets:
-                m = f
-                while m:
-                    low = m & -m
-                    m ^= low
-                    vcount[low.bit_length() - 1] += 1
-            target = r_min + 2
-            witness = any(
-                f.bit_count() == target
-                and sum(1 for v in bits(f) if vcount[v] == 1) == 1
-                for f in facets
-            )
+            witness = _free_vertex_witness_masks(facets, r_min) is not None
             counts["witness"] += witness
             if witness != holds:
                 vio["witness_equivalence"].append(_to_g6(n, mask))
@@ -239,32 +220,22 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
             if not holds:
                 vio["dtree_not_holds"].append(_to_g6(n, mask))
         if with_oracle:
-            formula_entries = {}
-            for i in range(1, deg):
-                value = (-1) ** i * num[i + 1]
-                if value:
-                    formula_entries[(i, i + 1)] = value
-            if formula_entries != table.entries:
+            if _linear_strand(num) != table.entries:
                 vio["betti_mismatch"].append(_to_g6(n, mask))
             if depth_val + oracle_pd(table) != n:
                 vio["ab_identity"].append(_to_g6(n, mask))
-            _check_knum(n, table, fcounts, pow_cache, vio, mask)
+            _check_knum(n, table, fnum, vio, mask)
     return res
 
 
-def _check_knum(n, table, fcounts, pow_cache, vio, mask) -> None:
-    """Numerator coefficients must equal alternating Betti sums per degree."""
-    num = [0] * (n + 1)
-    for s, count in enumerate(fcounts):
-        if count:
-            row = pow_cache[n - s]
-            for i, c in enumerate(row):
-                num[s + i] += count * c
+def _check_knum(n, table, fnum, vio, mask) -> None:
+    """The f-vector numerator's coefficients must equal the alternating Betti
+    sums per degree."""
     sums = [0] * (n + 1)
     sums[0] = 1
     for (i, j), v in table.entries.items():
         sums[j] += (-1) ** i * v
-    if sums != num:
+    if sums != fnum:
         vio["knum_mismatch"].append(_to_g6(n, mask))
 
 

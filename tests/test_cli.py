@@ -8,10 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from edgering import cli
+from edgering import cli, conjecture
 from edgering.cli import main
 from edgering.errors import InternalInvariantError
-from edgering.graphs import Graph, complement, enumerate_labeled, to_graph6
+from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
 from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
 from edgering.complexes import flag_complex
 
@@ -37,7 +37,31 @@ def run_cli(args, stdin=""):
     return proc
 
 
+def simulated_bug(g):
+    raise InternalInvariantError("simulated bug")
+
+
 class TestAnalyze:
+    def test_internal_error_exit_5(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "analyze_record", simulated_bug)
+        assert main(["analyze", C4_G6]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "internal error: simulated bug\n"
+
+    # K4 has a chordal complement; the complement of 2K2 is C4
+    @pytest.mark.parametrize("g6", [K4_G6, to_graph6(Graph.from_edges(4, [(0, 2), (1, 3)]))])
+    def test_graph6_encoded_once(self, monkeypatch, g6):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return to_graph6(g)
+
+        monkeypatch.setattr(cli, "to_graph6", counting)
+        monkeypatch.setattr(conjecture, "to_graph6", counting)
+        assert cli.analyze_record(parse_graph6(g6))["input"] == g6
+        assert len(calls) == 1
+
     def test_c4(self, capsys):
         assert main(["analyze", C4_G6]) == 0
         rec = json.loads(capsys.readouterr().out)
@@ -156,14 +180,18 @@ class TestSurvey:
         assert summary["holds"] == sum(1 for r in records if r["holds"])
 
     def test_internal_error_is_not_a_skipped_line(self, monkeypatch, capsys):
-        def broken(g):
-            raise InternalInvariantError("simulated bug")
-
-        monkeypatch.setattr(cli, "survey_record", broken)
+        monkeypatch.setattr(cli, "survey_record", simulated_bug)
         monkeypatch.setattr(sys, "stdin", io.StringIO(C4_G6 + "\n"))
-        with pytest.raises(InternalInvariantError):
-            main(["survey"])
-        assert "line 1" not in capsys.readouterr().err
+        assert main(["survey", "--jobs", "1"]) == cli.EXIT_INTERNAL == 5
+        err = capsys.readouterr().err
+        assert err == "internal error: simulated bug\n"
+
+    def test_non_ascii_line_skipped(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\n\u00e9\n"))
+        assert main(["survey"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 2: ")
+        assert json.loads(captured.out.splitlines()[-1])["summary"]["total"] == 1
 
     def test_stdin_with_bad_line(self):
         stdin = f"{C4_G6}\nnot-a-graph\n{K4_G6}\n"
@@ -241,6 +269,10 @@ class TestBadInputExit2:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_non_ascii_graph6(self, capsys):
+        assert main(["analyze", "\u00e9"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["oracle", "decompose"])
     def test_non_ascii_complex(self, tmp_path, capsys, command):
