@@ -12,6 +12,8 @@ Exit codes: 0 ok, 1 partial (some survey lines skipped), 2 malformed input,
 consistency check, that is a bug, reported as `internal error: ...`).  All
 JSON is emitted with sorted keys and stable list orders, so identical inputs
 and flags produce byte-identical output for every --jobs value.
+`survey` streams stdin: with --jobs 1 each record is written before the next
+line is read; with --jobs > 1 the pool's `imap` still reads ahead.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ def cmd_survey(args) -> int:
             return EXIT_MALFORMED
         items = (("mask", i, (n, mask)) for i, mask in enumerate(range(1 << (n * (n - 1) // 2))))
     else:
-        lines = [ln.strip() for ln in sys.stdin]
-        items = (("g6", i + 1, ln) for i, ln in enumerate(lines) if ln)
+        lines = ((i, raw.strip()) for i, raw in enumerate(sys.stdin, 1))
+        items = (("g6", i, ln) for i, ln in lines if ln)
     jobs = max(1, args.jobs)
     skipped = 0
     total = emitted_2linear = emitted_holds = 0
@@ -239,6 +241,8 @@ def _load_complex(args) -> complexes.SimplicialComplex:
     if args.graph6 is None:
         raise MalformedInputError("either a graph6 argument or --complex FILE is required")
     g = parse_graph6(args.graph6)
+    # before the flag complex, which can have exponentially many facets
+    oracle.check_vertex_cap(g.n)
     return complexes.flag_complex(complement(g))
 
 

@@ -5,9 +5,12 @@ keep original labels).  Every ground-set vertex must lie in some facet: an
 isolated vertex is represented by a 0-dimensional facet.  The complex with
 empty ground set is the complex whose only face is the empty face.
 
-Reduced homology is computed over the rationals from exact integer boundary
-ranks; no floating point is used anywhere in this module.  Ranks in positive
-characteristic may differ in general and are out of scope.
+Face enumeration (capped at FACE_GUARD_VERTICES) and reduced homology run
+once, on facet bitmasks over positions 0..n-1: `f_vector` and
+`reduced_homology_ranks` are views, and the Hochster oracle calls the mask
+level directly.  Reduced homology is computed over the rationals from exact
+integer boundary ranks; no floating point is used anywhere in this module.
+Ranks in positive characteristic may differ in general and are out of scope.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ class FVector:
         if not self.counts or self.counts[0] != 1:
             raise InternalInvariantError("f-vector must start with the empty face count 1")
 
-    def by_dim(self, d: int) -> int:
-        k = d + 1
-        return self.counts[k] if 0 <= k < len(self.counts) else 0
-
 
 def flag_complex(g: Graph) -> SimplicialComplex:
     """Largest complex with 1-skeleton g: facets are the maximal cliques of g."""
@@ -140,16 +139,17 @@ def one_skeleton(c: SimplicialComplex) -> Graph:
     Vertex i of the graph corresponds to c.vertices[i]; for complexes on
     0..n-1 this is the identity.
     """
-    pos = {v: i for i, v in enumerate(c.vertices)}
     rows = [0] * c.n
-    for f in c.facets:
-        idxs = [pos[v] for v in f]
-        m = 0
-        for i in idxs:
-            m |= 1 << i
-        for i in idxs:
+    for m in _position_masks(c):
+        for i in bits(m):
             rows[i] |= m & ~(1 << i)
     return Graph(c.n, tuple(rows))
+
+
+def _position_masks(c: SimplicialComplex) -> list[int]:
+    """Facets as bitmasks over positions in c.vertices, in facet order."""
+    pos = {v: i for i, v in enumerate(c.vertices)}
+    return [sum(1 << pos[v] for v in f) for f in c.facets]
 
 
 def restrict(c: SimplicialComplex, w: Iterable[int]) -> SimplicialComplex:
@@ -161,21 +161,22 @@ def restrict(c: SimplicialComplex, w: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex(tuple(sorted(wset)), tuple(pieces))
 
 
-def _faces_by_size(c: SimplicialComplex) -> list[list[int]]:
-    """All faces as position bitmasks, grouped by vertex count; index 0 is the empty face."""
-    if c.n > FACE_GUARD_VERTICES:
-        raise UnsupportedSizeError(f"face enumeration capped at {FACE_GUARD_VERTICES} vertices, got {c.n}")
-    pos = {v: i for i, v in enumerate(c.vertices)}
+def _faces_by_size(facets: Sequence[int]) -> list[list[int]]:
+    """All faces of the complex with these facet masks, grouped by vertex count;
+    index 0 is the empty face."""
+    support = 0
+    for fm in facets:
+        support |= fm
+    n = support.bit_count()  # every vertex lies in a facet
+    if n > FACE_GUARD_VERTICES:
+        raise UnsupportedSizeError(f"face enumeration capped at {FACE_GUARD_VERTICES} vertices, got {n}")
     seen = {0}
-    for f in c.facets:
-        fm = 0
-        for v in f:
-            fm |= 1 << pos[v]
+    for fm in facets:
         sub = fm
         while sub:
             seen.add(sub)
             sub = (sub - 1) & fm
-    top = max((len(f) for f in c.facets), default=0)
+    top = max((fm.bit_count() for fm in facets), default=0)
     grouped: list[list[int]] = [[] for _ in range(top + 1)]
     for m in seen:
         grouped[m.bit_count()].append(m)
@@ -186,7 +187,7 @@ def _faces_by_size(c: SimplicialComplex) -> list[list[int]]:
 
 def f_vector(c: SimplicialComplex) -> FVector:
     """Exact face counts; counts[0] = 1 for the empty face."""
-    grouped = _faces_by_size(c)
+    grouped = _faces_by_size(_position_masks(c))
     counts = tuple(len(g) for g in grouped)
     for k, ct in enumerate(counts):
         if ct > comb(c.n, k):
@@ -213,13 +214,18 @@ def _boundary_matrix(smaller: list[int], larger: list[int]) -> list[list[int]]:
 
 
 def reduced_homology_ranks(c: SimplicialComplex) -> dict[int, int]:
-    """Ranks of reduced homology over Q, keyed by dimension -1..dim.
+    """Ranks of reduced homology over Q, keyed by dimension -1..dim."""
+    return _homology_ranks(_position_masks(c))
+
+
+def _homology_ranks(facets: Sequence[int]) -> dict[int, int]:
+    """Reduced homology ranks of the complex with these facet masks.
 
     rank H~_d = (#d-faces) - rank del_d - rank del_(d+1), with the empty face
     as the single (-1)-dimensional chain generator.  The Euler-Poincare
     identity is asserted on every call.
     """
-    grouped = _faces_by_size(c)
+    grouped = _faces_by_size(facets)
     top = len(grouped) - 1
     # boundary_rank[s] = rank of the map from size-s faces to size-(s-1) faces
     boundary_rank = [0] * (top + 2)

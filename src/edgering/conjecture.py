@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import chordal, invariants
 from .chordal import QuasiForestDecomposition
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _position_masks
 from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
 from .graphs import Graph, bits, complement, max_degree, to_graph6
 
@@ -83,8 +83,7 @@ def free_vertex_witness(
     """
     if len(c.facets) < 2:
         raise ContractViolationError("witness search requires at least two facets")
-    pos = {v: i for i, v in enumerate(c.vertices)}
-    masks = [sum(1 << pos[v] for v in f) for f in c.facets]
+    masks = _position_masks(c)
     found = _free_vertex_witness_masks(masks, r_min)
     if found is None:
         return None

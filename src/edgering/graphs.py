@@ -41,10 +41,19 @@ class Graph:
                 raise MalformedInputError(f"row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise MalformedInputError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in _bits(self.rows[v]):
-                if not self.rows[u] >> v & 1:
-                    raise MalformedInputError(f"asymmetric adjacency between {v} and {u}")
+        # every bit above the diagonal has its mirror, and the total count is
+        # twice theirs: the mirror map is then a bijection onto all set bits
+        upper = 0
+        for v, row in enumerate(self.rows):
+            m, u = row >> (v + 1), v + 1
+            while m:
+                if m & 1:
+                    if not self.rows[u] >> v & 1:
+                        raise MalformedInputError(f"asymmetric adjacency between {v} and {u}")
+                    upper += 1
+                m, u = m >> 1, u + 1
+        if sum(row.bit_count() for row in self.rows) != 2 * upper:
+            raise MalformedInputError("asymmetric adjacency: a bit below the diagonal has no mirror")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -105,18 +114,6 @@ def rows_from_edge_mask(n: int, mask: int) -> list[int]:
                 rows[v] |= 1 << u
             i += 1
     return rows
-
-
-def edge_mask_from_rows(n: int, rows: tuple[int, ...] | list[int]) -> int:
-    mask = 0
-    i = 0
-    for v in range(1, n):
-        row = rows[v]
-        for u in range(v):
-            if row >> u & 1:
-                mask |= 1 << i
-            i += 1
-    return mask
 
 
 def parse_graph6(text: str | bytes) -> Graph:

@@ -6,43 +6,22 @@ rank 1 in dimension -1, which is what makes beta_(0,0) = 1 come out of the
 sum instead of being special-cased.
 
 Ground truth for everything the closed formulas claim; no quasi-forest
-assumptions are made here.  Restrictions repeat heavily across calls, so
-homology is memoized on the label-normalized facet masks; results are
-bit-identical with the memo disabled.
+assumptions are made here.  The kernel runs on facet bitmasks: the facets of
+the restriction to a subset mask W are the maximal nonempty f & W.  These
+repeat heavily, so homology is memoized on them relabelled onto 0..|W|-1
+in order.  `hochster_betti` is the view for a complex; the sweeps call the
+kernel on clique masks.
 """
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex, reduced_homology_ranks, restrict
+from .complexes import SimplicialComplex, _homology_ranks, _position_masks
 from .errors import InternalInvariantError, UnsupportedSizeError
 from .invariants import BettiTable
 
 ORACLE_VERTEX_CAP = 12
 
 _HOMOLOGY_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
-
-
-def _normalized_key(c: SimplicialComplex) -> tuple[int, ...]:
-    """Facet bitmasks after order-preserving relabeling of the ground set."""
-    pos = {v: i for i, v in enumerate(c.vertices)}
-    masks = []
-    for f in c.facets:
-        m = 0
-        for v in f:
-            m |= 1 << pos[v]
-        masks.append(m)
-    return tuple(sorted(masks))
-
-
-def _restriction_ranks(c: SimplicialComplex, memo: bool) -> dict[int, int]:
-    if not memo:
-        return reduced_homology_ranks(c)
-    key = _normalized_key(c)
-    ranks = _HOMOLOGY_MEMO.get(key)
-    if ranks is None:
-        ranks = reduced_homology_ranks(c)
-        _HOMOLOGY_MEMO[key] = ranks
-    return ranks
 
 
 class OracleBettiTable(BettiTable):
@@ -57,18 +36,32 @@ class OracleBettiTable(BettiTable):
                 raise InternalInvariantError(f"impossible Betti position {(i, j)}")
 
 
-def hochster_betti(c: SimplicialComplex, *, memo: bool = True) -> OracleBettiTable:
-    """Exact Betti table of the Stanley-Reisner ring of c, by subset summation."""
-    n = c.n
+def check_vertex_cap(n: int) -> None:
+    """Raise UnsupportedSizeError for a ground set above the oracle's cap."""
     if n > ORACLE_VERTEX_CAP:
         raise UnsupportedSizeError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices, got {n}")
-    labels = c.vertices
+
+
+def hochster_betti(c: SimplicialComplex) -> OracleBettiTable:
+    """Exact Betti table of the Stanley-Reisner ring of c, by subset summation."""
+    check_vertex_cap(c.n)
+    return _hochster_masks(c.n, _position_masks(c))
+
+
+def _hochster_masks(n: int, facets: list[int]) -> OracleBettiTable:
+    """Betti table of the complex on positions 0..n-1 with these facet masks."""
     entries: dict[tuple[int, int], int] = {}
-    for mask in range(1 << n):
-        w = [labels[i] for i in range(n) if mask >> i & 1]
-        sub = restrict(c, w)
-        ranks = _restriction_ranks(sub, memo)
-        j = len(w)
+    for w in range(1 << n):
+        places = [1 << i for i in range(n) if w >> i & 1]
+        maximal: list[int] = []
+        for piece in sorted({f & w for f in facets} - {0}, key=int.bit_count, reverse=True):
+            if all(piece & kept != piece for kept in maximal):
+                maximal.append(piece)
+        key = tuple(sorted(sum(1 << k for k, b in enumerate(places) if piece & b) for piece in maximal))
+        ranks = _HOMOLOGY_MEMO.get(key)
+        if ranks is None:
+            ranks = _HOMOLOGY_MEMO[key] = _homology_ranks(key)
+        j = len(places)
         for dim, h in ranks.items():
             if h:
                 i = j - 1 - dim

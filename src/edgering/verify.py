@@ -14,7 +14,8 @@ dimension, the CM test and the d-tree rule from `invariants` and the
 free-vertex witness from `conjecture`, the same functions that `analyze`,
 `survey` and `classify` reach.  It checks them against references computed
 apart from them: brute-force induced cycles, the numerator of the f-vector
-series and, in the oracle variant, the Hochster Betti table.  Chunks of the
+series and, in the oracle variant, the Hochster Betti table, which the
+oracle kernel computes straight from the clique masks.  Chunks of the
 edge-mask range can be processed by a worker pool; results merge
 deterministically in mask order, so the outcome is identical for every
 worker count.
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order, _quasi_forest_masks
-from .complexes import SimplicialComplex, _maximal_clique_masks
-from .graphs import Graph, bits, rows_from_edge_mask, to_graph6
+from .complexes import _maximal_clique_masks
+from .graphs import Graph, rows_from_edge_mask, to_graph6
 from .conjecture import _free_vertex_witness_masks
 from .invariants import (
     _cm_structural,
@@ -39,7 +40,7 @@ from .invariants import (
     _numerator,
     _pd_depth,
 )
-from .oracle import hochster_betti, oracle_is_2linear, oracle_pd
+from .oracle import _hochster_masks, oracle_is_2linear, oracle_pd
 
 VIOLATION_KINDS = (
     "chordal_vs_bruteforce",
@@ -167,8 +168,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
             vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
         if with_oracle:
             complex_facets = _maximal_clique_masks(n, crow)
-            cx = SimplicialComplex.of(n, [list(bits(m)) for m in complex_facets])
-            table = hochster_betti(cx)
+            table = _hochster_masks(n, complex_facets)
             if oracle_is_2linear(table) != chordal_flag:
                 vio["twolinear_vs_chordal"].append(_to_g6(n, mask))
         if not chordal_flag:

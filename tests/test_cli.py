@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from edgering import cli, conjecture
+from edgering import cli, complexes, conjecture
 from edgering.cli import main
 from edgering.errors import InternalInvariantError
 from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
@@ -186,6 +186,23 @@ class TestSurvey:
         err = capsys.readouterr().err
         assert err == "internal error: simulated bug\n"
 
+    def test_streams_stdin(self, monkeypatch):
+        out = io.StringIO()
+        stdout_at_read = []
+
+        def stdin():
+            for line in (C4_G6 + "\n", "\n", K4_G6 + "\n"):
+                stdout_at_read.append(out.getvalue())
+                yield line
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stdin", stdin())
+        assert main(["survey", "--jobs", "1"]) == 0
+        assert stdout_at_read[0] == ""
+        assert json.loads(stdout_at_read[1])["input"] == C4_G6
+        records = [json.loads(ln) for ln in out.getvalue().splitlines()]
+        assert [r["input"] for r in records[:-1]] == [C4_G6, K4_G6]
+
     def test_non_ascii_line_skipped(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\n\u00e9\n"))
         assert main(["survey"]) == 1
@@ -246,6 +263,18 @@ class TestOracle:
     def test_size_cap_exit_3(self, capsys):
         g6 = to_graph6(Graph(13, (0,) * 13))
         assert main(["oracle", g6]) == 3
+
+    def test_size_cap_before_flag_complex(self, monkeypatch, capsys):
+        # the complement of 10 disjoint triangles has 3^10 maximal cliques
+        edges = [(t + a, t + b) for t in range(0, 30, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
+        triangles = Graph.from_edges(30, edges)
+
+        def never(g):
+            raise AssertionError("flag complex built above the oracle cap")
+
+        monkeypatch.setattr(complexes, "flag_complex", never)
+        assert main(["oracle", to_graph6(triangles)]) == 3
+        assert capsys.readouterr().err == "error: oracle capped at 12 vertices, got 30\n"
 
     def test_missing_input(self, capsys):
         assert main(["oracle"]) == 2

@@ -167,6 +167,8 @@ class TestValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(MalformedInputError):
             Graph(2, (2, 0))
+        with pytest.raises(MalformedInputError):
+            Graph(2, (0, 1))  # a bit below the diagonal only
 
     def test_loop_rejected(self):
         with pytest.raises(MalformedInputError):

@@ -5,6 +5,7 @@ from edgering.errors import UnsupportedSizeError
 from edgering.graphs import Graph, complement
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
 from edgering.oracle import (
+    _HOMOLOGY_MEMO,
     clear_memo,
     hochster_betti,
     oracle_is_2linear,
@@ -78,15 +79,20 @@ class TestOracleVsFormula:
 
 
 class TestMemoization:
-    def test_bit_identical_with_and_without(self, rng):
+    def test_relabelled_complex_hits_memo(self):
+        # the memo key is the restriction relabelled onto 0..|W|-1, so a copy
+        # of the complex on gapped labels adds no key and gets the same table
         clear_memo()
-        for _ in range(25):
-            g = random_graph(rng, 5)
-            cx = flag_complex(g)
-            with_memo = hochster_betti(cx, memo=True)
-            without = hochster_betti(cx, memo=False)
-            assert with_memo.entries == without.entries
-            assert with_memo.subsets_examined == without.subsets_examined
+        c = SimplicialComplex.of(5, [[0, 1, 2], [1, 3], [2, 3], [3, 4]])
+        first = hochster_betti(c)
+        keys = len(_HOMOLOGY_MEMO)
+        relabelled = SimplicialComplex.of([3, 8, 9, 20, 21], [[3, 8, 9], [8, 20], [9, 20], [20, 21]])
+        assert hochster_betti(relabelled).entries == first.entries
+        assert len(_HOMOLOGY_MEMO) == keys
+        # keys are sorted facet lists: no piece inside another
+        for key in _HOMOLOGY_MEMO:
+            assert list(key) == sorted(key)
+            assert not any(a != b and a & b == a for a in key for b in key)
 
     def test_size_cap(self):
         big = SimplicialComplex.of(13, [[v] for v in range(13)])

@@ -1,13 +1,28 @@
-"""Property-based tests: the parsers on arbitrary input, and chordality of
-the complement against networkx as one more independent recognizer."""
+"""Property-based tests: the parsers on arbitrary input, chordality of the
+complement against networkx as one more independent recognizer, the Hochster
+oracle against a sum over restricted complexes and against the closed
+formulas, and the CLI on random argument lists."""
 
+import contextlib
+import io
+import json
+import sys
+from importlib import resources
+from itertools import combinations
+from pathlib import Path
+
+import jsonschema
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from edgering.complexes import parse_complex
+from edgering.chordal import decompose
+from edgering.cli import main
+from edgering.complexes import SimplicialComplex, flag_complex, parse_complex, reduced_homology_ranks, restrict
 from edgering.conjecture import classify
 from edgering.errors import EdgeRingError
-from edgering.graphs import Graph, parse_edge_list, parse_graph6
+from edgering.graphs import Graph, complement, parse_edge_list, parse_graph6, to_graph6
+from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
+from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -45,3 +60,104 @@ def test_2linear_iff_networkx_complement_chordal(g):
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())
     assert classify(g).has_2linear == nx.is_chordal(nx.complement(nxg))
+
+
+@st.composite
+def complexes_on_gapped_labels(draw, max_n=7):
+    """Any complex with n <= 7 (flag or not) on a sorted label set drawn from
+    0..20, so restrictions keep labels that are not positions."""
+    labels = sorted(draw(st.sets(st.integers(0, 20), max_size=max_n)))
+    facets = draw(st.lists(st.sets(st.sampled_from(labels), min_size=1), max_size=8)) if labels else []
+    covered = set().union(*facets)
+    facets += [{v} for v in labels if v not in covered]
+    return SimplicialComplex.of(labels, facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes_on_gapped_labels())
+def test_hochster_sum_equals_restriction_homology(c):
+    # the kernel's memo persists across examples, so a key shared by two
+    # different restrictions, or a wrong relabelling, shows up here
+    expected: dict[tuple[int, int], int] = {}
+    for size in range(1, c.n + 1):  # W = {} gives the implicit beta_(0,0)
+        for w in combinations(c.vertices, size):
+            for dim, h in reduced_homology_ranks(restrict(c, w)).items():
+                if h:
+                    key = (size - 1 - dim, size)
+                    expected[key] = expected.get(key, 0) + h
+    assert hochster_betti(c).entries == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8))
+def test_oracle_agrees_with_classify(g):
+    table = hochster_betti(flag_complex(complement(g)))
+    report = classify(g)
+    assert oracle_is_2linear(table) == report.has_2linear
+    if report.has_2linear:
+        _, qfd = decompose(complement(g))
+        assert table.entries == betti_from_numerator(hilbert_from_decomposition(qfd)).entries
+        assert oracle_pd(table) == report.pd
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GRAPH6_VALUES = (
+    "C~", "Bw", "Cl", "DQw", "EQhO", "?", "@", "~", ">>graph6<<C~", "not-a-graph", "é", "",
+    to_graph6(Graph(13, (0,) * 13)),
+    # 10 disjoint triangles: far above the oracle cap, 3^10 cliques in the complement
+    to_graph6(Graph.from_edges(30, [(t + a, t + b) for t in range(0, 30, 3) for a, b in ((0, 1), (0, 2), (1, 2))])),
+)
+EDGE_VALUES = ("4 0 1 1 2 2 3", "3", "0", "-1", "2 0 0", "2 0 5", "3 0 1 2", "x y", "63", "")
+FIXTURE_VALUES = (str(FIXTURES / "hollow.cx"), str(FIXTURES / "missing.cx"), str(FIXTURES), __file__)
+SCHEMAS = {name: json.loads(resources.files("edgering.schemas").joinpath(f"{name}.schema.json").read_text())
+           for name in ("analyze", "survey", "oracle", "decompose")}
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, stdin text) over the four subcommands; never more than two
+    worker processes and never an enumeration above n = 4."""
+    command = draw(st.sampled_from(["analyze", "survey", "oracle", "decompose"]))
+    graph6 = draw(st.sampled_from(GRAPH6_VALUES))
+    if command == "survey":
+        argv = [command]
+        if draw(st.booleans()):
+            argv += ["--all-labeled", draw(st.sampled_from(("-1", "0", "1", "2", "3", "4", "8", "x")))]
+        if draw(st.booleans()):
+            argv += ["--only-2linear"]
+        argv += ["--jobs", draw(st.sampled_from(("1", "2")))]
+    else:
+        other = (["--edges", draw(st.sampled_from(EDGE_VALUES))] if command == "analyze"
+                 else ["--complex", draw(st.sampled_from(FIXTURE_VALUES))])
+        sources = {"graph6": [graph6], "other": other, "both": [graph6, *other], "neither": []}
+        if command == "analyze":
+            sources["stdin"] = ["--stdin"]
+        argv = [command, *sources[draw(st.sampled_from(sorted(sources)))]]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--bogus")
+    stdin = "\n".join(draw(st.lists(st.sampled_from(GRAPH6_VALUES[:12]), max_size=4)))
+    return argv, stdin
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_runs())
+def test_cli_exit_codes_and_json(run):
+    argv, stdin = run
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1, 4):
+        lines = out.getvalue().splitlines()
+        assert lines
+        for line in lines:
+            jsonschema.validate(json.loads(line), SCHEMAS[argv[0]])
