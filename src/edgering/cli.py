@@ -230,18 +230,25 @@ def cmd_survey(args) -> int:
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
+def _read_fixture(path: str) -> str:
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(f"{path}: not ASCII text ({exc.reason})") from None
+
+
 def _load_complex(args) -> complexes.SimplicialComplex:
+    """The oracle's complex; the vertex cap is checked before it is built, because
+    canonicalizing a fixture is superlinear in its facets and a flag complex can
+    have exponentially many."""
     if args.complex is not None:
-        with open(args.complex, "r", encoding="ascii") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise MalformedInputError(f"{args.complex}: not ASCII text ({exc.reason})") from None
-        return complexes.parse_complex(text)
+        n, facets = complexes.parse_fixture(_read_fixture(args.complex))
+        oracle.check_vertex_cap(n)
+        return complexes.SimplicialComplex.of(n, facets)
     if args.graph6 is None:
         raise MalformedInputError("either a graph6 argument or --complex FILE is required")
     g = parse_graph6(args.graph6)
-    # before the flag complex, which can have exponentially many facets
     oracle.check_vertex_cap(g.n)
     return complexes.flag_complex(complement(g))
 
@@ -278,8 +285,7 @@ def cmd_oracle(args) -> int:
 def cmd_decompose(args) -> int:
     try:
         if args.complex is not None:
-            cx = _load_complex(args)
-            result = complexes.as_quasi_forest(cx)
+            result = complexes.as_quasi_forest(complexes.parse_complex(_read_fixture(args.complex)))
             qfd = result.decomposition
             reason = result.reason
             cycle = result.chordless_cycle

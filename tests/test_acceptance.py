@@ -212,7 +212,7 @@ def test_criterion_12_infrastructure(rng):
     for _ in range(150):
         g = random_graph(rng, 6)
         c = flag_complex(g)
-        ranks = reduced_homology_ranks(c)  # also asserted internally
+        ranks = reduced_homology_ranks(c)
         fv = f_vector(c)
         assert sum((-1) ** (s - 1) * ct for s, ct in enumerate(fv.counts)) == sum(
             (-1) ** d * h for d, h in ranks.items()

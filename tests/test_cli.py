@@ -261,8 +261,33 @@ class TestOracle:
         assert rec["betti"] == [[0, 0, 1], [1, 3, 1]]
 
     def test_size_cap_exit_3(self, capsys):
-        g6 = to_graph6(Graph(13, (0,) * 13))
+        g6 = to_graph6(Graph(15, (0,) * 15))
         assert main(["oracle", g6]) == 3
+
+    def test_fourteen_vertices_match(self, capsys):
+        # the cap: a chordal complement (a path of triangles and a pendant
+        # tail) on 14 vertices is still checked against the formulas
+        h = Graph.from_edges(14, [(i, i + 1) for i in range(13)] + [(i, i + 2) for i in range(0, 8)])
+        assert main(["oracle", to_graph6(complement(h))]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rec, schema("oracle"))
+        assert rec["n"] == 14 and rec["subsets_examined"] == 1 << 14
+        assert rec["two_linear"] is True and rec["match"] is True
+
+    def test_complex_cap_before_canonical_facets(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "path15.cx"
+        path.write_text("15\n" + "".join(f"{i} {i + 1}\n" for i in range(14)))
+
+        def never(facets):
+            raise AssertionError("complex canonicalized above the oracle cap")
+
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_canonical_facets", never)
+            assert main(["oracle", "--complex", str(path)]) == 3
+        assert capsys.readouterr().err == "error: oracle capped at 14 vertices, got 15\n"
+        # decompose has no vertex cap
+        assert main(["decompose", "--complex", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 15
 
     def test_size_cap_before_flag_complex(self, monkeypatch, capsys):
         # the complement of 10 disjoint triangles has 3^10 maximal cliques
@@ -274,7 +299,7 @@ class TestOracle:
 
         monkeypatch.setattr(complexes, "flag_complex", never)
         assert main(["oracle", to_graph6(triangles)]) == 3
-        assert capsys.readouterr().err == "error: oracle capped at 12 vertices, got 30\n"
+        assert capsys.readouterr().err == "error: oracle capped at 14 vertices, got 30\n"
 
     def test_missing_input(self, capsys):
         assert main(["oracle"]) == 2

@@ -1,8 +1,14 @@
 import pytest
 
-from edgering.complexes import SimplicialComplex, as_quasi_forest, flag_complex
+from edgering.complexes import (
+    SimplicialComplex,
+    as_quasi_forest,
+    flag_complex,
+    reduced_homology_ranks,
+    restrict,
+)
 from edgering.errors import UnsupportedSizeError
-from edgering.graphs import Graph, complement
+from edgering.graphs import Graph, bits, complement
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
 from edgering.oracle import (
     _HOMOLOGY_MEMO,
@@ -94,7 +100,36 @@ class TestMemoization:
             assert list(key) == sorted(key)
             assert not any(a != b and a & b == a for a in key for b in key)
 
+    @pytest.mark.parametrize(
+        "facets",
+        [[[0, 1]], [[0, 1], [1, 2]], [[0, 1], [2, 3]], [[0, 1, 2], [2, 3], [3, 4, 5], [5, 0]]],
+    )
+    def test_core_keys_mutually_dominating(self, facets):
+        # 0 and 1 lie in the same facets and dominate each other: deleting both
+        # at once would turn the edge [[0, 1]] into the empty complex (rank
+        # H~_-1 = 1) and the two edges [[0, 1], [2, 3]] into one edge (H~_0 = 0)
+        clear_memo()
+        c = SimplicialComplex.of(1 + max(map(max, facets)), facets)
+        expected: dict[tuple[int, int], int] = {}
+        for w in range(1, 1 << c.n):
+            sub = restrict(c, [v for v in c.vertices if w >> v & 1])
+            for dim, h in reduced_homology_ranks(sub).items():
+                if h:
+                    key = (sub.n - 1 - dim, sub.n)
+                    expected[key] = expected.get(key, 0) + h
+        assert hochster_betti(c).entries == expected
+        for key, ranks in _HOMOLOGY_MEMO.items():
+            assert list(key) == sorted(key)
+            assert not any(a != b and a & b == a for a in key for b in key)
+            support = 0
+            for f in key:
+                support |= f
+            as_complex = SimplicialComplex.of(support.bit_length(), [bits(f) for f in key])
+            nonzero = {d: h for d, h in reduced_homology_ranks(as_complex).items() if h}
+            assert {d: h for d, h in ranks.items() if h} == nonzero
+
     def test_size_cap(self):
-        big = SimplicialComplex.of(13, [[v] for v in range(13)])
+        hochster_betti(SimplicialComplex.of(14, [[v] for v in range(14)]))
+        big = SimplicialComplex.of(15, [[v] for v in range(15)])
         with pytest.raises(UnsupportedSizeError):
             hochster_betti(big)

@@ -1,7 +1,9 @@
-"""Property-based tests: the parsers on arbitrary input, chordality of the
-complement against networkx as one more independent recognizer, the Hochster
-oracle against a sum over restricted complexes and against the closed
-formulas, and the CLI on random argument lists."""
+"""Property-based tests: the parsers on arbitrary input, facet
+canonicalization against its set-inclusion definition, chordality of the
+complement against networkx as one more independent recognizer, strong-collapse
+cores against uncollapsed homology, the Hochster oracle against a sum over
+restricted complexes and against the closed formulas, and the CLI on random
+argument lists."""
 
 import contextlib
 import io
@@ -13,16 +15,25 @@ from pathlib import Path
 
 import jsonschema
 import networkx as nx
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgering.chordal import decompose
 from edgering.cli import main
-from edgering.complexes import SimplicialComplex, flag_complex, parse_complex, reduced_homology_ranks, restrict
+from edgering.complexes import (
+    SimplicialComplex,
+    _canonical_facets,
+    _homology_ranks,
+    _maximal_masks,
+    flag_complex,
+    parse_complex,
+    reduced_homology_ranks,
+    restrict,
+)
 from edgering.conjecture import classify
 from edgering.errors import EdgeRingError
 from edgering.graphs import Graph, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
-from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import _core_key, hochster_betti, oracle_is_2linear, oracle_pd
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -45,6 +56,46 @@ def test_parsers_on_text(text):
 @given(st.binary())
 def test_parsers_on_bytes(data):
     only_package_errors(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.integers(-3, 12), min_size=1), max_size=12))
+def test_canonical_facets_are_the_maximal_sets(facets):
+    sets = {frozenset(f) for f in facets}
+    maximal = [f for f in sets if not any(f < g for g in sets)]
+    assert _canonical_facets(facets) == tuple(sorted(maximal, key=sorted))
+
+
+@st.composite
+def facet_keys(draw, max_n=7):
+    """A memo key: sorted inclusion-free facet masks over at most 7 vertices,
+    flag or not, made a cone on one more vertex half of the time."""
+    pieces = draw(st.lists(st.integers(1, (1 << max_n) - 1), max_size=8))
+    if pieces and draw(st.booleans()):
+        apex = 1 << draw(st.integers(0, max_n - 1))
+        pieces = [p | apex for p in pieces]
+    return tuple(sorted(_maximal_masks(set(pieces))))
+
+
+def nonzero(ranks: dict[int, int]) -> dict[int, int]:
+    return {d: h for d, h in ranks.items() if h}
+
+
+@settings(max_examples=300, deadline=None)
+@example(())  # the empty complex: rank H~_-1 = 1
+@example((0b11,))  # a single edge, a cone
+@example((0b0011, 0b1100))  # two edges: each pair of ends dominates itself
+@example((0b011, 0b110, 0b101))  # the hollow triangle: no dominated vertex
+@given(facet_keys())
+def test_core_has_the_homology_of_the_complex(key):
+    core = _core_key(key)
+    assert list(core) == sorted(core)
+    assert not any(a != b and a & b == a for a in core for b in core)
+    support = 0
+    for f in core:
+        support |= f
+    assert support == (1 << support.bit_count()) - 1
+    assert nonzero(_homology_ranks(core)) == nonzero(_homology_ranks(key))
 
 
 @st.composite
