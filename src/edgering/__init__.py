@@ -18,14 +18,10 @@ on induced-subcomplex homology over the rationals.
 from .chordal import (
     Chordal,
     ChordalityResult,
-    CliqueTree,
     NotChordal,
     QuasiForestDecomposition,
-    clique_tree,
     decompose,
     is_chordal,
-    maximal_cliques_chordal,
-    quasi_forest_order,
 )
 from .complexes import (
     FVector,
@@ -89,7 +85,6 @@ __all__ = [
     "BettiTable",
     "Chordal",
     "ChordalityResult",
-    "CliqueTree",
     "ConjectureReport",
     "ContractViolationError",
     "EdgeRingError",
@@ -111,7 +106,6 @@ __all__ = [
     "betti_from_numerator",
     "build_family",
     "classify",
-    "clique_tree",
     "complement",
     "d_tree_signature",
     "decompose",
@@ -132,7 +126,6 @@ __all__ = [
     "is_cm",
     "krull_dim",
     "max_degree",
-    "maximal_cliques_chordal",
     "one_skeleton",
     "oracle_is_2linear",
     "oracle_pd",
@@ -140,7 +133,6 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "projective_dimension",
-    "quasi_forest_order",
     "reduced_homology_ranks",
     "restrict",
     "to_graph6",

@@ -13,11 +13,9 @@ attachment dimension -1 whenever a new connected component starts.
 
 One kernel on bitmasks, `_quasi_forest_masks`, builds that forest and
 ordering from clique masks; it is the only implementation.  `decompose`
-(one MCS, cliques from the verified PEO, then the kernel) is what every
-pipeline calls, and the frozenset `QuasiForestDecomposition` is built, and
-re-checked, only at its edge.  `maximal_cliques_chordal`, `clique_tree` and
-`quasi_forest_order` are validated views over the same kernel functions for
-outside callers.
+(one MCS, maximal cliques read off its verified PEO, then the kernel) is the
+only public route from a graph to a decomposition, and the frozenset
+`QuasiForestDecomposition` is built, and re-checked, only at its edge.
 """
 
 from __future__ import annotations
@@ -188,40 +186,27 @@ def is_chordal(g: Graph) -> ChordalityResult:
 
 
 def _clique_masks_from_peo(n: int, rows: Sequence[int], elim: Sequence[int]) -> list[int]:
-    """Candidate cliques {v} + later neighbors, filtered down to the maximal ones."""
+    """Maximal cliques of a chordal graph, by the size-drop rule of MCS.
+
+    `elim` must be the reverse of a maximum cardinality search order that is
+    a perfect elimination ordering, as `is_chordal` returns it.  Each vertex
+    v gives the candidate {v} + later neighbors, whose size is one more than
+    v's MCS weight.  A candidate is maximal exactly when v was visited last
+    or the vertex visited right after it, the previous one in `elim`, got no
+    larger a weight (Blair & Peyton, "An introduction to chordal graphs and
+    clique trees", 1993).
+    """
     remaining = (1 << n) - 1
-    cands = []
+    out = []
+    prev_size = 0
     for v in elim:
         remaining ^= 1 << v
-        cands.append(1 << v | (rows[v] & remaining))
-    out = []
-    for i, c in enumerate(cands):
-        if not any(c != d and c & d == c for d in cands):
+        c = 1 << v | (rows[v] & remaining)
+        size = c.bit_count()
+        if prev_size <= size:
             out.append(c)
+        prev_size = size
     return out
-
-
-def maximal_cliques_chordal(g: Graph, peo: Sequence[int]) -> list[frozenset[int]]:
-    """All maximal cliques of a chordal graph, from a perfect elimination ordering."""
-    n, rows = g.n, g.rows
-    if sorted(peo) != list(range(n)):
-        raise ContractViolationError("peo is not a permutation of the vertices")
-    if _first_peo_violation(n, rows, peo) is not None:
-        raise ContractViolationError("ordering is not a perfect elimination ordering")
-    masks = _clique_masks_from_peo(n, rows, peo)
-    return sorted((frozenset(bits(m)) for m in masks), key=sorted)
-
-
-@dataclass(frozen=True)
-class CliqueTree:
-    """Maximal cliques plus spanning-forest edges on clique indices."""
-
-    cliques: tuple[frozenset[int], ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def neighbors(self, i: int) -> list[int]:
-        out = [b for a, b in self.edges if a == i] + [a for a, b in self.edges if b == i]
-        return sorted(out)
 
 
 def _spanning_forest(cl: Sequence[int]) -> list[tuple[int, int]]:
@@ -256,15 +241,12 @@ def _spanning_forest(cl: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _facet_order(
-    cl: Sequence[int], edges: Sequence[tuple[int, int]], roots: dict[int, int] | None = None
-) -> list[int]:
+def _facet_order(cl: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
     """Clique indices root-first over a spanning forest.
 
     Components are sorted by their smallest vertex; each is walked in
     preorder with ascending children from its clique with the smallest
-    minimum vertex (then index), unless `roots` overrides the root of that
-    component index.
+    minimum vertex (then index).
     """
     k = len(cl)
     adj: list[list[int]] = [[] for _ in range(k)]
@@ -288,12 +270,8 @@ def _facet_order(
     comps.sort(key=lambda comp: min(key[i] for i in comp)[0])
     order: list[int] = []
     placed = [False] * k
-    for ci, comp in enumerate(comps):
+    for comp in comps:
         root = min(comp, key=key.__getitem__)
-        if roots is not None and ci in roots:
-            root = roots[ci]
-            if root not in comp:
-                raise ContractViolationError(f"root {root} is not in component {ci}")
         placed[root] = True
         stack = [root]
         while stack:
@@ -327,67 +305,6 @@ def _attachment_sizes(facets: Sequence[int]) -> list[int]:
         sizes.append((f & union).bit_count())
         union |= f
     return sizes[1:]
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def clique_tree(cliques: Sequence[frozenset[int]], g: Graph) -> CliqueTree:
-    """Maximum-weight spanning forest of the clique intersection graph.
-
-    Weight is separator size; ties break lexicographically on index pairs, so
-    the output is deterministic.  The input is checked to be the maximal
-    cliques of a chordal graph, and the running intersection property of the
-    result is verified.
-    """
-    if isinstance(is_chordal(g), NotChordal):
-        raise ContractViolationError("clique trees exist only for chordal graphs")
-    cl = sorted((frozenset(c) for c in cliques), key=sorted)
-    covered: set[int] = set()
-    for i, c in enumerate(cl):
-        if not c:
-            raise ContractViolationError("empty clique")
-        for u in c:
-            for v in c:
-                if u != v and not g.has_edge(u, v):
-                    raise ContractViolationError(f"{sorted(c)} is not a clique")
-        ext = set(range(g.n)) - c
-        if any(all(g.has_edge(w, u) for u in c) for w in ext):
-            raise ContractViolationError(f"{sorted(c)} is not maximal")
-        covered |= c
-    if covered != set(range(g.n)):
-        raise ContractViolationError("cliques do not cover every vertex")
-    tree = CliqueTree(tuple(cl), tuple(_spanning_forest([_mask(c) for c in cl])))
-    _verify_running_intersection(tree)
-    return tree
-
-
-def _verify_running_intersection(tree: CliqueTree) -> None:
-    adj: dict[int, list[int]] = {i: [] for i in range(len(tree.cliques))}
-    for a, b in tree.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    verts = set().union(*tree.cliques) if tree.cliques else set()
-    for v in verts:
-        holders = [i for i, c in enumerate(tree.cliques) if v in c]
-        seen = {holders[0]}
-        stack = [holders[0]]
-        hold = set(holders)
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b in hold and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        if seen != hold:
-            raise ContractViolationError(
-                f"running intersection fails for vertex {v}; clique list is not the "
-                "full set of maximal cliques of a chordal graph"
-            )
 
 
 @dataclass(frozen=True)
@@ -432,9 +349,6 @@ class QuasiForestDecomposition:
             union |= f
         if len(union) != self.n:
             raise InternalInvariantError("vertex count does not match facet union")
-        total = sum(d + 1 for d in self.dims) - sum(r + 1 for r in self.attach_dims)
-        if total != self.n:
-            raise InternalInvariantError("inclusion-exclusion vertex count identity fails")
 
     @property
     def k(self) -> int:
@@ -444,28 +358,6 @@ class QuasiForestDecomposition:
     def r_min(self) -> int | None:
         """Smallest attachment dimension; None for a single facet."""
         return min(self.attach_dims) if self.attach_dims else None
-
-
-def quasi_forest_order(tree: CliqueTree, roots: dict[int, int] | None = None) -> QuasiForestDecomposition:
-    """Order the facets root-first so every attachment is a face of its parent.
-
-    Components are sorted by their smallest vertex; the default root of each
-    component is its clique with the smallest minimum vertex.  `roots` may
-    override the root per component index (used by root-invariance checks).
-    """
-    masks = [_mask(c) for c in tree.cliques]
-    facets = [masks[i] for i in _facet_order(masks, tree.edges, roots)]
-    n = len(frozenset().union(*tree.cliques))
-    return _decomposition(facets, _attachment_sizes(facets), n)
-
-
-def _decomposition(facets: Sequence[int], attach: Sequence[int], n: int) -> QuasiForestDecomposition:
-    return QuasiForestDecomposition(
-        facets=tuple(frozenset(bits(f)) for f in facets),
-        dims=tuple(f.bit_count() - 1 for f in facets),
-        attach_dims=tuple(a - 1 for a in attach),
-        n=n,
-    )
 
 
 def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | None]:
@@ -481,4 +373,9 @@ def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | No
     if isinstance(res, NotChordal):
         return res, None
     facets, attach = _quasi_forest_masks(_clique_masks_from_peo(g.n, g.rows, res.peo))
-    return res, _decomposition(facets, attach, g.n)
+    return res, QuasiForestDecomposition(
+        facets=tuple(frozenset(bits(f)) for f in facets),
+        dims=tuple(f.bit_count() - 1 for f in facets),
+        attach_dims=tuple(a - 1 for a in attach),
+        n=g.n,
+    )

@@ -79,11 +79,11 @@ class Graph:
         return self.rows[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.rows[v]))
+        return list(bits(self.rows[v]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            for u in _bits(self.rows[v] >> (v + 1) << (v + 1)):
+            for u in bits(self.rows[v] >> (v + 1) << (v + 1)):
                 yield (v, u)
 
     @property
@@ -91,16 +91,12 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
+    """Indices of set bits, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
-    return _bits(mask)
 
 
 def rows_from_edge_mask(n: int, mask: int) -> list[int]:

@@ -64,22 +64,52 @@ def brute_is_chordal(g: Graph) -> bool:
     return True
 
 
+def naive_maximal_cliques(g: Graph) -> set[frozenset[int]]:
+    """Every clique, grown one vertex at a time; the maximal ones are those
+    that no outside vertex extends."""
+    cliques: list[tuple[int, ...]] = []
+    level: list[tuple[int, ...]] = [()]
+    while level:
+        cliques += level
+        level = [
+            c + (u,)
+            for c in level
+            for u in range(c[-1] + 1 if c else 0, g.n)
+            if all(g.has_edge(u, v) for v in c)
+        ]
+    return {
+        frozenset(c)
+        for c in cliques[1:]
+        if not any(all(g.has_edge(u, v) for v in c) for u in range(g.n) if u not in c)
+    }
+
+
+def quasi_forest_attachments(order) -> list[int] | None:
+    """|F_i intersect (F_1 u ... u F_(i-1))| for i >= 2 when every such
+    intersection lies in a single earlier facet (running intersection), else None."""
+    sets = [frozenset(f) for f in order]
+    union: frozenset = frozenset()
+    sizes = []
+    for i, f in enumerate(sets):
+        if i:
+            inter = f & union
+            if inter and not any(inter <= e for e in sets[:i]):
+                return None
+            sizes.append(len(inter))
+        union |= f
+    return sizes
+
+
 def brute_is_quasi_forest(facets) -> bool:
     """Try every facet ordering against the recursive attachment condition."""
-    sets = [frozenset(f) for f in facets]
-    for perm in permutations(sets):
-        union: frozenset = frozenset()
-        ok = True
-        for i, f in enumerate(perm):
-            if i:
-                inter = f & union
-                if inter and not any(inter <= e for e in perm[:i]):
-                    ok = False
-                    break
-            union |= f
-        if ok:
-            return True
-    return False
+    return any(quasi_forest_attachments(perm) is not None for perm in permutations(facets))
+
+
+def skeleton(rng: random.Random, facets) -> Graph:
+    """The 1-skeleton of a facet list, its vertices randomly relabelled."""
+    n = len(set().union(*facets))
+    label = rng.sample(range(n), n)
+    return Graph.from_edges(n, [(label[u], label[v]) for f in facets for u in f for v in f if u < v])
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -208,15 +209,28 @@ def test_criterion_12_infrastructure(rng):
             g = random_graph(rng, n)
             assert complement(complement(g)) == g
 
-    # Euler-Poincare identity, re-derived externally on every call here
+    # homology of spaces whose homology is known: the flag complex of the
+    # cycle C_m is a circle, that of the complement of a perfect matching on
+    # 2k vertices is the boundary of the k-dimensional cross-polytope, S^(k-1)
+    def nonzero_ranks(g):
+        return {d: h for d, h in reduced_homology_ranks(flag_complex(g)).items() if h}
+
+    for m in range(4, 10):
+        assert nonzero_ranks(Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])) == {1: 1}
+    for k in range(1, 6):
+        matching = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+        assert nonzero_ranks(complement(matching)) == {k - 1: 1}
+
+    # f-vectors against brute-force clique counts
     for _ in range(150):
         g = random_graph(rng, 6)
-        c = flag_complex(g)
-        ranks = reduced_homology_ranks(c)
-        fv = f_vector(c)
-        assert sum((-1) ** (s - 1) * ct for s, ct in enumerate(fv.counts)) == sum(
-            (-1) ** d * h for d, h in ranks.items()
-        )
+        counts = [
+            sum(all(g.has_edge(a, b) for a, b in combinations(s, 2)) for s in combinations(range(6), size))
+            for size in range(7)
+        ]
+        while counts[-1] == 0:
+            counts.pop()
+        assert f_vector(flag_complex(g)).counts == tuple(counts)
 
     # survey determinism across --jobs 1 and 4
     outs = []
@@ -229,7 +243,7 @@ def test_criterion_12_infrastructure(rng):
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1], "survey output differs between --jobs 1 and --jobs 4"
-    _passline(12, "graph6 round trips, involution, Euler-Poincare, survey determinism")
+    _passline(12, "graph6 round trips, involution, known homology, f-vectors, survey determinism")
 
 
 def test_chordal_completeness_full_n7(formula_sweeps):

@@ -1,24 +1,25 @@
+import json
+import random
+from itertools import permutations
+from pathlib import Path
+
 import pytest
 
-from edgering.chordal import (
-    Chordal,
-    NotChordal,
-    QuasiForestDecomposition,
-    clique_tree,
-    decompose,
-    is_chordal,
-    maximal_cliques_chordal,
-    quasi_forest_order,
-)
+from edgering.chordal import Chordal, NotChordal, QuasiForestDecomposition, decompose, is_chordal
 from edgering.errors import ContractViolationError, UndefinedInputError
-from edgering.graphs import Graph, complement, enumerate_labeled
+from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
 from conftest import (
     brute_is_chordal,
     check_chordless_cycle,
     check_peo,
+    naive_maximal_cliques,
+    quasi_forest_attachments,
     random_graph,
     random_quasi_forest_facets,
+    skeleton,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "decompose_golden.jsonl"
 
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -88,195 +89,149 @@ class TestIsChordal:
                     assert check_chordless_cycle(g, res.cycle)
 
 
+def qfd(facets, dims, attach_dims, n):
+    return QuasiForestDecomposition(tuple(frozenset(f) for f in facets), dims, attach_dims, n)
+
+
+def chordal_decompositions(graphs):
+    for g in graphs:
+        res, dec = decompose(g)
+        if dec is not None:
+            yield g, dec
+
+
 class TestMaximalCliques:
     def test_two_disjoint_edges(self):
-        g = complement(C4)
-        res = is_chordal(g)
-        assert maximal_cliques_chordal(g, res.peo) == [frozenset({0, 2}), frozenset({1, 3})]
+        assert decompose(complement(C4))[1].facets == (frozenset({0, 2}), frozenset({1, 3}))
 
     def test_complete(self):
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        assert maximal_cliques_chordal(g, is_chordal(g).peo) == [frozenset({0, 1, 2, 3})]
+        assert decompose(g)[1].facets == (frozenset({0, 1, 2, 3}),)
 
     def test_path(self):
-        assert maximal_cliques_chordal(PATH3, is_chordal(PATH3).peo) == [
-            frozenset({0, 1}),
-            frozenset({1, 2}),
-        ]
-
-    def test_invalid_peo_rejected(self):
-        # eliminating the cut vertex 2 first leaves non-adjacent later neighbors 0 and 3
-        g = barbell3()
-        with pytest.raises(ContractViolationError):
-            maximal_cliques_chordal(g, (2, 0, 1, 3, 4, 5))
-        with pytest.raises(ContractViolationError):
-            maximal_cliques_chordal(g, (0, 1, 2))
+        assert decompose(PATH3) == (Chordal((2, 1, 0)), qfd([{0, 1}, {1, 2}], (1, 1), (0,), 3))
 
     def test_count_at_most_n(self, rng):
-        for _ in range(200):
-            g = random_graph(rng, 9)
-            res = is_chordal(g)
-            if isinstance(res, Chordal):
-                cliques = maximal_cliques_chordal(g, res.peo)
-                assert len(cliques) <= g.n
-                cover = set().union(*cliques)
-                assert cover == set(range(g.n))
+        for g, dec in chordal_decompositions(random_graph(rng, 9) for _ in range(200)):
+            assert dec.k <= g.n
+            assert set().union(*dec.facets) == set(range(g.n))
+
+    def test_matches_naive_enumeration(self, rng):
+        graphs = [g for n in range(1, 7) for g in enumerate_labeled(n)]
+        graphs += [skeleton(rng, random_quasi_forest_facets(rng, max_n=30)) for _ in range(300)]
+        checked = 0
+        for g, dec in chordal_decompositions(graphs):
+            assert set(dec.facets) == naive_maximal_cliques(g)
+            assert len(set(dec.facets)) == dec.k
+            checked += 1
+        assert checked > 18_000
 
 
 class TestCliqueTree:
     def test_shared_edge(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        cliques = maximal_cliques_chordal(g, is_chordal(g).peo)
-        tree = clique_tree(cliques, g)
-        assert tree.edges == ((0, 1),)
-        assert len(tree.cliques[0] & tree.cliques[1]) == 2
+        assert decompose(g) == (Chordal((3, 2, 1, 0)), qfd([{0, 1, 2}, {1, 2, 3}], (2, 2), (1,), 4))
 
     def test_disjoint_facets_forest(self):
-        g = complement(C4)
-        tree = clique_tree(maximal_cliques_chordal(g, is_chordal(g).peo), g)
-        assert tree.edges == ()
+        assert decompose(complement(C4)) == (
+            Chordal((3, 1, 2, 0)),
+            qfd([{0, 2}, {1, 3}], (1, 1), (-1,), 4),
+        )
 
     def test_barbell_path(self):
         # hand enumeration: weights {0,1,2}-{2,3}=1, {2,3}-{3,4,5}=1, {0,1,2}-{3,4,5}=0,
-        # so the only max-weight spanning tree is the path through {2,3}
-        g = barbell3()
-        tree = clique_tree(maximal_cliques_chordal(g, is_chordal(g).peo), g)
-        assert tree.cliques == (frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({3, 4, 5}))
-        assert tree.edges == ((0, 1), (1, 2))
+        # so the only max-weight spanning tree is the path through {2,3}, walked from {0,1,2}
+        assert decompose(barbell3()) == (
+            Chordal((5, 4, 3, 2, 1, 0)),
+            qfd([{0, 1, 2}, {2, 3}, {3, 4, 5}], (2, 1, 2), (0, 0), 6),
+        )
 
     def test_non_chordal_rejected(self):
-        with pytest.raises(ContractViolationError):
-            clique_tree([frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3}), frozenset({0, 3})], C4)
+        res, dec = decompose(C4)
+        assert res == NotChordal((0, 1, 2, 3))
+        assert dec is None
 
     def test_running_intersection_random(self, rng):
-        for _ in range(200):
-            g = random_graph(rng, 8)
-            res = is_chordal(g)
-            if isinstance(res, NotChordal):
-                continue
-            tree = clique_tree(maximal_cliques_chordal(g, res.peo), g)
-            # RIP checked set-wise here, independently of the library's checker
-            for v in range(g.n):
-                holders = {i for i, c in enumerate(tree.cliques) if v in c}
-                if not holders:
-                    continue
-                reached = {min(holders)}
-                frontier = [min(holders)]
-                while frontier:
-                    a = frontier.pop()
-                    for x, y in tree.edges:
-                        for s, t in ((x, y), (y, x)):
-                            if s == a and t in holders and t not in reached:
-                                reached.add(t)
-                                frontier.append(t)
-                assert reached == holders
+        graphs = [random_graph(rng, 8) for _ in range(200)]
+        graphs += [skeleton(rng, random_quasi_forest_facets(rng, max_n=20)) for _ in range(200)]
+        for g, dec in chordal_decompositions(graphs):
+            # checked set-wise, independently of the library's own validation
+            assert quasi_forest_attachments(dec.facets) == [r + 1 for r in dec.attach_dims]
 
 
 class TestQuasiForestOrder:
     def test_two_disjoint_edges_order(self):
-        g = complement(C4)
-        qfd = quasi_forest_order(clique_tree(maximal_cliques_chordal(g, is_chordal(g).peo), g))
-        assert qfd.facets == (frozenset({0, 2}), frozenset({1, 3}))
-        assert qfd.dims == (1, 1)
-        assert qfd.attach_dims == (-1,)
-        assert qfd.r_min == -1
+        dec = decompose(complement(C4))[1]
+        assert dec.dims == (1, 1)
+        assert dec.attach_dims == (-1,)
+        assert dec.r_min == -1
 
     def test_two_triangles(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        qfd = quasi_forest_order(clique_tree(maximal_cliques_chordal(g, is_chordal(g).peo), g))
-        assert qfd.dims == (2, 2)
-        assert qfd.attach_dims == (1,)
+        dec = decompose(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))[1]
+        assert dec.dims == (2, 2)
+        assert dec.attach_dims == (1,)
 
     def test_single_clique(self):
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        qfd = quasi_forest_order(clique_tree(maximal_cliques_chordal(g, is_chordal(g).peo), g))
-        assert qfd.k == 1
-        assert qfd.dims == (3,)
-        assert qfd.attach_dims == ()
-        assert qfd.r_min is None
+        assert decompose(g) == (Chordal((3, 2, 1, 0)), qfd([{0, 1, 2, 3}], (3,), (), 4))
+        assert decompose(g)[1].r_min is None
 
     def test_vertex_count_identity_random(self, rng):
-        for _ in range(300):
-            g = random_graph(rng, 9)
-            res = is_chordal(g)
-            if isinstance(res, NotChordal):
-                continue
-            qfd = quasi_forest_order(clique_tree(maximal_cliques_chordal(g, res.peo), g))
-            assert sum(d + 1 for d in qfd.dims) - sum(r + 1 for r in qfd.attach_dims) == g.n
+        for g, dec in chordal_decompositions(random_graph(rng, 9) for _ in range(300)):
+            assert sum(d + 1 for d in dec.dims) - sum(r + 1 for r in dec.attach_dims) == g.n
 
     def test_r_min_root_invariance(self, rng):
+        # every facet order that passes the quasi-forest condition has the same r_min
+        graphs = [random_graph(rng, 8) for _ in range(400)]
         checked = 0
-        for _ in range(400):
-            g = random_graph(rng, 8)
-            res = is_chordal(g)
-            if isinstance(res, NotChordal):
+        for g, dec in chordal_decompositions(graphs):
+            if not 2 <= dec.k <= 6:
                 continue
-            tree = clique_tree(maximal_cliques_chordal(g, res.peo), g)
-            base = quasi_forest_order(tree)
-            if base.k < 2:
-                continue
-            comps = _components(tree)
-            for ci, comp in enumerate(comps):
-                for root in comp:
-                    alt = quasi_forest_order(tree, roots={ci: root})
-                    assert alt.r_min == base.r_min
+            for perm in permutations(dec.facets):
+                attach = quasi_forest_attachments(perm)
+                if attach is not None:
+                    assert min(attach) - 1 == dec.r_min
                     checked += 1
-        assert checked > 100
+        assert checked > 1000
 
-    def test_invalid_root_rejected(self):
-        g = barbell3()
-        tree = clique_tree(maximal_cliques_chordal(g, is_chordal(g).peo), g)
-        with pytest.raises(ContractViolationError):
-            quasi_forest_order(tree, roots={0: 99})
+
+def golden_record(g6: str) -> dict:
+    """The decomposition of the complement of a graph6 input, in the
+    `edgering decompose` field names."""
+    h = complement(parse_graph6(g6))
+    res, dec = decompose(h)
+    assert res == is_chordal(h)
+    if dec is None:
+        return {"graph6": g6, "chordless_cycle": list(res.cycle)}
+    return {
+        "graph6": g6,
+        "facets": [sorted(f) for f in dec.facets],
+        "d": list(dec.dims),
+        "r": list(dec.attach_dims),
+        "r_min": dec.r_min,
+    }
+
+
+def golden_inputs() -> list[str]:
+    """All labeled graphs on 1..5 vertices, then 150 complements of relabelled
+    quasi-forest skeletons on up to 14 vertices."""
+    graphs = [g for n in range(1, 6) for g in enumerate_labeled(n)]
+    rng = random.Random(20240831)
+    graphs += [complement(skeleton(rng, random_quasi_forest_facets(rng, max_n=14))) for _ in range(150)]
+    return [to_graph6(g) for g in graphs]
 
 
 class TestDecompose:
-    def test_matches_validated_public_chain(self, rng):
-        graphs = [g for n in range(1, 5) for g in enumerate_labeled(n)]
-        graphs += [random_graph(rng, 6) for _ in range(150)]
-        for _ in range(150):
-            # chordal: the 1-skeleton of a randomly relabelled quasi-forest
-            facets = random_quasi_forest_facets(rng, max_n=14)
-            n = len(set().union(*facets))
-            label = rng.sample(range(n), n)
-            edges = [(label[u], label[v]) for f in facets for u in f for v in f if u < v]
-            graphs.append(Graph.from_edges(n, edges))
-        for g in graphs:
-            res, qfd = decompose(g)
-            assert res == is_chordal(g)
-            if isinstance(res, NotChordal):
-                assert qfd is None
-            else:
-                cliques = maximal_cliques_chordal(g, res.peo)
-                assert qfd == quasi_forest_order(clique_tree(cliques, g))
+    def test_matches_golden_fixture(self):
+        lines = GOLDEN.read_text().splitlines()
+        assert len(lines) == 1099 + 150
+        for line in lines:
+            expected = json.loads(line)
+            assert golden_record(expected["graph6"]) == expected
 
     def test_empty_graph_rejected(self):
         with pytest.raises(UndefinedInputError):
             decompose(Graph(0, ()))
-
-
-def _components(tree):
-    k = len(tree.cliques)
-    adj = {i: [] for i in range(k)}
-    for a, b in tree.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    comps, seen = [], set()
-    for i in range(k):
-        if i in seen:
-            continue
-        comp, stack = [i], [i]
-        seen.add(i)
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    comp.append(b)
-                    stack.append(b)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: min(min(tree.cliques[i]) for i in c))
-    return comps
 
 
 class TestDecompositionValidation:
@@ -298,3 +253,8 @@ class TestDecompositionValidation:
                 attach_dims=(-1, 1),
                 n=5,
             )
+
+
+if __name__ == "__main__":
+    # regenerate the golden fixture: PYTHONPATH=src:tests python tests/test_chordal.py
+    GOLDEN.write_text("".join(json.dumps(golden_record(g6)) + "\n" for g6 in golden_inputs()))
