@@ -1,10 +1,11 @@
 """Chordality recognition with certificates and quasi-forest decompositions.
 
 Recognition runs maximum cardinality search (ties broken toward the lowest
-vertex index) and verifies the reversed visit order as a perfect elimination
-ordering.  A failed verification yields a chordless-cycle certificate which
-is re-verified before being returned; a guaranteed fallback search covers
-any case the fast extraction misses.
+vertex index) in its bucket form, O(n + m) word operations, and verifies the
+reversed visit order as a perfect elimination ordering.  A failed
+verification yields a chordless-cycle certificate which is re-verified
+before being returned; a guaranteed fallback search covers any case the fast
+extraction misses.
 
 Clique trees are maximum-weight spanning forests of the clique intersection
 graph (weight = separator size) with deterministic tie-breaking; traversing
@@ -15,12 +16,16 @@ One kernel on bitmasks, `_quasi_forest_masks`, builds that forest and
 ordering from clique masks; it is the only implementation.  `decompose`
 (one MCS, maximal cliques read off its verified PEO, then the kernel) is the
 only public route from a graph to a decomposition, and the frozenset
-`QuasiForestDecomposition` is built, and re-checked, only at its edge.
+`QuasiForestDecomposition` is built, and re-checked, only at its edge.  Its
+checks run on a vertex-to-facets incidence mask in O(sum |F_i|), which is
+at most O(n + m), so they stay on every construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Sequence
 
 from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
@@ -45,26 +50,36 @@ ChordalityResult = Chordal | NotChordal
 
 
 def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
+    """Maximum cardinality search, ties broken toward the lowest vertex index.
+
+    Bucket form (Tarjan & Yannakakis, SIAM J. Comput. 13, 1984): buckets[w]
+    is the mask of unvisited vertices of weight w.  Each step visits the
+    lowest bit of the highest nonempty bucket and moves each unvisited
+    neighbour up one bucket, so a search costs O(n + m) word operations.
+    """
     order = []
-    weights = [0] * n
-    unvisited = (1 << n) - 1
+    buckets = [0] * (n + 1)
+    buckets[0] = unvisited = (1 << n) - 1
+    weight = [0] * n
+    top = 0
     for _ in range(n):
-        best = -1
-        best_w = -1
-        m = unvisited
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        unvisited ^= low
+        m = rows[v] & unvisited
+        if m:
+            top += 1
         while m:
             low = m & -m
             u = low.bit_length() - 1
-            m ^= low
-            if weights[u] > best_w:
-                best_w = weights[u]
-                best = u
-        order.append(best)
-        unvisited ^= 1 << best
-        m = rows[best] & unvisited
-        while m:
-            low = m & -m
-            weights[low.bit_length() - 1] += 1
+            w = weight[u]
+            weight[u] = w + 1
+            buckets[w] ^= low
+            buckets[w + 1] |= low
             m ^= low
     return order
 
@@ -328,26 +343,34 @@ class QuasiForestDecomposition:
             raise ContractViolationError("a quasi-forest has at least one facet")
         if len(self.dims) != k or len(self.attach_dims) != k - 1:
             raise InternalInvariantError("dimension lists inconsistent with facet count")
-        union: frozenset[int] = frozenset()
+        # inc[v]: mask of the indices of the facets that contain v, keyed by
+        # label, since relabelled facets may use any labels.  Every check
+        # below then costs O(sum |F_i|).
+        inc: dict[int, int] = {}
+        for i, f in enumerate(self.facets):
+            for v in f:
+                inc[v] = inc.get(v, 0) | 1 << i
         for i, f in enumerate(self.facets):
             if not f:
                 raise ContractViolationError("empty facet")
             if len(f) - 1 != self.dims[i]:
                 raise InternalInvariantError("facet dimension mismatch")
-            if any(f <= g for j, g in enumerate(self.facets) if j != i):
+            # the facets holding all of F_i: exactly F_i itself
+            if reduce(and_, map(inc.__getitem__, f)) != 1 << i:
                 raise ContractViolationError("facets must be inclusion-free")
             if i:
-                inter = f & union
-                if len(inter) - 1 != self.attach_dims[i - 1]:
+                # per attachment vertex, the earlier facets that hold it
+                lower = (1 << i) - 1
+                earlier = [e for e in map(lower.__and__, map(inc.__getitem__, f)) if e]
+                if len(earlier) - 1 != self.attach_dims[i - 1]:
                     raise InternalInvariantError("attachment dimension mismatch")
                 if self.attach_dims[i - 1] >= self.dims[i]:
                     raise InternalInvariantError("facet adds no new vertex")
-                if inter and not any(inter <= g for g in self.facets[:i]):
+                if earlier and not reduce(and_, earlier):
                     raise ContractViolationError(
                         "attachment is not a face of a single earlier facet"
                     )
-            union |= f
-        if len(union) != self.n:
+        if len(inc) != self.n:
             raise InternalInvariantError("vertex count does not match facet union")
 
     @property

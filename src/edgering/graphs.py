@@ -4,6 +4,11 @@ Vertices are 0-indexed.  Adjacency is stored as one int per vertex whose bit u
 is set iff {v, u} is an edge, so edge membership and neighbor sets are O(1)
 bit operations.  Graphs are immutable and safe to share between workers.
 
+The graph6 codecs and the symmetry check of `Graph` do their bit work at C
+level on strings of '0'/'1': a row is `format`ted into a string or read back
+with `int(..., 2)`, and a matrix is transposed with `zip`, so no Python loop
+runs per bit.
+
 Supported interchange formats:
   * graph6 (short form only, n <= 62): leading byte n+63, then the upper
     triangle in column order (0,1),(0,2),(1,2),(0,3),... packed 6 bits per
@@ -21,6 +26,10 @@ from .errors import MalformedInputError, UndefinedInputError, UnsupportedSizeErr
 MAX_VERTICES = 62  # graph6 short form
 
 GRAPH6_HEADER = b">>graph6<<"
+
+# graph6 byte b (63..126) <-> its six bits, most significant first
+_SIX_BITS = ("",) * 63 + tuple(format(i, "06b") for i in range(64))
+_SIX_CHAR = {format(i, "06b"): chr(i + 63) for i in range(64)}
 
 
 @dataclass(frozen=True)
@@ -41,18 +50,15 @@ class Graph:
                 raise MalformedInputError(f"row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise MalformedInputError(f"loop at vertex {v}")
-        # every bit above the diagonal has its mirror, and the total count is
-        # twice theirs: the mirror map is then a bijection onto all set bits
-        upper = 0
-        for v, row in enumerate(self.rows):
-            m, u = row >> (v + 1), v + 1
-            while m:
-                if m & 1:
-                    if not self.rows[u] >> v & 1:
+        # bitrows[v][u] is bit u of row v; the rows are symmetric iff that
+        # matrix is its own transpose.  On a mismatch, name the first bit
+        # above the diagonal without its mirror, else one below it.
+        bitrows = [format(row, f"0{self.n}b")[::-1] for row in self.rows]
+        if ["".join(col) for col in zip(*bitrows)] != bitrows:
+            for v in range(self.n):
+                for u in range(v + 1, self.n):
+                    if bitrows[v][u] == "1" and bitrows[u][v] == "0":
                         raise MalformedInputError(f"asymmetric adjacency between {v} and {u}")
-                    upper += 1
-                m, u = m >> 1, u + 1
-        if sum(row.bit_count() for row in self.rows) != 2 * upper:
             raise MalformedInputError("asymmetric adjacency: a bit below the diagonal has no mirror")
 
     @classmethod
@@ -135,20 +141,12 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise MalformedInputError(
             f"bit section has {len(data) - 1} bytes, expected {nbytes} for n={n}"
         )
-    rows = [0] * n
-    acc = 0
-    accbits = 0
-    pos = 1
-    for v in range(1, n):
-        for u in range(v):
-            if accbits == 0:
-                acc = data[pos] - 63
-                accbits = 6
-                pos += 1
-            accbits -= 1
-            if acc >> accbits & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    # column v is the v bits (0,v),(1,v),..,(v-1,v): bit u of row v below the
+    # diagonal.  Padded to n, the columns transpose into the bits above it.
+    s = "".join(map(_SIX_BITS.__getitem__, data[1:]))
+    pad = "0" * n
+    cols = [s[v * (v - 1) // 2 : v * (v + 1) // 2] + pad[v:] for v in range(n)]
+    rows = [int(col[::-1], 2) | int("".join(up)[::-1], 2) for col, up in zip(cols, zip(*cols))]
     return Graph(n, tuple(rows))
 
 
@@ -156,21 +154,9 @@ def to_graph6(g: Graph) -> str:
     """Canonical short-form graph6 encoding of this labeled graph."""
     if g.n > MAX_VERTICES:
         raise UnsupportedSizeError(f"n={g.n} exceeds graph6 short form")
-    out = [g.n + 63]
-    acc = 0
-    accbits = 0
-    for v in range(1, g.n):
-        row = g.rows[v]
-        for u in range(v):
-            acc = acc << 1 | (row >> u & 1)
-            accbits += 1
-            if accbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                accbits = 0
-    if accbits:
-        out.append((acc << (6 - accbits)) + 63)
-    return bytes(out).decode("ascii")
+    s = "".join([format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
+    s += "0" * (-len(s) % 6)
+    return chr(g.n + 63) + "".join([_SIX_CHAR[s[i : i + 6]] for i in range(0, len(s), 6)])
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -13,6 +13,8 @@ depth = n, Hilbert series 1/(1-t)^n.
 Series are kept un-reduced over (1-t)^n (n = vertex count); this canonical
 form is what Betti extraction reads: the numerator of a 2-linear resolution
 is 1 - b_(1,2) t^2 + b_(2,3) t^3 - ... All arithmetic is exact (Python ints).
+The numerator groups facets and attachments by exponent first, so it costs
+one scaled add of a cached (1-t)^e per distinct exponent.
 """
 
 from __future__ import annotations
@@ -120,14 +122,22 @@ class BettiTable:
 
 def _numerator(n: int, dims, attach_dims) -> list[int]:
     """Numerator over (1-t)^n of sum_i 1/(1-t)^(d_i+1) - sum_i 1/(1-t)^(r_i+1),
-    untrimmed: n + 1 coefficients."""
-    coeffs = [0] * (n + 1)
+    untrimmed: n + 1 coefficients.
+
+    Equal exponents are grouped first: mult[e] is the number of facets minus
+    the number of attachments whose term is (1-t)^e, and each nonzero
+    multiplicity costs one scaled add.
+    """
+    mult = [0] * (n + 1)
     for d in dims:
-        for i, c in enumerate(one_minus_t_pow(n - d - 1)):
-            coeffs[i] += c
+        mult[n - d - 1] += 1
     for r in attach_dims:
-        for i, c in enumerate(one_minus_t_pow(n - r - 1)):
-            coeffs[i] -= c
+        mult[n - r - 1] -= 1
+    coeffs = [0] * (n + 1)
+    for e, m in enumerate(mult):
+        if m:
+            for i, c in enumerate(one_minus_t_pow(e)):
+                coeffs[i] += m * c
     return coeffs
 
 

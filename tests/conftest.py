@@ -1,8 +1,11 @@
 """Independent reference checkers shared by the test modules.
 
-Everything here is deliberately written set-based and naively, without
-reusing the package's bitmask machinery, so that library results are checked
-against genuinely independent code paths.
+The checkers are deliberately written set-based and naively, without reusing
+the package's bitmask machinery, so that library results are checked against
+genuinely independent code paths.  The `ref_*` functions at the end are the
+straightforward earlier forms of the hot-path kernels (linear-scan search,
+bit-by-bit graph6, one add per facet, pairwise frozenset checks); the
+property tests require the package's kernels to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ from itertools import combinations, permutations
 
 import pytest
 
+from edgering.errors import (
+    ContractViolationError,
+    EdgeRingError,
+    InternalInvariantError,
+    MalformedInputError,
+)
 from edgering.graphs import Graph
+from edgering.invariants import one_minus_t_pow
 
 
 def check_peo(g: Graph, peo) -> bool:
@@ -117,6 +127,28 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     return Graph.from_edge_mask(n, mask)
 
 
+def chordal_graph(rng: random.Random, n: int, full_p: float, components: int) -> Graph:
+    """A random chordal graph on n vertices grown by perfect elimination.
+
+    Each vertex after the first of its component joins a subset of an earlier
+    clique of that component (the whole clique with probability `full_p`),
+    so it is simplicial when added.  The labels are shuffled at the end.
+    """
+    starts = {0} | set(rng.sample(range(1, n), components - 1))
+    edges = []
+    for v in range(n):
+        if v in starts:
+            cliques = [[v]]  # the cliques of the component that v starts
+            continue
+        clique = rng.choice(cliques)
+        if len(clique) > 1 and rng.random() >= full_p:
+            clique = rng.sample(clique, rng.randint(1, len(clique) - 1))
+        edges += [(u, v) for u in clique]
+        cliques.append(clique + [v])
+    label = rng.sample(range(n), n)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
 def random_quasi_forest_facets(rng: random.Random, max_n: int = 10) -> list[frozenset[int]]:
     """Build a quasi-forest facet list by attaching simplices one at a time."""
     first = rng.randint(1, min(4, max_n))
@@ -132,6 +164,140 @@ def random_quasi_forest_facets(rng: random.Random, max_n: int = 10) -> list[froz
         facets.append(attach | frozenset(range(fresh, fresh + grow)))
         fresh += grow
     return facets
+
+
+def ref_mcs_order(n: int, rows) -> list[int]:
+    """Maximum cardinality search by a linear scan for the heaviest unvisited
+    vertex, the first (lowest) one on ties."""
+    order = []
+    weights = [0] * n
+    unvisited = (1 << n) - 1
+    for _ in range(n):
+        best = -1
+        best_w = -1
+        m = unvisited
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            if weights[u] > best_w:
+                best_w = weights[u]
+                best = u
+        order.append(best)
+        unvisited ^= 1 << best
+        m = rows[best] & unvisited
+        while m:
+            low = m & -m
+            weights[low.bit_length() - 1] += 1
+            m ^= low
+    return order
+
+
+def ref_graph6_rows(data: bytes) -> list[int]:
+    """Adjacency rows of valid short-form graph6 bytes (no header), decoded
+    one bit at a time; padding bits are ignored."""
+    n = data[0] - 63
+    rows = [0] * n
+    acc = 0
+    accbits = 0
+    pos = 1
+    for v in range(1, n):
+        for u in range(v):
+            if accbits == 0:
+                acc = data[pos] - 63
+                accbits = 6
+                pos += 1
+            accbits -= 1
+            if acc >> accbits & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return rows
+
+
+def ref_to_graph6(g: Graph) -> str:
+    """Short-form graph6 encoded one bit at a time."""
+    out = [g.n + 63]
+    acc = 0
+    accbits = 0
+    for v in range(1, g.n):
+        row = g.rows[v]
+        for u in range(v):
+            acc = acc << 1 | (row >> u & 1)
+            accbits += 1
+            if accbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                accbits = 0
+    if accbits:
+        out.append((acc << (6 - accbits)) + 63)
+    return bytes(out).decode("ascii")
+
+
+def ref_check_rows(n: int, rows) -> None:
+    """The symmetry check of `Graph`, bit by bit: raises what `Graph(n, rows)`
+    raises for rows that pass its range and loop checks."""
+    upper = 0
+    for v, row in enumerate(rows):
+        m, u = row >> (v + 1), v + 1
+        while m:
+            if m & 1:
+                if not rows[u] >> v & 1:
+                    raise MalformedInputError(f"asymmetric adjacency between {v} and {u}")
+                upper += 1
+            m, u = m >> 1, u + 1
+    if sum(row.bit_count() for row in rows) != 2 * upper:
+        raise MalformedInputError("asymmetric adjacency: a bit below the diagonal has no mirror")
+
+
+def ref_numerator(n: int, dims, attach_dims) -> list[int]:
+    """The Hilbert numerator over (1-t)^n with one add per facet and per
+    attachment."""
+    coeffs = [0] * (n + 1)
+    for d in dims:
+        for i, c in enumerate(one_minus_t_pow(n - d - 1)):
+            coeffs[i] += c
+    for r in attach_dims:
+        for i, c in enumerate(one_minus_t_pow(n - r - 1)):
+            coeffs[i] -= c
+    return coeffs
+
+
+def ref_check_decomposition(facets, dims, attach_dims, n: int) -> None:
+    """The checks of `QuasiForestDecomposition` by pairwise frozenset
+    comparisons: raises what its constructor raises."""
+    k = len(facets)
+    if k == 0:
+        raise ContractViolationError("a quasi-forest has at least one facet")
+    if len(dims) != k or len(attach_dims) != k - 1:
+        raise InternalInvariantError("dimension lists inconsistent with facet count")
+    union: frozenset[int] = frozenset()
+    for i, f in enumerate(facets):
+        if not f:
+            raise ContractViolationError("empty facet")
+        if len(f) - 1 != dims[i]:
+            raise InternalInvariantError("facet dimension mismatch")
+        if any(f <= g for j, g in enumerate(facets) if j != i):
+            raise ContractViolationError("facets must be inclusion-free")
+        if i:
+            inter = f & union
+            if len(inter) - 1 != attach_dims[i - 1]:
+                raise InternalInvariantError("attachment dimension mismatch")
+            if attach_dims[i - 1] >= dims[i]:
+                raise InternalInvariantError("facet adds no new vertex")
+            if inter and not any(inter <= g for g in facets[:i]):
+                raise ContractViolationError("attachment is not a face of a single earlier facet")
+        union |= f
+    if len(union) != n:
+        raise InternalInvariantError("vertex count does not match facet union")
+
+
+def raised(f, *args):
+    """(exception class, message) that f(*args) raises, or None."""
+    try:
+        f(*args)
+    except EdgeRingError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from edgering.chordal import Chordal, NotChordal, QuasiForestDecomposition, decompose, is_chordal
-from edgering.errors import ContractViolationError, UndefinedInputError
+from edgering.errors import ContractViolationError, InternalInvariantError, UndefinedInputError
 from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
 from conftest import (
     brute_is_chordal,
@@ -235,8 +235,30 @@ class TestDecompose:
 
 
 class TestDecompositionValidation:
+    """One rejected input per check of `QuasiForestDecomposition`."""
+
+    @pytest.mark.parametrize(
+        "facets,dims,attach_dims,n,error,message",
+        [
+            ([], (), (), 0, ContractViolationError, "at least one facet"),
+            ([{0, 1}], (1, 1), (), 2, InternalInvariantError, "inconsistent with facet count"),
+            ([{0, 1}, set()], (1, -1), (-1,), 2, ContractViolationError, "empty facet"),
+            ([{0, 1}, {1, 2}], (1, 2), (0,), 3, InternalInvariantError, "facet dimension mismatch"),
+            # an earlier facet inside a later one
+            ([{0, 1}, {0, 1, 2}], (1, 2), (1,), 3, ContractViolationError, "inclusion-free"),
+            ([{0, 1}, {0, 1}], (1, 1), (1,), 2, ContractViolationError, "inclusion-free"),
+            ([{0, 1}, {1, 2}], (1, 1), (-1,), 3, InternalInvariantError, "attachment dimension"),
+            # {0, 2} lies in the union of the first two facets: no new vertex
+            ([{0, 1}, {1, 2}, {0, 2}], (1, 1, 1), (0, 1), 3, InternalInvariantError, "no new vertex"),
+            ([{0, 1}, {1, 2}], (1, 1), (0,), 4, InternalInvariantError, "facet union"),
+        ],
+    )
+    def test_rejects(self, facets, dims, attach_dims, n, error, message):
+        with pytest.raises(error, match=message):
+            QuasiForestDecomposition(tuple(frozenset(f) for f in facets), dims, attach_dims, n)
+
     def test_rejects_nested_facets(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="inclusion-free"):
             QuasiForestDecomposition(
                 facets=(frozenset({0, 1, 2}), frozenset({0, 1})),
                 dims=(2, 1),
@@ -246,13 +268,27 @@ class TestDecompositionValidation:
 
     def test_rejects_bad_attachment(self):
         # attachment {0, 2} is not contained in any single earlier facet
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="single earlier facet"):
             QuasiForestDecomposition(
                 facets=(frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 2, 4})),
                 dims=(1, 1, 2),
                 attach_dims=(-1, 1),
                 n=5,
             )
+
+    @pytest.mark.parametrize(
+        "facets,attach_dims",
+        [
+            ([{-7, 3}, {3, 40}, {40, 12, -1}], (0, 0)),
+            ([{100}, {-100, 5}], (-1,)),
+            ([{-2, -1, 0}, {-1, 0, 9}, {9, 1000}], (1, 0)),
+        ],
+    )
+    def test_accepts_relabelled_facets(self, facets, attach_dims):
+        facets = tuple(frozenset(f) for f in facets)
+        n = len(frozenset().union(*facets))
+        dec = QuasiForestDecomposition(facets, tuple(len(f) - 1 for f in facets), attach_dims, n)
+        assert dec.r_min == min(attach_dims)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgering.errors import (
     MalformedInputError,
@@ -14,7 +17,7 @@ from edgering.graphs import (
     parse_graph6,
     to_graph6,
 )
-from conftest import random_graph
+from conftest import raised, random_graph, ref_check_rows
 
 
 def k(n):
@@ -177,3 +180,19 @@ class TestValidation:
     def test_size_cap(self):
         with pytest.raises(UnsupportedSizeError):
             Graph(63, (0,) * 63)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 62).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2**32), st.integers(0, n - 1), st.integers(0, n - 2)
+)))
+def test_one_flipped_bit_is_asymmetric(args):
+    """Flipping one bit off the diagonal of a symmetric graph, above or below
+    it, is rejected with the message of the bit-by-bit check."""
+    n, seed, v, u = args
+    u += u >= v  # any u != v
+    rows = list(random_graph(random.Random(seed), n).rows)
+    rows[v] ^= 1 << u
+    error = raised(Graph, n, tuple(rows))
+    assert error is not None and error[0] is MalformedInputError
+    assert error == raised(ref_check_rows, n, rows)

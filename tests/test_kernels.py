@@ -1,0 +1,151 @@
+"""The hot-path kernels against their reference forms in conftest: bucket
+maximum cardinality search, string-level graph6, the grouped Hilbert
+numerator, and the incidence-mask checks of a quasi-forest decomposition.
+Each must agree exactly, down to the exception class and message."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from edgering.chordal import QuasiForestDecomposition, _mcs_order, decompose
+from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, complement, parse_graph6, to_graph6
+from edgering.invariants import _numerator
+from conftest import (
+    chordal_graph,
+    raised,
+    random_quasi_forest_facets,
+    ref_check_decomposition,
+    ref_mcs_order,
+    ref_graph6_rows,
+    ref_numerator,
+    ref_to_graph6,
+)
+
+
+@st.composite
+def graphs(draw, max_n=MAX_VERTICES):
+    """A graph on 0..max_n vertices: G(n, p) for p in {1/2, 1/4, 1/8}, or a
+    chordal graph or its complement."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["gnp", "chordal", "cochordal"]))
+    if kind == "gnp" or n < 2:
+        width = n * (n - 1) // 2
+        mask = draw(st.integers(0, (1 << width) - 1))
+        for _ in range(draw(st.integers(0, 2))):
+            mask &= draw(st.integers(0, (1 << width) - 1))
+        return Graph.from_edge_mask(n, mask)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = chordal_graph(rng, n, draw(st.sampled_from([0.2, 0.5, 0.9])), draw(st.integers(1, min(n, 4))))
+    return g if kind == "chordal" else complement(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs())
+def test_mcs_order_matches_linear_scan(g):
+    assert _mcs_order(g.n, g.rows) == ref_mcs_order(g.n, g.rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.booleans(), st.integers(0, 63))
+def test_graph6_matches_bitwise_codec(g, header, padding):
+    text = to_graph6(g)
+    assert text == ref_to_graph6(g)
+    # set some of the padding bits of the last byte: both decoders ignore them
+    spare = -(g.n * (g.n - 1) // 2) % 6
+    if spare:
+        text = text[:-1] + chr(ord(text[-1]) | padding & ((1 << spare) - 1))
+    data = text.encode("ascii")
+    assert ref_graph6_rows(data) == list(g.rows)
+    assert parse_graph6((GRAPH6_HEADER if header else b"") + data) == g
+
+
+def test_graph6_every_size():
+    rng = random.Random(62)
+    for n in range(MAX_VERTICES + 1):
+        for g in (Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)), complement(Graph(n, (0,) * n))):
+            text = to_graph6(g)
+            assert text == ref_to_graph6(g)
+            assert ref_graph6_rows(text.encode("ascii")) == list(g.rows)
+            assert parse_graph6(text) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=12),
+    st.lists(st.integers(-1, max(n - 2, -1)), max_size=12),
+)))
+def test_numerator_matches_per_facet_sum(args):
+    n, dims, attach_dims = args
+    assert _numerator(n, dims, attach_dims) == ref_numerator(n, dims, attach_dims)
+
+
+def test_numerator_on_decompositions(rng):
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        g = chordal_graph(rng, n, rng.random(), rng.randint(1, min(n, 3)))
+        dec = decompose(g)[1]
+        assert _numerator(dec.n, dec.dims, dec.attach_dims) == ref_numerator(dec.n, dec.dims, dec.attach_dims)
+
+
+def verdicts(facets, dims, attach_dims, n):
+    """(what the constructor raises, what the reference checks raise)."""
+    facets = tuple(frozenset(f) for f in facets)
+    return (
+        raised(QuasiForestDecomposition, facets, tuple(dims), tuple(attach_dims), n),
+        raised(ref_check_decomposition, facets, tuple(dims), tuple(attach_dims), n),
+    )
+
+
+def consistent_lists(facets):
+    """The dims and attachment dims that the facet sizes and the running
+    union imply, so that the structural checks decide."""
+    dims, attach, union = [], [], set()
+    for i, f in enumerate(facets):
+        dims.append(len(f) - 1)
+        if i:
+            attach.append(len(set(f) & union) - 1)
+        union |= set(f)
+    return dims, attach, len(union)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(-3, 9), max_size=5), max_size=6),
+    st.integers(-1, 1),
+    st.integers(0, 2),
+    st.integers(-1, 1),
+)
+def test_decomposition_checks_match_frozenset_form(facets, dim_shift, attach_shift_at, n_shift):
+    dims, attach, n = consistent_lists(facets)
+    if dims:
+        dims[-1] += dim_shift
+    if attach_shift_at < len(attach):
+        attach[attach_shift_at] += 1
+    new, ref = verdicts(facets, dims, attach, n + n_shift)
+    assert new == ref
+
+
+def test_decomposition_checks_on_valid_and_mutated(rng):
+    accepted = rejected = 0
+    for _ in range(400):
+        facets = [sorted(f) for f in random_quasi_forest_facets(rng, max_n=12)]
+        label = rng.sample(range(-5, 30), 12)  # negative and gapped labels
+        facets = [[label[v] for v in f] for f in facets]
+        mutation = rng.randrange(5)
+        if mutation == 1:
+            rng.shuffle(facets)
+        elif mutation == 2:
+            f = rng.choice(facets)
+            f.append(rng.choice([v for g in facets for v in g]))
+            f[:] = sorted(set(f))
+        elif mutation == 3 and len(facets) > 1:
+            i, j = rng.sample(range(len(facets)), 2)
+            facets[i] = sorted(set(facets[i]) | set(facets[j][:1]))
+        elif mutation == 4:
+            facets.append(rng.choice(facets)[:-1] or [label[-1]])
+        new, ref = verdicts(facets, *consistent_lists(facets))
+        assert new == ref
+        accepted += new is None
+        rejected += new is not None
+    assert accepted > 100 and rejected > 50
