@@ -7,18 +7,18 @@ verification yields a chordless-cycle certificate which is re-verified
 before being returned; a guaranteed fallback search covers any case the fast
 extraction misses.
 
-Clique trees are maximum-weight spanning forests of the clique intersection
-graph (weight = separator size) with deterministic tie-breaking; traversing
-each tree root-first realizes a quasi-forest ordering of the facets, with
-attachment dimension -1 whenever a new connected component starts.
+Facets come in the order the search completes them as maximal cliques:
+that order satisfies running intersection (Blair & Peyton, "An introduction
+to chordal graphs and clique trees", 1993), so it is a quasi-forest ordering,
+with attachment dimension -1 whenever a new connected component starts.
+Components come in order of their smallest vertex, and the first facet is
+the lexicographically smallest maximal clique containing vertex 0.
 
-One kernel on bitmasks, `_quasi_forest_masks`, builds that forest and
-ordering from clique masks; it is the only implementation.  `decompose`
-(one MCS, maximal cliques read off its verified PEO, then the kernel) is the
-only public route from a graph to a decomposition, and the frozenset
-`QuasiForestDecomposition` is built, and re-checked, only at its edge.  Its
-checks run on a vertex-to-facets incidence mask in O(sum |F_i|), which is
-at most O(n + m), so they stay on every construction.
+`decompose` (one MCS, maximal cliques read off its verified PEO in that
+order) is the only public route from a graph to a decomposition, and the
+frozenset `QuasiForestDecomposition` is built, and re-checked, only at its
+edge.  Its checks run on a vertex-to-facets incidence mask in O(sum |F_i|),
+which is at most O(n + m), so they stay on every construction.
 """
 
 from __future__ import annotations
@@ -201,15 +201,16 @@ def is_chordal(g: Graph) -> ChordalityResult:
 
 
 def _clique_masks_from_peo(n: int, rows: Sequence[int], elim: Sequence[int]) -> list[int]:
-    """Maximal cliques of a chordal graph, by the size-drop rule of MCS.
+    """Maximal cliques of a chordal graph in MCS completion order, by the
+    size-drop rule of MCS.
 
     `elim` must be the reverse of a maximum cardinality search order that is
     a perfect elimination ordering, as `is_chordal` returns it.  Each vertex
     v gives the candidate {v} + later neighbors, whose size is one more than
     v's MCS weight.  A candidate is maximal exactly when v was visited last
     or the vertex visited right after it, the previous one in `elim`, got no
-    larger a weight (Blair & Peyton, "An introduction to chordal graphs and
-    clique trees", 1993).
+    larger a weight (Blair & Peyton 1993).  Listed in visit order of their
+    v, the cliques are a quasi-forest ordering of the facets.
     """
     remaining = (1 << n) - 1
     out = []
@@ -221,95 +222,7 @@ def _clique_masks_from_peo(n: int, rows: Sequence[int], elim: Sequence[int]) -> 
         if prev_size <= size:
             out.append(c)
         prev_size = size
-    return out
-
-
-def _spanning_forest(cl: Sequence[int]) -> list[tuple[int, int]]:
-    """Kruskal maximum-weight spanning forest of the clique intersection graph.
-
-    Weight is separator size; candidate edges are taken in (-weight, i, j)
-    order, so ties break lexicographically on index pairs.
-    """
-    k = len(cl)
-    weighted = []
-    for i in range(k):
-        ci = cl[i]
-        for j in range(i + 1, k):
-            w = (ci & cl[j]).bit_count()
-            if w:
-                weighted.append((-w, i, j))
-    weighted.sort()
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = []
-    for _, i, j in weighted:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-            edges.append((i, j))
-    return edges
-
-
-def _facet_order(cl: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Clique indices root-first over a spanning forest.
-
-    Components are sorted by their smallest vertex; each is walked in
-    preorder with ascending children from its clique with the smallest
-    minimum vertex (then index).
-    """
-    k = len(cl)
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    comps: list[list[int]] = []
-    seen = [False] * k
-    for i in range(k):
-        if not seen[i]:
-            seen[i] = True
-            comp, stack = [i], [i]
-            while stack:
-                for b in adj[stack.pop()]:
-                    if not seen[b]:
-                        seen[b] = True
-                        comp.append(b)
-                        stack.append(b)
-            comps.append(comp)
-    key = [((c & -c).bit_length(), i) for i, c in enumerate(cl)]  # (smallest vertex + 1, index)
-    comps.sort(key=lambda comp: min(key[i] for i in comp)[0])
-    order: list[int] = []
-    placed = [False] * k
-    for comp in comps:
-        root = min(comp, key=key.__getitem__)
-        placed[root] = True
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            order.append(a)
-            for b in sorted(adj[a], reverse=True):
-                if not placed[b]:
-                    placed[b] = True
-                    stack.append(b)
-    return order
-
-
-def _quasi_forest_masks(cliques: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The decomposition kernel: maximal clique masks of a chordal graph to
-    (ordered facet masks, attachment sizes).
-
-    Cliques are sorted by their sorted vertex lists, joined by the spanning
-    forest of `_spanning_forest` and ordered by `_facet_order`; the
-    attachment sizes are those of `_attachment_sizes`.
-    """
-    cl = sorted(cliques, key=lambda m: sorted(bits(m)))
-    facets = [cl[i] for i in _facet_order(cl, _spanning_forest(cl))]
-    return facets, _attachment_sizes(facets)
+    return out[::-1]
 
 
 def _attachment_sizes(facets: Sequence[int]) -> list[int]:
@@ -387,18 +300,18 @@ def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | No
     """Chordality certificate of g and, when g is chordal, the quasi-forest
     decomposition of its flag complex (facets = maximal cliques of g).
 
-    One maximum cardinality search; the cliques come from the perfect
-    elimination ordering it just verified.
+    One maximum cardinality search; the facets are the cliques read off the
+    perfect elimination ordering it just verified, in their MCS order.
     """
     if g.n < 1:
         raise UndefinedInputError("a quasi-forest decomposition needs at least one vertex")
     res = is_chordal(g)
     if isinstance(res, NotChordal):
         return res, None
-    facets, attach = _quasi_forest_masks(_clique_masks_from_peo(g.n, g.rows, res.peo))
+    facets = _clique_masks_from_peo(g.n, g.rows, res.peo)
     return res, QuasiForestDecomposition(
         facets=tuple(frozenset(bits(f)) for f in facets),
         dims=tuple(f.bit_count() - 1 for f in facets),
-        attach_dims=tuple(a - 1 for a in attach),
+        attach_dims=tuple(a - 1 for a in _attachment_sizes(facets)),
         n=g.n,
     )

@@ -19,6 +19,7 @@ line is read; with --jobs > 1 the pool's `imap` still reads ahead.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import multiprocessing
 import sys
@@ -358,6 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        # bytes that the stdin encoding cannot decode become lone surrogates,
+        # which parse_graph6 rejects per line like any other non-ASCII text
+        sys.stdin.reconfigure(errors="surrogateescape")
     try:
         return args.func(args)
     except MalformedInputError as exc:

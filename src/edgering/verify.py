@@ -8,17 +8,17 @@ Hochster Betti table of the flag complex of the complement and compares it
 entry by entry.
 
 The per-graph worker operates on bitmask rows throughout and computes no
-formula of its own: it calls the decomposition kernel of `chordal` on clique
-masks, takes the Hilbert numerator, its Betti read-off, pd, depth, Krull
-dimension, the CM test and the d-tree rule from `invariants` and the
-free-vertex witness from `conjecture`, the same functions that `analyze`,
-`survey` and `classify` reach.  It checks them against references computed
-apart from them: brute-force induced cycles, the numerator of the f-vector
-series and, in the oracle variant, the Hochster Betti table, which the
-oracle kernel computes straight from the clique masks.  Chunks of the
-edge-mask range can be processed by a worker pool; results merge
-deterministically in mask order, so the outcome is identical for every
-worker count.
+formula of its own: it takes the facets of `chordal` (the maximal cliques
+in MCS order) and their attachment sizes, the Hilbert numerator, its Betti
+read-off, pd, depth, Krull dimension, the CM test and the d-tree rule from
+`invariants` and the free-vertex witness from `conjecture`, the same
+functions that `analyze`, `survey` and `classify` reach.  It checks them
+against references computed apart from them: brute-force induced cycles,
+the numerator of the f-vector series and, in the oracle variant, the
+Hochster Betti table, which the oracle kernel computes straight from the
+clique masks.  Chunks of the edge-mask range can be processed by a worker
+pool; results merge deterministically in mask order, so the outcome is
+identical for every worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order, _quasi_forest_masks
+from .chordal import _attachment_sizes, _clique_masks_from_peo, _first_peo_violation, _mcs_order
 from .complexes import _maximal_clique_masks
 from .graphs import Graph, rows_from_edge_mask, to_graph6
 from .conjecture import _free_vertex_witness_masks
@@ -176,10 +176,10 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
                 _check_knum(n, table, _fvector_numerator(_fast_fvector(complex_facets), n), vio, mask)
             continue
         counts["twolinear"] += 1
-        cliques = _clique_masks_from_peo(n, crow, elim)
-        if with_oracle and set(cliques) != set(complex_facets):
+        facets = _clique_masks_from_peo(n, crow, elim)
+        if with_oracle and set(facets) != set(complex_facets):
             vio["clique_paths_disagree"].append(_to_g6(n, mask))
-        facets, attach = _quasi_forest_masks(cliques)
+        attach = _attachment_sizes(facets)
         k = len(facets)
         dims = [f.bit_count() - 1 for f in facets]
         attach_dims = [size - 1 for size in attach]

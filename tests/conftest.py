@@ -4,8 +4,10 @@ The checkers are deliberately written set-based and naively, without reusing
 the package's bitmask machinery, so that library results are checked against
 genuinely independent code paths.  The `ref_*` functions at the end are the
 straightforward earlier forms of the hot-path kernels (linear-scan search,
-bit-by-bit graph6, one add per facet, pairwise frozenset checks); the
-property tests require the package's kernels to agree with them exactly.
+bit-by-bit graph6, one add per facet, pairwise frozenset checks, a Kruskal
+clique forest walked in preorder); the property tests require the package's
+kernels to agree with them exactly, or, for the facet order, on everything
+but the order within a component.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from edgering.errors import (
     InternalInvariantError,
     MalformedInputError,
 )
-from edgering.graphs import Graph
+from edgering.graphs import Graph, bits
 from edgering.invariants import one_minus_t_pow
 
 
@@ -289,6 +291,64 @@ def ref_check_decomposition(facets, dims, attach_dims, n: int) -> None:
         union |= f
     if len(union) != n:
         raise InternalInvariantError("vertex count does not match facet union")
+
+
+def ref_quasi_forest_masks(cliques) -> tuple[list[int], list[int]]:
+    """Maximal clique masks of a chordal graph to (ordered facet masks,
+    attachment sizes) through a maximum-weight spanning forest of the clique
+    intersection graph.
+
+    The cliques are sorted by their sorted vertex lists and joined by Kruskal
+    on (-separator size, i, j) with a union-find.  Components come in order
+    of their smallest vertex; each is walked in preorder, ascending children
+    first, from its clique with the smallest minimum vertex (then index).
+    """
+    cl = sorted(cliques, key=lambda m: sorted(bits(m)))
+    k = len(cl)
+    weighted = sorted(
+        (-(cl[i] & cl[j]).bit_count(), i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if cl[i] & cl[j]
+    )
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for _, i, j in weighted:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            adj[i].append(j)
+            adj[j].append(i)
+    key = [(min(bits(c)), i) for i, c in enumerate(cl)]
+    comps: dict[int, list[int]] = {}
+    for i in range(k):
+        comps.setdefault(find(i), []).append(i)
+    order: list[int] = []
+    placed = [False] * k
+    for comp in sorted(comps.values(), key=lambda comp: min(key[i] for i in comp)):
+        root = min(comp, key=key.__getitem__)
+        placed[root] = True
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            order.append(a)
+            for b in sorted(adj[a], reverse=True):
+                if not placed[b]:
+                    placed[b] = True
+                    stack.append(b)
+    facets = [cl[i] for i in order]
+    sizes, union = [], 0
+    for f in facets:
+        sizes.append((f & union).bit_count())
+        union |= f
+    return facets, sizes[1:]
 
 
 def raised(f, *args):

@@ -139,8 +139,8 @@ class TestCliqueTree:
         )
 
     def test_barbell_path(self):
-        # hand enumeration: weights {0,1,2}-{2,3}=1, {2,3}-{3,4,5}=1, {0,1,2}-{3,4,5}=0,
-        # so the only max-weight spanning tree is the path through {2,3}, walked from {0,1,2}
+        # hand enumeration: MCS visits 0..5 in order and completes {0,1,2} (3 gets
+        # a smaller weight than 2), then {2,3} (4 gets no larger one), then {3,4,5}
         assert decompose(barbell3()) == (
             Chordal((5, 4, 3, 2, 1, 0)),
             qfd([{0, 1, 2}, {2, 3}, {3, 4, 5}], (2, 1, 2), (0, 0), 6),

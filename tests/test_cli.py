@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -327,6 +328,29 @@ class TestBadInputExit2:
     def test_non_ascii_graph6(self, capsys):
         assert main(["analyze", "\u00e9"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, stdin, code, prefix",
+        [(["survey"], b"Cl\n\xff\nCl\n", 1, "line 2: "), (["analyze", "--stdin"], b"C\xffl\n", 2, "")],
+        ids=["survey", "analyze"],
+    )
+    def test_invalid_utf8_stdin(self, argv, stdin, code, prefix):
+        # under strict UTF-8 decoding of stdin, an undecodable byte is
+        # rejected like any non-ASCII line, and survey reads on
+        proc = subprocess.run(
+            [sys.executable, "-m", "edgering.cli", *argv],
+            input=stdin,
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == code
+        assert proc.stderr.decode() == f"error: {prefix}graph6 text must be ASCII (ordinal not in range(128))\n"
+        lines = proc.stdout.decode().splitlines()
+        if code == 1:
+            assert [json.loads(ln)["input"] for ln in lines[:-1]] == ["Cl", "Cl"]
+            assert json.loads(lines[-1])["summary"]["total"] == 2
+        else:
+            assert lines == []
 
     @pytest.mark.parametrize("command", ["oracle", "decompose"])
     def test_non_ascii_complex(self, tmp_path, capsys, command):

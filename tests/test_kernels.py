@@ -1,14 +1,16 @@
 """The hot-path kernels against their reference forms in conftest: bucket
 maximum cardinality search, string-level graph6, the grouped Hilbert
 numerator, and the incidence-mask checks of a quasi-forest decomposition.
-Each must agree exactly, down to the exception class and message."""
+Each must agree exactly, down to the exception class and message.  The facet
+order of `decompose` (MCS completion order) is held to the Kruskal clique
+forest on everything but the order within a component."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from edgering.chordal import QuasiForestDecomposition, _mcs_order, decompose
-from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, complement, parse_graph6, to_graph6
+from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, bits, complement, parse_graph6, to_graph6
 from edgering.invariants import _numerator
 from conftest import (
     chordal_graph,
@@ -18,6 +20,7 @@ from conftest import (
     ref_mcs_order,
     ref_graph6_rows,
     ref_numerator,
+    ref_quasi_forest_masks,
     ref_to_graph6,
 )
 
@@ -86,6 +89,41 @@ def test_numerator_on_decompositions(rng):
         g = chordal_graph(rng, n, rng.random(), rng.randint(1, min(n, 3)))
         dec = decompose(g)[1]
         assert _numerator(dec.n, dec.dims, dec.attach_dims) == ref_numerator(dec.n, dec.dims, dec.attach_dims)
+
+
+def component_minima(facets, attach_dims):
+    """Smallest vertex of each connected component, in the order the facets
+    reach the components; a component starts at attachment dimension -1."""
+    minima = []
+    for f, r in zip(facets, (-1, *attach_dims)):
+        if r == -1:
+            minima.append(min(f))
+        else:
+            minima[-1] = min(minima[-1], min(f))
+    return minima
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, MAX_VERTICES),
+    st.integers(1, 4),
+    st.sampled_from([0.2, 0.5, 0.9]),
+    st.integers(0, 2**32),
+)
+def test_facet_order_agrees_with_spanning_forest(n, components, full_p, seed):
+    g = chordal_graph(random.Random(seed), n, full_p, min(components, n))
+    dec = decompose(g)[1]
+    masks = [sum(1 << v for v in f) for f in dec.facets]
+    ref, ref_attach = ref_quasi_forest_masks(masks)
+    ref_sets = [frozenset(bits(f)) for f in ref]
+    ref_attach_dims = [a - 1 for a in ref_attach]
+    assert set(dec.facets) == set(ref_sets)
+    assert sorted(zip(masks, dec.dims)) == sorted((f, f.bit_count() - 1) for f in ref)
+    assert sorted(dec.attach_dims) == sorted(ref_attach_dims)
+    assert dec.facets[0] == ref_sets[0]
+    minima = component_minima(dec.facets, dec.attach_dims)
+    assert minima == component_minima(ref_sets, ref_attach_dims) == sorted(minima)
+    assert len(minima) == min(components, n)
 
 
 def verdicts(facets, dims, attach_dims, n):
