@@ -180,9 +180,16 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the non-edges of g."""
+    """Graph on the same vertices whose edges are exactly the non-edges of g.
+
+    g is already validated and its complement is symmetric and loop-free by
+    construction, so the checks of `Graph.__post_init__` are not re-run.
+    """
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
+    out = object.__new__(Graph)
+    object.__setattr__(out, "n", g.n)
+    object.__setattr__(out, "rows", tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
+    return out
 
 
 def max_degree(g: Graph) -> int:

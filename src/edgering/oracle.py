@@ -6,35 +6,55 @@ rank 1 in dimension -1, which is what makes beta_(0,0) = 1 come out of the
 sum instead of being special-cased.
 
 Ground truth for everything the closed formulas claim; no quasi-forest
-assumptions are made here.  The kernel runs on facet bitmasks: the facets of
-the restriction to a subset mask W are the maximal nonempty f & W.  These
-repeat heavily, so homology is memoized on them relabelled onto 0..|W|-1
-in order.  `hochster_betti` is the view for a complex; the sweeps call the
-kernel on clique masks.
+assumptions are made here.  Every subset is reduced to its strong-collapse
+core first: a vertex v is dominated when the faces containing v all extend by
+one more vertex u, and deleting v keeps the homotopy type, so every reduced
+homology rank (Barmak & Minian, DCG 47, 2012).  Vertices are deleted one at
+a time: two vertices in the same facets dominate each other, and deleting
+both would empty an edge.  A cone collapses to a point.
 
-On a memo miss the restriction is first reduced to its strong-collapse core:
-a vertex v is dominated when the facets containing v all contain one more
-vertex u, and deleting v then keeps the homotopy type, so every reduced
-homology rank (Barmak & Minian, DCG 47, 2012; for flag complexes this is
-folding dominated vertices of the graph, Boulet, Fieux & Jouve, Europ. J.
-Combin. 31, 2010).  Vertices are deleted one at a time: two vertices in the
-same facets dominate each other, and deleting both would empty an edge.  A
-cone collapses to a point.  The core, relabelled the same way, is looked up
-in the same memo, and exact homology runs only when it misses too, so the
-memo holds raw and core keys side by side.  Most restrictions shrink to a
-point or a small core, which is what makes n <= 14 affordable; a larger
-ground set raises UnsupportedSizeError (CLI exit 3).
+There are two kernels.  A flag complex, which is every complex the sweeps
+and `edgering oracle GRAPH6` build, runs on the graph H whose cliques are its
+faces: the restriction to W is the flag complex of H[W], and v is dominated
+when its closed neighbourhood in W lies inside that of another vertex u
+(Boulet, Fieux & Jouve, Europ. J. Combin. 31, 2010).  Subsets are visited in
+increasing order, so a W with a dominated vertex v takes the result already
+found for W - v, and a W that collapses to a point is skipped before any key
+is built: at n = 12 that is most subsets.  Only a W with no dominated vertex,
+other than a single vertex, is keyed, by its closed neighbourhood rows
+relabelled onto 0..|W|-1, and exact homology of its maximal cliques runs
+only on a memo miss.  Any other complex runs on facet bitmasks: the facets
+of the restriction to W are the maximal nonempty f & W, keyed the same way,
+and only a key that misses is reduced to its core, which is looked up too.
+The two kernels keep separate memos, because a graph key and a facet key can
+be the same tuple of different complexes.  `hochster_betti` takes the graph
+kernel when the complex's facets are the maximal cliques of its 1-skeleton.
+The ground set is capped at n <= 14; a larger one raises UnsupportedSizeError
+(CLI exit 3).
 """
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex, _homology_ranks, _maximal_masks, _position_masks
+from typing import Sequence
+
+from .complexes import (
+    SimplicialComplex,
+    _homology_ranks,
+    _maximal_clique_masks,
+    _maximal_masks,
+    _position_masks,
+    one_skeleton,
+)
 from .errors import InternalInvariantError, UnsupportedSizeError
+from .graphs import bits
 from .invariants import BettiTable
 
 ORACLE_VERTEX_CAP = 14
 
+# graph kernel: compressed closed rows of a core -> reduced homology ranks
 _HOMOLOGY_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
+# facet kernel: compressed facets of a restriction or of its core -> ranks
+_FACET_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
 
 
 class OracleBettiTable(BettiTable):
@@ -56,9 +76,69 @@ def check_vertex_cap(n: int) -> None:
 
 
 def hochster_betti(c: SimplicialComplex) -> OracleBettiTable:
-    """Exact Betti table of the Stanley-Reisner ring of c, by subset summation."""
+    """Exact Betti table of the Stanley-Reisner ring of c, by subset summation.
+
+    A flag complex, one whose facets are the maximal cliques of its
+    1-skeleton, takes the graph kernel; any other takes the facet kernel.
+    """
     check_vertex_cap(c.n)
-    return _hochster_masks(c.n, _position_masks(c))
+    facets = _position_masks(c)
+    rows = one_skeleton(c).rows
+    if set(facets) == set(_maximal_clique_masks(c.n, rows)):
+        return _hochster_graph(c.n, rows)
+    return _hochster_masks(c.n, facets)
+
+
+def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
+    """Betti table of the flag complex of the graph on 0..n-1 with these
+    adjacency rows."""
+    closed = {1 << v: r | 1 << v for v, r in enumerate(rows)}  # by vertex bit
+    # at_subset[w]: the ranks of the restriction to w, None if it collapses to a point
+    at_subset: list[dict[int, int] | None] = [None] * (1 << n)
+    entries: dict[tuple[int, int], int] = {}
+    for w in range(1 << n):
+        v = _dominated_vertex(closed, w)
+        if v:
+            # deleting v keeps every rank, and w ^ v came earlier
+            ranks = at_subset[w] = at_subset[w ^ v]
+            if ranks is None:
+                continue  # collapses to a point
+        elif w.bit_count() == 1:
+            continue  # a point
+        else:
+            # w is its own core, of zero or at least two vertices
+            key = tuple(_compress(closed[1 << u] & w, w) for u in bits(w))
+            ranks = _HOMOLOGY_MEMO.get(key)
+            if ranks is None:
+                cliques = _maximal_clique_masks(len(key), [r ^ 1 << i for i, r in enumerate(key)])
+                ranks = _HOMOLOGY_MEMO[key] = _homology_ranks(cliques)
+            at_subset[w] = ranks
+        j = w.bit_count()
+        for dim, h in ranks.items():
+            if h:
+                i = j - 1 - dim
+                entries[(i, j)] = entries.get((i, j), 0) + h
+    if entries.get((0, 0)) != 1:
+        raise InternalInvariantError("Hochster sum did not produce beta_(0,0) = 1")
+    return OracleBettiTable(entries, n, 1 << n)
+
+
+def _dominated_vertex(closed: dict[int, int], w: int) -> int:
+    """A vertex bit v of w whose closed neighbourhood in w lies in that of
+    another vertex u, or 0 if none.  Such a u holds v, so only neighbours of
+    v are tried."""
+    m = w
+    while m:
+        low = m & -m
+        m ^= low
+        row = closed[low] & w
+        nbrs = row ^ low
+        while nbrs:
+            u = nbrs & -nbrs
+            if row & ~closed[u] == 0:
+                return low
+            nbrs ^= u
+    return 0
 
 
 def _hochster_masks(n: int, facets: list[int]) -> OracleBettiTable:
@@ -66,13 +146,13 @@ def _hochster_masks(n: int, facets: list[int]) -> OracleBettiTable:
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << n):
         key = tuple(sorted(_compress(piece, w) for piece in _maximal_masks({f & w for f in facets} - {0})))
-        ranks = _HOMOLOGY_MEMO.get(key)
+        ranks = _FACET_MEMO.get(key)
         if ranks is None:
             core = _core_key(key)
-            ranks = _HOMOLOGY_MEMO.get(core)
+            ranks = _FACET_MEMO.get(core)
             if ranks is None:
-                ranks = _HOMOLOGY_MEMO[core] = _homology_ranks(core)
-            _HOMOLOGY_MEMO[key] = ranks
+                ranks = _FACET_MEMO[core] = _homology_ranks(core)
+            _FACET_MEMO[key] = ranks
         j = w.bit_count()
         for dim, h in ranks.items():
             if h:
@@ -139,3 +219,4 @@ def oracle_is_2linear(table: OracleBettiTable) -> bool:
 
 def clear_memo() -> None:
     _HOMOLOGY_MEMO.clear()
+    _FACET_MEMO.clear()

@@ -15,10 +15,10 @@ read-off, pd, depth, Krull dimension, the CM test and the d-tree rule from
 functions that `analyze`, `survey` and `classify` reach.  It checks them
 against references computed apart from them: brute-force induced cycles,
 the numerator of the f-vector series and, in the oracle variant, the
-Hochster Betti table, which the oracle kernel computes straight from the
-clique masks.  Chunks of the edge-mask range can be processed by a worker
-pool; results merge deterministically in mask order, so the outcome is
-identical for every worker count.
+Hochster Betti table, which the oracle's graph kernel computes straight
+from the complement's adjacency rows.  Chunks of the edge-mask range can
+be processed by a worker pool; results merge deterministically in mask
+order, so the outcome is identical for every worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .invariants import (
     _numerator,
     _pd_depth,
 )
-from .oracle import _hochster_masks, oracle_is_2linear, oracle_pd
+from .oracle import _hochster_graph, oracle_is_2linear, oracle_pd
 
 VIOLATION_KINDS = (
     "chordal_vs_bruteforce",
@@ -168,7 +168,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
             vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
         if with_oracle:
             complex_facets = _maximal_clique_masks(n, crow)
-            table = _hochster_masks(n, complex_facets)
+            table = _hochster_graph(n, crow)
             if oracle_is_2linear(table) != chordal_flag:
                 vio["twolinear_vs_chordal"].append(_to_g6(n, mask))
         if not chordal_flag:

@@ -3,13 +3,25 @@ maximum cardinality search, string-level graph6, the grouped Hilbert
 numerator, and the incidence-mask checks of a quasi-forest decomposition.
 Each must agree exactly, down to the exception class and message.  The facet
 order of `decompose` (MCS completion order) is held to the Kruskal clique
-forest on everything but the order within a component."""
+forest on everything but the order within a component.  The Hochster kernel
+on a graph is held to the facet kernel on the graph's maximal cliques, and
+the facet kernel on non-flag complexes to a sum over `restrict`."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgering import oracle
 from edgering.chordal import QuasiForestDecomposition, _mcs_order, decompose
+from edgering.complexes import (
+    SimplicialComplex,
+    _maximal_clique_masks,
+    flag_complex,
+    reduced_homology_ranks,
+    restrict,
+)
+from edgering.errors import MalformedInputError
 from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, bits, complement, parse_graph6, to_graph6
 from edgering.invariants import _numerator
 from conftest import (
@@ -187,3 +199,56 @@ def test_decomposition_checks_on_valid_and_mutated(rng):
         accepted += new is None
         rejected += new is not None
     assert accepted > 100 and rejected > 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=9), st.booleans())
+def test_graph_kernel_matches_facet_kernel(g, cold):
+    """From an empty memo, or one kept warm across examples."""
+    if cold:
+        oracle.clear_memo()
+    expected = oracle._hochster_masks(g.n, _maximal_clique_masks(g.n, g.rows)).entries
+    assert oracle._hochster_graph(g.n, g.rows).entries == expected
+    facet_keys = len(oracle._FACET_MEMO)
+    assert oracle.hochster_betti(flag_complex(g)).entries == expected
+    assert len(oracle._FACET_MEMO) == facet_keys  # a flag complex takes the graph kernel
+
+
+def restriction_sum(c: SimplicialComplex) -> dict[tuple[int, int], int]:
+    """Hochster's formula summed over `restrict` and `reduced_homology_ranks`."""
+    entries: dict[tuple[int, int], int] = {}
+    for w in range(1, 1 << c.n):
+        sub = restrict(c, [v for i, v in enumerate(c.vertices) if w >> i & 1])
+        for dim, h in reduced_homology_ranks(sub).items():
+            if h:
+                key = (sub.n - 1 - dim, sub.n)
+                entries[key] = entries.get(key, 0) + h
+    return entries
+
+
+@pytest.mark.parametrize(
+    "n, facets",
+    [
+        (3, [[0, 1], [1, 2], [0, 2]]),  # hollow triangle
+        (4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # hollow tetrahedron
+        (5, [[0, 1, 2], [1, 3], [2, 3], [3, 4]]),  # {1, 2, 3} is a clique, not a face
+    ],
+)
+def test_non_flag_complex_takes_the_facet_kernel(n, facets):
+    oracle.clear_memo()
+    c = SimplicialComplex.of(n, facets)
+    assert oracle.hochster_betti(c).entries == restriction_sum(c)
+    assert oracle._FACET_MEMO and not oracle._HOMOLOGY_MEMO
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_complement_is_a_checked_graph(g):
+    """`complement` skips the checks of `Graph`; its rows pass them anyway,
+    and they still run when rows come through the constructor."""
+    h = complement(g)
+    assert Graph(h.n, h.rows) == h
+    assert complement(h) == g
+    if g.n:
+        with pytest.raises(MalformedInputError, match="loop at vertex 0"):
+            Graph(h.n, (h.rows[0] | 1,) + h.rows[1:])

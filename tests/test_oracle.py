@@ -8,9 +8,10 @@ from edgering.complexes import (
     restrict,
 )
 from edgering.errors import UnsupportedSizeError
-from edgering.graphs import Graph, bits, complement
+from edgering.graphs import Graph, complement
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
 from edgering.oracle import (
+    _FACET_MEMO,
     _HOMOLOGY_MEMO,
     clear_memo,
     hochster_betti,
@@ -86,17 +87,18 @@ class TestOracleVsFormula:
 
 class TestMemoization:
     def test_relabelled_complex_hits_memo(self):
-        # the memo key is the restriction relabelled onto 0..|W|-1, so a copy
-        # of the complex on gapped labels adds no key and gets the same table
+        # the facet memo key is the restriction relabelled onto 0..|W|-1, so a
+        # copy of the complex on gapped labels adds no key and gets the same
+        # table; {1, 2, 3} is a clique but no face, so c is not flag
         clear_memo()
         c = SimplicialComplex.of(5, [[0, 1, 2], [1, 3], [2, 3], [3, 4]])
         first = hochster_betti(c)
-        keys = len(_HOMOLOGY_MEMO)
+        keys = len(_FACET_MEMO)
         relabelled = SimplicialComplex.of([3, 8, 9, 20, 21], [[3, 8, 9], [8, 20], [9, 20], [20, 21]])
         assert hochster_betti(relabelled).entries == first.entries
-        assert len(_HOMOLOGY_MEMO) == keys
+        assert len(_FACET_MEMO) == keys
         # keys are sorted facet lists: no piece inside another
-        for key in _HOMOLOGY_MEMO:
+        for key in _FACET_MEMO:
             assert list(key) == sorted(key)
             assert not any(a != b and a & b == a for a in key for b in key)
 
@@ -118,14 +120,15 @@ class TestMemoization:
                     key = (sub.n - 1 - dim, sub.n)
                     expected[key] = expected.get(key, 0) + h
         assert hochster_betti(c).entries == expected
+        # every complex here is flag, so the graph kernel filled the memo with
+        # closed neighbourhood rows of cores relabelled onto 0..k-1
         for key, ranks in _HOMOLOGY_MEMO.items():
-            assert list(key) == sorted(key)
-            assert not any(a != b and a & b == a for a in key for b in key)
-            support = 0
-            for f in key:
-                support |= f
-            as_complex = SimplicialComplex.of(support.bit_length(), [bits(f) for f in key])
-            nonzero = {d: h for d, h in reduced_homology_ranks(as_complex).items() if h}
+            k = len(key)
+            assert k != 1
+            assert all(key[v] >> v & 1 for v in range(k))
+            assert not any(u != v and key[v] & ~key[u] == 0 for u in range(k) for v in range(k))
+            core = Graph(k, tuple(row ^ 1 << v for v, row in enumerate(key)))
+            nonzero = {d: h for d, h in reduced_homology_ranks(flag_complex(core)).items() if h}
             assert {d: h for d, h in ranks.items() if h} == nonzero
 
     def test_size_cap(self):
