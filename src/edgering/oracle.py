@@ -6,36 +6,34 @@ rank 1 in dimension -1, which is what makes beta_(0,0) = 1 come out of the
 sum instead of being special-cased.
 
 Ground truth for everything the closed formulas claim; no quasi-forest
-assumptions are made here.  Every subset is reduced to its strong-collapse
-core first: a vertex v is dominated when the faces containing v all extend by
-one more vertex u, and deleting v keeps the homotopy type, so every reduced
-homology rank (Barmak & Minian, DCG 47, 2012).  Vertices are deleted one at
-a time: two vertices in the same facets dominate each other, and deleting
-both would empty an edge.  A cone collapses to a point.
+assumptions are made here.  Subsets W are visited in increasing order, and a
+vertex v is dominated in the restriction to W when the faces containing v
+all extend by one more vertex u.  Deleting v keeps the homotopy type, so
+every reduced homology rank (Barmak & Minian, DCG 47, 2012): a W with a
+dominated vertex takes the result already found for W - v, and a W that
+collapses to a point is skipped.  Only a W with no dominated vertex, other
+than a single vertex, is keyed, relabelled onto 0..|W|-1, and exact
+homology runs only on a memo miss.  At n = 12 most subsets collapse.
 
-There are two kernels.  A flag complex, which is every complex the sweeps
-and `edgering oracle GRAPH6` build, runs on the graph H whose cliques are its
-faces: the restriction to W is the flag complex of H[W], and v is dominated
-when its closed neighbourhood in W lies inside that of another vertex u
-(Boulet, Fieux & Jouve, Europ. J. Combin. 31, 2010).  Subsets are visited in
-increasing order, so a W with a dominated vertex v takes the result already
-found for W - v, and a W that collapses to a point is skipped before any key
-is built: at n = 12 that is most subsets.  Only a W with no dominated vertex,
-other than a single vertex, is keyed, by its closed neighbourhood rows
-relabelled onto 0..|W|-1, and exact homology of its maximal cliques runs
-only on a memo miss.  Any other complex runs on facet bitmasks: the facets
-of the restriction to W are the maximal nonempty f & W, keyed the same way,
-and only a key that misses is reduced to its core, which is looked up too.
-The two kernels keep separate memos, because a graph key and a facet key can
-be the same tuple of different complexes.  `hochster_betti` takes the graph
-kernel when the complex's facets are the maximal cliques of its 1-skeleton.
-The ground set is capped at n <= 14; a larger one raises UnsupportedSizeError
-(CLI exit 3).
+One loop serves two kernels, which differ in the domination test and the
+key.  A flag complex, which is every complex the sweeps and `edgering
+oracle GRAPH6` build, runs on the graph H whose cliques are its faces: the
+restriction to W is the flag complex of H[W], v is dominated when its
+closed neighbourhood in W lies inside that of another vertex (Boulet,
+Fieux & Jouve, Europ. J. Combin. 31, 2010), and the key is the closed
+neighbourhood rows.  Any other complex runs on facet bitmasks: the facets
+of the restriction are the maximal nonempty f & W, v is dominated when
+those holding v share another vertex, and the key is those facets, sorted.
+The two kernels keep separate memos, because a graph key and a facet key
+can be the same tuple of different complexes.  `hochster_betti` takes the
+graph kernel when the complex's facets are the maximal cliques of its
+1-skeleton.  The ground set is capped at n <= 14; a larger one raises
+UnsupportedSizeError (CLI exit 3).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .complexes import (
     SimplicialComplex,
@@ -53,7 +51,7 @@ ORACLE_VERTEX_CAP = 14
 
 # graph kernel: compressed closed rows of a core -> reduced homology ranks
 _HOMOLOGY_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
-# facet kernel: compressed facets of a restriction or of its core -> ranks
+# facet kernel: sorted compressed facets of a core -> reduced homology ranks
 _FACET_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
 
 
@@ -93,11 +91,29 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
     """Betti table of the flag complex of the graph on 0..n-1 with these
     adjacency rows."""
     closed = {1 << v: r | 1 << v for v, r in enumerate(rows)}  # by vertex bit
+    return _hochster(n, closed, _dominated_vertex, _clique_core_ranks)
+
+
+def _hochster_masks(n: int, facets: Sequence[int]) -> OracleBettiTable:
+    """Betti table of the complex on positions 0..n-1 with these facet masks."""
+    return _hochster(n, facets, _dominated_in_pieces, _piece_core_ranks)
+
+
+def _hochster(
+    n: int, data, dominated: Callable[..., int], core_ranks: Callable[..., dict[int, int]]
+) -> OracleBettiTable:
+    """Hochster's sum over the subsets w of 0..n-1, in increasing order.
+
+    `dominated(data, w)` is a vertex bit v of w whose deletion keeps the
+    homotopy type of the restriction to w, or 0 if there is none;
+    `core_ranks(data, w)` is the reduced homology ranks of a restriction
+    with no such vertex.
+    """
     # at_subset[w]: the ranks of the restriction to w, None if it collapses to a point
     at_subset: list[dict[int, int] | None] = [None] * (1 << n)
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << n):
-        v = _dominated_vertex(closed, w)
+        v = dominated(data, w)
         if v:
             # deleting v keeps every rank, and w ^ v came earlier
             ranks = at_subset[w] = at_subset[w ^ v]
@@ -107,12 +123,7 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
             continue  # a point
         else:
             # w is its own core, of zero or at least two vertices
-            key = tuple(_compress(closed[1 << u] & w, w) for u in bits(w))
-            ranks = _HOMOLOGY_MEMO.get(key)
-            if ranks is None:
-                cliques = _maximal_clique_masks(len(key), [r ^ 1 << i for i, r in enumerate(key)])
-                ranks = _HOMOLOGY_MEMO[key] = _homology_ranks(cliques)
-            at_subset[w] = ranks
+            ranks = at_subset[w] = core_ranks(data, w)
         j = w.bit_count()
         for dim, h in ranks.items():
             if h:
@@ -141,26 +152,48 @@ def _dominated_vertex(closed: dict[int, int], w: int) -> int:
     return 0
 
 
-def _hochster_masks(n: int, facets: list[int]) -> OracleBettiTable:
-    """Betti table of the complex on positions 0..n-1 with these facet masks."""
-    entries: dict[tuple[int, int], int] = {}
-    for w in range(1 << n):
-        key = tuple(sorted(_compress(piece, w) for piece in _maximal_masks({f & w for f in facets} - {0})))
-        ranks = _FACET_MEMO.get(key)
-        if ranks is None:
-            core = _core_key(key)
-            ranks = _FACET_MEMO.get(core)
-            if ranks is None:
-                ranks = _FACET_MEMO[core] = _homology_ranks(core)
-            _FACET_MEMO[key] = ranks
-        j = w.bit_count()
-        for dim, h in ranks.items():
-            if h:
-                i = j - 1 - dim
-                entries[(i, j)] = entries.get((i, j), 0) + h
-    if entries.get((0, 0)) != 1:
-        raise InternalInvariantError("Hochster sum did not produce beta_(0,0) = 1")
-    return OracleBettiTable(entries, n, 1 << n)
+def _clique_core_ranks(closed: dict[int, int], w: int) -> dict[int, int]:
+    """Ranks of the flag complex of H[w], keyed by its closed neighbourhood
+    rows relabelled onto 0..|w|-1."""
+    key = tuple(_compress(closed[1 << u] & w, w) for u in bits(w))
+    ranks = _HOMOLOGY_MEMO.get(key)
+    if ranks is None:
+        cliques = _maximal_clique_masks(len(key), [r ^ 1 << i for i, r in enumerate(key)])
+        ranks = _HOMOLOGY_MEMO[key] = _homology_ranks(cliques)
+    return ranks
+
+
+def _pieces(facets: Sequence[int], w: int) -> list[int]:
+    """Facets of the restriction to w: the maximal nonempty f & w."""
+    return _maximal_masks({f & w for f in facets} - {0})
+
+
+def _dominated_in_pieces(facets: Sequence[int], w: int) -> int:
+    """A vertex bit v of w such that the facets of the restriction to w that
+    hold v share another vertex, or 0 if none.  A vertex in no facet counts,
+    as the AND over no facet is all ones: deleting it changes no face."""
+    pieces = _pieces(facets, w)
+    m = w
+    while m:
+        v = m & -m
+        m ^= v
+        common = -1
+        for p in pieces:
+            if p & v:
+                common &= p
+        if common != v:
+            return v
+    return 0
+
+
+def _piece_core_ranks(facets: Sequence[int], w: int) -> dict[int, int]:
+    """Ranks of the restriction to w, keyed by its sorted facets relabelled
+    onto 0..|w|-1."""
+    key = tuple(sorted(_compress(p, w) for p in _pieces(facets, w)))
+    ranks = _FACET_MEMO.get(key)
+    if ranks is None:
+        ranks = _FACET_MEMO[key] = _homology_ranks(key)
+    return ranks
 
 
 def _compress(piece: int, w: int) -> int:
@@ -171,40 +204,6 @@ def _compress(piece: int, w: int) -> int:
         out |= 1 << (w & (low - 1)).bit_count()
         piece ^= low
     return out
-
-
-def _core_key(key: tuple[int, ...]) -> tuple[int, ...]:
-    """Strong-collapse core of the complex with facet masks `key`, as a key.
-
-    Deletes one dominated vertex at a time until none is left; the result has
-    the same reduced homology ranks and is relabelled onto 0..|core|-1.
-    """
-    if not key:
-        return key
-    apex = -1
-    for f in key:
-        apex &= f
-    if apex:
-        return (1,)
-    facets = list(key)
-    deleted = True
-    while deleted:
-        deleted = False
-        support = 0
-        for f in facets:
-            support |= f
-        m = support
-        while m:
-            v = m & -m
-            m ^= v
-            common = -1
-            for f in facets:
-                if f & v:
-                    common &= f
-            if common != v:
-                facets = _maximal_masks({f & ~v for f in facets})
-                deleted = True
-    return tuple(sorted(_compress(f, support) for f in facets))
 
 
 def oracle_pd(table: OracleBettiTable) -> int:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .chordal import _attachment_sizes, _clique_masks_from_peo, _first_peo_violation, _mcs_order
-from .complexes import _maximal_clique_masks
+from .complexes import _faces_by_size, _maximal_clique_masks
 from .graphs import Graph, rows_from_edge_mask, to_graph6
 from .conjecture import _free_vertex_witness_masks
 from .invariants import (
@@ -133,20 +133,6 @@ def has_long_induced_cycle(n: int, rows: list[int] | tuple[int, ...], subsets=No
     return False
 
 
-def _fast_fvector(facets: list[int]) -> list[int]:
-    seen = {0}
-    for fm in facets:
-        sub = fm
-        while sub:
-            seen.add(sub)
-            sub = (sub - 1) & fm
-    top = max((m.bit_count() for m in facets), default=0)
-    counts = [0] * (top + 1)
-    for m in seen:
-        counts[m.bit_count()] += 1
-    return counts
-
-
 def _to_g6(n: int, mask: int) -> str:
     return to_graph6(Graph.from_edge_mask(n, mask))
 
@@ -173,7 +159,8 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
                 vio["twolinear_vs_chordal"].append(_to_g6(n, mask))
         if not chordal_flag:
             if with_oracle:
-                _check_knum(n, table, _fvector_numerator(_fast_fvector(complex_facets), n), vio, mask)
+                fvec = [len(g) for g in _faces_by_size(complex_facets)]
+                _check_knum(n, table, _fvector_numerator(fvec, n), vio, mask)
             continue
         counts["twolinear"] += 1
         facets = _clique_masks_from_peo(n, crow, elim)
@@ -185,7 +172,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         attach_dims = [size - 1 for size in attach]
         r_min = min(attach_dims) if attach_dims else None
         num = _numerator(n, dims, attach_dims)
-        fnum = _fvector_numerator(_fast_fvector(facets), n)
+        fnum = _fvector_numerator([len(g) for g in _faces_by_size(facets)], n)
         if num != fnum:
             vio["hilbert_mismatch"].append(_to_g6(n, mask))
         deg = n
@@ -243,13 +230,17 @@ def _chunk_worker(args: tuple[int, int, int, bool]) -> SweepResult:
     return sweep_chunk(*args)
 
 
-def run_sweep(n: int, *, jobs: int = 1, with_oracle: bool = False, chunk: int = 1 << 15) -> SweepResult:
-    """Sweep all 2^(n(n-1)/2) labeled graphs; deterministic for every job count."""
+def run_sweep(n: int, *, jobs: int = 1, with_oracle: bool = False) -> SweepResult:
+    """Sweep all 2^(n(n-1)/2) labeled graphs; deterministic for every job count.
+
+    With several jobs the mask range is cut into about four chunks per job,
+    so every worker gets work and a slow chunk holds up little."""
     total = 1 << (n * (n - 1) // 2)
     result = SweepResult(n)
     if jobs <= 1:
         result.merge(sweep_chunk(n, 0, total, with_oracle))
         return result
+    chunk = -(-total // (4 * jobs))
     ranges = [(n, lo, min(lo + chunk, total), with_oracle) for lo in range(0, total, chunk)]
     with multiprocessing.Pool(jobs) as pool:
         for part in pool.imap(_chunk_worker, ranges):

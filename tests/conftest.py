@@ -5,7 +5,8 @@ the package's bitmask machinery, so that library results are checked against
 genuinely independent code paths.  The `ref_*` functions at the end are the
 straightforward earlier forms of the hot-path kernels (linear-scan search,
 bit-by-bit graph6, one add per facet, pairwise frozenset checks, a Kruskal
-clique forest walked in preorder); the property tests require the package's
+clique forest walked in preorder, a Hochster sum that keys every subset and
+folds a missed key to its core); the property tests require the package's
 kernels to agree with them exactly, or, for the facet order, on everything
 but the order within a component.
 """
@@ -17,6 +18,13 @@ from itertools import combinations, permutations
 
 import pytest
 
+from edgering.complexes import (
+    SimplicialComplex,
+    _homology_ranks,
+    _maximal_masks,
+    reduced_homology_ranks,
+    restrict,
+)
 from edgering.errors import (
     ContractViolationError,
     EdgeRingError,
@@ -25,6 +33,7 @@ from edgering.errors import (
 )
 from edgering.graphs import Graph, bits
 from edgering.invariants import one_minus_t_pow
+from edgering.oracle import _compress
 
 
 def check_peo(g: Graph, peo) -> bool:
@@ -349,6 +358,82 @@ def ref_quasi_forest_masks(cliques) -> tuple[list[int], list[int]]:
         sizes.append((f & union).bit_count())
         union |= f
     return facets, sizes[1:]
+
+
+_REF_FACET_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
+
+
+def ref_hochster_masks(n: int, facets) -> dict[tuple[int, int], int]:
+    """Betti entries of the complex on 0..n-1 with these facet masks, but
+    the implicit beta_(0,0) = 1.
+
+    Every subset W builds a raw key, the maximal nonempty f & W relabelled
+    onto 0..|W|-1; a key that misses its own memo is folded to its
+    strong-collapse core by `ref_core_key`, which is looked up too.
+    """
+    entries: dict[tuple[int, int], int] = {}
+    for w in range(1 << n):
+        key = tuple(sorted(_compress(piece, w) for piece in _maximal_masks({f & w for f in facets} - {0})))
+        ranks = _REF_FACET_MEMO.get(key)
+        if ranks is None:
+            core = ref_core_key(key)
+            ranks = _REF_FACET_MEMO.get(core)
+            if ranks is None:
+                ranks = _REF_FACET_MEMO[core] = _homology_ranks(core)
+            _REF_FACET_MEMO[key] = ranks
+        j = w.bit_count()
+        for dim, h in ranks.items():
+            if h:
+                i = j - 1 - dim
+                entries[(i, j)] = entries.get((i, j), 0) + h
+    assert entries.pop((0, 0)) == 1
+    return entries
+
+
+def ref_core_key(key: tuple[int, ...]) -> tuple[int, ...]:
+    """Strong-collapse core of the complex with facet masks `key`, as a key.
+
+    Deletes one dominated vertex at a time until none is left; the result has
+    the same reduced homology ranks and is relabelled onto 0..|core|-1.
+    """
+    if not key:
+        return key
+    apex = -1
+    for f in key:
+        apex &= f
+    if apex:
+        return (1,)
+    facets = list(key)
+    deleted = True
+    while deleted:
+        deleted = False
+        support = 0
+        for f in facets:
+            support |= f
+        m = support
+        while m:
+            v = m & -m
+            m ^= v
+            common = -1
+            for f in facets:
+                if f & v:
+                    common &= f
+            if common != v:
+                facets = _maximal_masks({f & ~v for f in facets})
+                deleted = True
+    return tuple(sorted(_compress(f, support) for f in facets))
+
+
+def restriction_sum(c: SimplicialComplex) -> dict[tuple[int, int], int]:
+    """Hochster's formula summed over `restrict` and `reduced_homology_ranks`."""
+    entries: dict[tuple[int, int], int] = {}
+    for w in range(1, 1 << c.n):
+        sub = restrict(c, [v for i, v in enumerate(c.vertices) if w >> i & 1])
+        for dim, h in reduced_homology_ranks(sub).items():
+            if h:
+                key = (sub.n - 1 - dim, sub.n)
+                entries[key] = entries.get(key, 0) + h
+    return entries
 
 
 def raised(f, *args):

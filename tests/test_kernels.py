@@ -3,9 +3,10 @@ maximum cardinality search, string-level graph6, the grouped Hilbert
 numerator, and the incidence-mask checks of a quasi-forest decomposition.
 Each must agree exactly, down to the exception class and message.  The facet
 order of `decompose` (MCS completion order) is held to the Kruskal clique
-forest on everything but the order within a component.  The Hochster kernel
-on a graph is held to the facet kernel on the graph's maximal cliques, and
-the facet kernel on non-flag complexes to a sum over `restrict`."""
+forest on everything but the order within a component.  Both Hochster
+kernels are held to the earlier facet kernel, which keys every subset and
+folds a missed key to its core, and the facet kernel on non-flag complexes
+also to a sum over `restrict`."""
 
 import random
 
@@ -17,9 +18,8 @@ from edgering.chordal import QuasiForestDecomposition, _mcs_order, decompose
 from edgering.complexes import (
     SimplicialComplex,
     _maximal_clique_masks,
+    _maximal_masks,
     flag_complex,
-    reduced_homology_ranks,
-    restrict,
 )
 from edgering.errors import MalformedInputError
 from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, bits, complement, parse_graph6, to_graph6
@@ -29,11 +29,13 @@ from conftest import (
     raised,
     random_quasi_forest_facets,
     ref_check_decomposition,
+    ref_hochster_masks,
     ref_mcs_order,
     ref_graph6_rows,
     ref_numerator,
     ref_quasi_forest_masks,
     ref_to_graph6,
+    restriction_sum,
 )
 
 
@@ -207,23 +209,44 @@ def test_graph_kernel_matches_facet_kernel(g, cold):
     """From an empty memo, or one kept warm across examples."""
     if cold:
         oracle.clear_memo()
-    expected = oracle._hochster_masks(g.n, _maximal_clique_masks(g.n, g.rows)).entries
+    cliques = _maximal_clique_masks(g.n, g.rows)
+    expected = ref_hochster_masks(g.n, cliques)
+    assert oracle._hochster_masks(g.n, cliques).entries == expected
     assert oracle._hochster_graph(g.n, g.rows).entries == expected
     facet_keys = len(oracle._FACET_MEMO)
     assert oracle.hochster_betti(flag_complex(g)).entries == expected
     assert len(oracle._FACET_MEMO) == facet_keys  # a flag complex takes the graph kernel
 
 
-def restriction_sum(c: SimplicialComplex) -> dict[tuple[int, int], int]:
-    """Hochster's formula summed over `restrict` and `reduced_homology_ranks`."""
-    entries: dict[tuple[int, int], int] = {}
-    for w in range(1, 1 << c.n):
-        sub = restrict(c, [v for i, v in enumerate(c.vertices) if w >> i & 1])
-        for dim, h in reduced_homology_ranks(sub).items():
-            if h:
-                key = (sub.n - 1 - dim, sub.n)
-                entries[key] = entries.get(key, 0) + h
-    return entries
+@st.composite
+def non_flag_complexes(draw, max_n=10):
+    """Facet masks on 0..n-1, n <= max_n: the boundary of a simplex S of at
+    least three vertices and random faces that do not hold S, so S is a
+    clique of the 1-skeleton but no face; a vertex left bare is a facet."""
+    n = draw(st.integers(3, max_n))
+    s = sum(1 << v for v in draw(st.sets(st.integers(0, n - 1), min_size=3)))
+    masks = {s ^ 1 << v for v in bits(s)}
+    masks.update(m for m in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6)) if m & s != s)
+    covered = 0
+    for m in masks:
+        covered |= m
+    masks.update(1 << v for v in range(n) if not covered >> v & 1)
+    return n, _maximal_masks(masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_flag_complexes(), st.booleans())
+def test_facet_kernel_matches_reference(complex_, cold):
+    """From an empty memo, or one kept warm across examples."""
+    n, facets = complex_
+    if cold:
+        oracle.clear_memo()
+    expected = ref_hochster_masks(n, facets)
+    assert oracle._hochster_masks(n, facets).entries == expected
+    graph_keys = len(oracle._HOMOLOGY_MEMO)
+    c = SimplicialComplex.of(n, [list(bits(f)) for f in facets])
+    assert oracle.hochster_betti(c).entries == expected
+    assert len(oracle._HOMOLOGY_MEMO) == graph_keys  # a non-flag complex takes the facet kernel
 
 
 @pytest.mark.parametrize(

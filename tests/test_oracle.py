@@ -5,10 +5,9 @@ from edgering.complexes import (
     as_quasi_forest,
     flag_complex,
     reduced_homology_ranks,
-    restrict,
 )
 from edgering.errors import UnsupportedSizeError
-from edgering.graphs import Graph, complement
+from edgering.graphs import Graph, bits, complement
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
 from edgering.oracle import (
     _FACET_MEMO,
@@ -18,10 +17,25 @@ from edgering.oracle import (
     oracle_is_2linear,
     oracle_pd,
 )
-from conftest import random_graph
+from conftest import random_graph, restriction_sum
 
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def assert_facet_memo_holds_cores():
+    """Every facet memo key is a complex on 0..k-1 with no dominated vertex
+    (the facets holding v share no other vertex) and not a single vertex."""
+    assert _FACET_MEMO
+    for key in _FACET_MEMO:
+        support = 0
+        for f in key:
+            support |= f
+        k = support.bit_count()
+        assert support == (1 << k) - 1
+        assert k != 1
+        for v in range(k):
+            assert frozenset.intersection(*(frozenset(bits(f)) for f in key if f >> v & 1)) == {v}
 
 
 class TestHochsterKnownTables:
@@ -101,6 +115,25 @@ class TestMemoization:
         for key in _FACET_MEMO:
             assert list(key) == sorted(key)
             assert not any(a != b and a & b == a for a in key for b in key)
+        assert_facet_memo_holds_cores()
+
+    def test_facet_memo_holds_only_cores(self, rng):
+        # non-flag complexes: the boundary of a simplex S plus random facets
+        # that do not hold S; a W that collapses is never keyed
+        clear_memo()
+        for _ in range(40):
+            n = rng.randint(3, 7)
+            s = rng.sample(range(n), rng.randint(3, n))
+            facets = [[u for u in s if u != v] for v in s]
+            for _ in range(rng.randint(0, 5)):
+                f = [v for v in range(n) if rng.random() < 0.5]
+                if f and not set(s) <= set(f):
+                    facets.append(f)
+            facets += [[v] for v in range(n)]
+            c = SimplicialComplex.of(n, facets)
+            assert hochster_betti(c).entries == restriction_sum(c)
+        assert not _HOMOLOGY_MEMO
+        assert_facet_memo_holds_cores()
 
     @pytest.mark.parametrize(
         "facets",
@@ -112,14 +145,7 @@ class TestMemoization:
         # H~_-1 = 1) and the two edges [[0, 1], [2, 3]] into one edge (H~_0 = 0)
         clear_memo()
         c = SimplicialComplex.of(1 + max(map(max, facets)), facets)
-        expected: dict[tuple[int, int], int] = {}
-        for w in range(1, 1 << c.n):
-            sub = restrict(c, [v for v in c.vertices if w >> v & 1])
-            for dim, h in reduced_homology_ranks(sub).items():
-                if h:
-                    key = (sub.n - 1 - dim, sub.n)
-                    expected[key] = expected.get(key, 0) + h
-        assert hochster_betti(c).entries == expected
+        assert hochster_betti(c).entries == restriction_sum(c)
         # every complex here is flag, so the graph kernel filled the memo with
         # closed neighbourhood rows of cores relabelled onto 0..k-1
         for key, ranks in _HOMOLOGY_MEMO.items():

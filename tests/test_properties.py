@@ -1,9 +1,9 @@
 """Property-based tests: the parsers on arbitrary input, facet
 canonicalization against its set-inclusion definition, chordality of the
-complement against networkx as one more independent recognizer, strong-collapse
-cores against uncollapsed homology, the Hochster oracle against a sum over
-restricted complexes and against the closed formulas, and the CLI on random
-argument lists."""
+complement against networkx as one more independent recognizer, the deletion
+of a dominated vertex against uncollapsed homology, the Hochster oracle
+against a sum over restricted complexes and against the closed formulas, and
+the CLI on random argument lists."""
 
 import contextlib
 import io
@@ -31,9 +31,9 @@ from edgering.complexes import (
 )
 from edgering.conjecture import classify
 from edgering.errors import EdgeRingError
-from edgering.graphs import Graph, complement, parse_edge_list, parse_graph6, to_graph6
+from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
-from edgering.oracle import _core_key, hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import _dominated_in_pieces, _pieces, hochster_betti, oracle_is_2linear, oracle_pd
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -82,20 +82,28 @@ def nonzero(ranks: dict[int, int]) -> dict[int, int]:
 
 
 @settings(max_examples=300, deadline=None)
-@example(())  # the empty complex: rank H~_-1 = 1
+@example(())  # the empty complex: rank H~_-1 = 1, no vertex to delete
 @example((0b11,))  # a single edge, a cone
 @example((0b0011, 0b1100))  # two edges: each pair of ends dominates itself
 @example((0b011, 0b110, 0b101))  # the hollow triangle: no dominated vertex
 @given(facet_keys())
 def test_core_has_the_homology_of_the_complex(key):
-    core = _core_key(key)
-    assert list(core) == sorted(core)
-    assert not any(a != b and a & b == a for a in core for b in core)
-    support = 0
-    for f in core:
-        support |= f
-    assert support == (1 << support.bit_count()) - 1
-    assert nonzero(_homology_ranks(core)) == nonzero(_homology_ranks(key))
+    """The facet kernel's W - v step, on W the support of the complex: the
+    vertex the domination test returns lies, with another vertex, in every
+    facet that holds it, and deleting it keeps every nonzero rank."""
+    w = 0
+    for f in key:
+        w |= f
+    # set-based: u is dominated when the facets that hold u share another vertex
+    dominated = {
+        u for u in bits(w) if len(frozenset.intersection(*(frozenset(bits(f)) for f in key if f >> u & 1))) > 1
+    }
+    v = _dominated_in_pieces(key, w)
+    if not v:
+        assert not dominated
+    else:
+        assert v.bit_length() - 1 in dominated
+        assert nonzero(_homology_ranks(_pieces(key, w ^ v))) == nonzero(_homology_ranks(_pieces(key, w)))
 
 
 @st.composite

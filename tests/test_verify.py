@@ -63,6 +63,32 @@ class TestSweepMachinery:
 
     def test_parallel_matches_serial(self):
         serial = verify.run_sweep(5, with_oracle=False, jobs=1)
-        parallel = verify.run_sweep(5, with_oracle=False, jobs=4, chunk=64)
+        parallel = verify.run_sweep(5, with_oracle=False, jobs=4)
         assert serial.counts == parallel.counts
         assert serial.violations == parallel.violations
+
+    def test_jobs_get_several_chunks(self, monkeypatch):
+        # n = 6 with four jobs: the 2^15 masks are cut into chunks that tile
+        # the range in order, at least one per job, not one chunk for one worker
+        ranges = []
+
+        class RecordingPool:
+            def __init__(self, jobs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, args):
+                ranges.extend(args)
+                return iter(())
+
+        monkeypatch.setattr(verify.multiprocessing, "Pool", RecordingPool)
+        verify.run_sweep(6, with_oracle=True, jobs=4)
+        assert len(ranges) >= 4
+        assert [lo for _, lo, _, _ in ranges] == [0] + [hi for _, _, hi, _ in ranges[:-1]]
+        assert ranges[-1][2] == 1 << 15
+        assert all(n == 6 and with_oracle for n, _, _, with_oracle in ranges)
