@@ -9,7 +9,9 @@ Face enumeration (capped at FACE_GUARD_VERTICES) and reduced homology run
 once, on facet bitmasks over positions 0..n-1: `f_vector` and
 `reduced_homology_ranks` are views, and the Hochster oracle calls the mask
 level directly.  Reduced homology is computed over the rationals from exact
-integer boundary ranks; no floating point is used anywhere in this module.
+integer boundary ranks: each boundary map goes to `intlinalg.rank` as sparse
+rows built straight from the face masks, one row {face ^ v: ±1} per face,
+with no dense matrix.  No floating point is used anywhere in this module.
 Ranks in positive characteristic may differ in general and are out of scope.
 """
 
@@ -213,22 +215,18 @@ def f_vector(c: SimplicialComplex) -> FVector:
     return FVector(counts)
 
 
-def _boundary_matrix(smaller: list[int], larger: list[int]) -> list[list[int]]:
-    """Rows indexed by `larger` faces, columns by `smaller`; entries are +-1."""
-    index = {m: i for i, m in enumerate(smaller)}
-    ncols = len(smaller)
-    matrix = []
-    for face in larger:
-        row = [0] * ncols
-        sign = 1
-        m = face
-        while m:
-            low = m & -m
-            m ^= low
-            row[index[face ^ low]] = sign
-            sign = -sign
-        matrix.append(row)
-    return matrix
+def _boundary(face: int) -> dict[int, int]:
+    """The boundary of a face as a sparse row over the faces one smaller,
+    each column keyed by its own mask: +1, -1, ... from the lowest vertex."""
+    row = {}
+    sign = 1
+    m = face
+    while m:
+        low = m & -m
+        m ^= low
+        row[face ^ low] = sign
+        sign = -sign
+    return row
 
 
 def reduced_homology_ranks(c: SimplicialComplex) -> dict[int, int]:
@@ -247,7 +245,7 @@ def _homology_ranks(facets: Sequence[int]) -> dict[int, int]:
     # boundary_rank[s] = rank of the map from size-s faces to size-(s-1) faces
     boundary_rank = [0] * (top + 2)
     for s in range(1, top + 1):
-        boundary_rank[s] = intlinalg.rank(_boundary_matrix(grouped[s - 1], grouped[s]))
+        boundary_rank[s] = intlinalg.rank([_boundary(face) for face in grouped[s]])
     ranks: dict[int, int] = {}
     for s in range(top + 1):
         h = len(grouped[s]) - boundary_rank[s] - boundary_rank[s + 1]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .chordal import _attachment_sizes, _clique_masks_from_peo, _first_peo_violation, _mcs_order
@@ -89,7 +90,10 @@ class SweepResult:
         return all(not lst for lst in self.violations.values())
 
 
-def _long_cycle_subsets(n: int) -> list[int]:
+@cache
+def _long_cycle_subsets(n: int) -> tuple[int, ...]:
+    """Masks of the vertex subsets of 0..n-1 with at least four vertices, by
+    size; built once per n, not once per sweep chunk."""
     out = []
     for size in range(4, n + 1):
         for combo in combinations(range(n), size):
@@ -97,7 +101,7 @@ def _long_cycle_subsets(n: int) -> list[int]:
             for v in combo:
                 m |= 1 << v
             out.append(m)
-    return out
+    return tuple(out)
 
 
 def has_long_induced_cycle(n: int, rows: list[int] | tuple[int, ...], subsets=None) -> bool:

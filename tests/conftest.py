@@ -6,9 +6,9 @@ genuinely independent code paths.  The `ref_*` functions at the end are the
 straightforward earlier forms of the hot-path kernels (linear-scan search,
 bit-by-bit graph6, one add per facet, pairwise frozenset checks, a Kruskal
 clique forest walked in preorder, a Hochster sum that keys every subset and
-folds a missed key to its core); the property tests require the package's
-kernels to agree with them exactly, or, for the facet order, on everything
-but the order within a component.
+folds a missed key to its core, dense Bareiss elimination for exact rank);
+the property tests require the package's kernels to agree with them exactly,
+or, for the facet order, on everything but the order within a component.
 """
 
 from __future__ import annotations
@@ -358,6 +358,55 @@ def ref_quasi_forest_masks(cliques) -> tuple[list[int], list[int]]:
         sizes.append((f & union).bit_count())
         union |= f
     return facets, sizes[1:]
+
+
+def ref_bareiss_rank(matrix: list[list[int]]) -> int:
+    """Rank over Q of a dense integer matrix by fraction-free (Bareiss)
+    elimination: every update divides exactly by the previous pivot, which
+    is chosen with the smallest absolute value in its column."""
+    rows = [row[:] for row in matrix if any(row)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pivot_row = -1
+        pivot_abs = 0
+        for i in range(r, len(rows)):
+            v = rows[i][c]
+            if v and (pivot_row < 0 or abs(v) < pivot_abs):
+                pivot_row = i
+                pivot_abs = abs(v)
+                if pivot_abs == 1:
+                    break
+        if pivot_row < 0:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        p = rows[r][c]
+        base = rows[r]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            if f == 0:
+                if p != prev:
+                    for j in range(c + 1, ncols):
+                        row[j] = row[j] * p // prev
+            else:
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] * p - base[j] * f) // prev
+            row[c] = 0
+        r += 1
+        prev = p
+        if r == len(rows):
+            break
+    return r
+
+
+def sparse_rows(matrix: list[list[int]]) -> list[dict[int, int]]:
+    """A dense matrix as the sparse rows {column: entry} of `intlinalg.rank`."""
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
 
 
 _REF_FACET_MEMO: dict[tuple[int, ...], dict[int, int]] = {}

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +14,7 @@ from edgering import cli, complexes, conjecture
 from edgering.cli import main
 from edgering.errors import InternalInvariantError
 from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
-from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import clear_memo, hochster_betti, oracle_is_2linear, oracle_pd
 from edgering.complexes import flag_complex
 
 
@@ -274,6 +275,20 @@ class TestOracle:
         jsonschema.validate(rec, schema("oracle"))
         assert rec["n"] == 14 and rec["subsets_examined"] == 1 << 14
         assert rec["two_linear"] is True and rec["match"] is True
+
+    def test_perfect_matching_is_koszul(self, capsys):
+        # I(G) of a matching of k edges is a complete intersection of k
+        # quadrics, resolved by the Koszul complex: beta_(i,2i) = C(k, i) and
+        # nothing else.  Its independence complex is the cross-polytope, a
+        # sphere with no dominated vertex, whose boundary maps are the largest
+        # the oracle meets at the cap.
+        k = 7
+        clear_memo()
+        assert main(["oracle", to_graph6(Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rec, schema("oracle"))
+        assert rec["betti"] == [[i, 2 * i, comb(k, i)] for i in range(k + 1)]
+        assert rec["pd"] == k and rec["two_linear"] is False
 
     def test_complex_cap_before_canonical_facets(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "path15.cx"

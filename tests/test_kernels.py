@@ -6,17 +6,20 @@ order of `decompose` (MCS completion order) is held to the Kruskal clique
 forest on everything but the order within a component.  Both Hochster
 kernels are held to the earlier facet kernel, which keys every subset and
 folds a missed key to its core, and the facet kernel on non-flag complexes
-also to a sum over `restrict`."""
+also to a sum over `restrict`.  Sparse exact rank is held to dense Bareiss
+elimination, on random integer matrices and on boundary maps."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgering import oracle
+from edgering import intlinalg, oracle
 from edgering.chordal import QuasiForestDecomposition, _mcs_order, decompose
 from edgering.complexes import (
     SimplicialComplex,
+    _boundary,
+    _faces_by_size,
     _maximal_clique_masks,
     _maximal_masks,
     flag_complex,
@@ -28,6 +31,7 @@ from conftest import (
     chordal_graph,
     raised,
     random_quasi_forest_facets,
+    ref_bareiss_rank,
     ref_check_decomposition,
     ref_hochster_masks,
     ref_mcs_order,
@@ -36,6 +40,7 @@ from conftest import (
     ref_quasi_forest_masks,
     ref_to_graph6,
     restriction_sum,
+    sparse_rows,
 )
 
 
@@ -275,3 +280,52 @@ def test_complement_is_a_checked_graph(g):
     if g.n:
         with pytest.raises(MalformedInputError, match="loop at vertex 0"):
             Graph(h.n, (h.rows[0] | 1,) + h.rows[1:])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Dense m x n integer matrices, m, n <= 8, with zero rows, zero columns
+    and rows that are multiples of others, scaled by non-unit factors."""
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**12, 10**12))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(m):
+        kind = draw(st.sampled_from(["keep", "zero", "multiple", "scale"]))
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "multiple" and i:
+            k = draw(st.integers(-4, 4))
+            rows[i] = [k * x for x in rows[draw(st.integers(0, i - 1))]]
+        elif kind == "scale":
+            k = draw(st.sampled_from([2, -3, 6, 35]))
+            rows[i] = [k * x for x in rows[i]]
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(integer_matrices())
+def test_sparse_rank_matches_bareiss(matrix):
+    assert intlinalg.rank(sparse_rows(matrix)) == ref_bareiss_rank(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)))
+def test_boundary_rank_matches_bareiss(facets):
+    """Every boundary map of a random complex, built densely from sorted
+    vertex lists, against the sparse rows `_homology_ranks` passes."""
+    grouped = _faces_by_size(facets)
+    for s in range(1, len(grouped)):
+        index = {m: i for i, m in enumerate(grouped[s - 1])}
+        dense = []
+        for face in grouped[s]:
+            row = [0] * len(index)
+            for i, v in enumerate(bits(face)):
+                row[index[face & ~(1 << v)]] = (-1) ** i
+            dense.append(row)
+        sparse = [_boundary(face) for face in grouped[s]]
+        assert sparse_rows(dense) == [{index[c]: v for c, v in row.items()} for row in sparse]
+        assert intlinalg.rank(sparse) == ref_bareiss_rank(dense)
