@@ -7,21 +7,26 @@ Subcommands:
   decompose  quasi-forest decomposition of a complex or of a graph's
              complement flag complex
 
-Exit codes: 0 ok, 1 partial (some survey lines skipped), 2 malformed input,
-3 size cap exceeded, 4 not a quasi-forest, 5 internal error (a failed
-consistency check, that is a bug, reported as `internal error: ...`).  All
-JSON is emitted with sorted keys and stable list orders, so identical inputs
-and flags produce byte-identical output for every --jobs value.
+Exit codes: 0 ok, 1 partial (some survey lines skipped, or stdout closed
+before all output was written), 2 malformed input, 3 size cap exceeded,
+4 not a quasi-forest, 5 internal error (a failed consistency check, that is a
+bug, reported as `internal error: ...`).  The commands compute, print and
+raise; `main` alone maps an exception to its exit code.  All JSON is emitted
+with sorted keys and stable list orders, so identical inputs and flags produce
+byte-identical output for every --jobs value.
 `survey` streams stdin: with --jobs 1 each record is written before the next
-line is read; with --jobs > 1 the pool's `imap` still reads ahead.
+line is read; with --jobs > 1 the pool's `imap` still reads ahead.  A closed
+stdout ends a survey at its next write, and its workers are terminated.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import multiprocessing
+import os
 import sys
 
 from . import chordal, complexes, conjecture, invariants, oracle
@@ -136,15 +141,7 @@ def _read_graph(args) -> Graph:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _read_graph(args)
-        rec = analyze_record(g)
-    except UnsupportedSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except (MalformedInputError, UndefinedInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    rec = analyze_record(_read_graph(args))
     if args.pretty:
         _pretty_analyze(rec)
     else:
@@ -182,25 +179,20 @@ def cmd_survey(args) -> int:
     if args.all_labeled is not None:
         n = args.all_labeled
         if not 0 <= n <= ENUMERATION_CAP:
-            print(f"error: --all-labeled supports 0..{ENUMERATION_CAP}", file=sys.stderr)
-            return EXIT_SIZE_CAP
+            raise UnsupportedSizeError(f"--all-labeled supports 0..{ENUMERATION_CAP}")
         if n < 1:
-            print("error: surveys need graphs with at least one vertex", file=sys.stderr)
-            return EXIT_MALFORMED
+            raise UndefinedInputError("surveys need graphs with at least one vertex")
         items = (("mask", i, (n, mask)) for i, mask in enumerate(range(1 << (n * (n - 1) // 2))))
     else:
         lines = ((i, raw.strip()) for i, raw in enumerate(sys.stdin, 1))
         items = (("g6", i, ln) for i, ln in lines if ln)
     jobs = max(1, args.jobs)
-    skipped = 0
-    total = emitted_2linear = emitted_holds = 0
+    skipped = total = emitted_2linear = emitted_holds = 0
     counterexamples: list[str] = []
-    if jobs == 1:
-        results = map(_survey_worker, items)
-    else:
-        pool = multiprocessing.Pool(jobs)
-        results = pool.imap(_survey_worker, items, chunksize=64)
-    try:
+    # leaving the block early, on an error or a closed stdout, terminates the
+    # workers instead of waiting for them to finish the whole input
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = map(_survey_worker, items) if pool is None else pool.imap(_survey_worker, items, chunksize=64)
         for line_no, ok, payload, is_2linear, holds, g6 in results:
             if not ok:
                 print(f"error: line {line_no}: {payload}", file=sys.stderr)
@@ -214,10 +206,6 @@ def cmd_survey(args) -> int:
             emitted_holds += holds
             if is_2linear and not holds:
                 counterexamples.append(g6)
-    finally:
-        if jobs > 1:
-            pool.close()
-            pool.join()
     summary = {
         "summary": {
             "total": total,
@@ -232,11 +220,13 @@ def cmd_survey(args) -> int:
 
 
 def _read_fixture(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise MalformedInputError(f"{path}: not ASCII text ({exc.reason})") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}: not ASCII text ({exc.reason})") from None
+    except OSError as exc:
+        raise MalformedInputError(str(exc)) from None
 
 
 def _load_complex(args) -> complexes.SimplicialComplex:
@@ -255,16 +245,9 @@ def _load_complex(args) -> complexes.SimplicialComplex:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        cx = _load_complex(args)
-        table = oracle.hochster_betti(cx)
-        qf = complexes.as_quasi_forest(cx)
-    except UnsupportedSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except (MalformedInputError, UndefinedInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    cx = _load_complex(args)
+    table = oracle.hochster_betti(cx)
+    qf = complexes.as_quasi_forest(cx)
     match = None
     if qf.decomposition is not None:
         formula = invariants.betti_from_numerator(
@@ -284,24 +267,17 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        if args.complex is not None:
-            result = complexes.as_quasi_forest(complexes.parse_complex(_read_fixture(args.complex)))
-            qfd = result.decomposition
-            reason = result.reason
-            cycle = result.chordless_cycle
-        else:
-            if args.graph6 is None:
-                raise MalformedInputError("either a graph6 argument or --complex FILE is required")
-            res, qfd = chordal.decompose(complement(parse_graph6(args.graph6)))
-            reason = complexes.SKELETON_NOT_CHORDAL if qfd is None else None
-            cycle = tuple(res.cycle) if qfd is None else None
-    except UnsupportedSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_CAP
-    except (MalformedInputError, UndefinedInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    if args.complex is not None:
+        result = complexes.as_quasi_forest(complexes.parse_complex(_read_fixture(args.complex)))
+        qfd = result.decomposition
+        reason = result.reason
+        cycle = result.chordless_cycle
+    elif args.graph6 is None:
+        raise MalformedInputError("either a graph6 argument or --complex FILE is required")
+    else:
+        res, qfd = chordal.decompose(complement(parse_graph6(args.graph6)))
+        reason = complexes.SKELETON_NOT_CHORDAL if qfd is None else None
+        cycle = tuple(res.cycle) if qfd is None else None
     if qfd is None:
         rec = {"error": reason}
         rec["chordless_cycle"] = list(cycle) if cycle is not None else None
@@ -363,9 +339,11 @@ def main(argv: list[str] | None = None) -> int:
         # bytes that the stdin encoding cannot decode become lone surrogates,
         # which parse_graph6 rejects per line like any other non-ASCII text
         sys.stdin.reconfigure(errors="surrogateescape")
+    # the one place that maps an outcome to its exit code; the commands
+    # return 0, 1 or 4 and raise everything else
     try:
         return args.func(args)
-    except MalformedInputError as exc:
+    except (MalformedInputError, UndefinedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except UnsupportedSizeError as exc:
@@ -374,6 +352,11 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader closed stdout early; point stdout at devnull so the
+        # interpreter's final flush of what is still buffered cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

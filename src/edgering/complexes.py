@@ -120,7 +120,8 @@ def flag_complex(g: Graph) -> SimplicialComplex:
 
 
 def _maximal_clique_masks(n: int, rows: Sequence[int]) -> list[int]:
-    """Bron-Kerbosch with pivoting on bitmask rows; deterministic output order."""
+    """Bron-Kerbosch with pivoting on bitmask rows, in the order the search
+    finds them; deterministic, but callers that need an order impose it."""
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
@@ -150,7 +151,7 @@ def _maximal_clique_masks(n: int, rows: Sequence[int]) -> list[int]:
 
     if n:
         bk(0, (1 << n) - 1, 0)
-    return sorted(out, key=lambda m: sorted(bits(m)))
+    return out
 
 
 def one_skeleton(c: SimplicialComplex) -> Graph:

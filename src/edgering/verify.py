@@ -104,15 +104,13 @@ def _long_cycle_subsets(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def has_long_induced_cycle(n: int, rows: list[int] | tuple[int, ...], subsets=None) -> bool:
+def has_long_induced_cycle(n: int, rows: list[int] | tuple[int, ...]) -> bool:
     """Brute force: does some vertex subset of size >= 4 induce a chordless cycle?
 
     Independent of the elimination-ordering recognizer; an induced cycle is
     exactly a connected 2-regular induced subgraph.
     """
-    if subsets is None:
-        subsets = _long_cycle_subsets(n)
-    for s in subsets:
+    for s in _long_cycle_subsets(n):
         m = s
         while m:
             low = m & -m
@@ -146,7 +144,6 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
     res = SweepResult(n)
     counts = res.counts
     vio = res.violations
-    subsets = _long_cycle_subsets(n)
     full = (1 << n) - 1
     for mask in range(start, stop):
         counts["total"] += 1
@@ -154,7 +151,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         crow = [full & ~r & ~(1 << v) for v, r in enumerate(rows)]
         elim = _mcs_order(n, crow)[::-1]
         chordal_flag = _first_peo_violation(n, crow, elim) is None
-        if chordal_flag == has_long_induced_cycle(n, crow, subsets):
+        if chordal_flag == has_long_induced_cycle(n, crow):
             vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
         if with_oracle:
             complex_facets = _maximal_clique_masks(n, crow)

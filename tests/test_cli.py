@@ -1,6 +1,9 @@
+import contextlib
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -10,9 +13,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from edgering import cli, complexes, conjecture
+from edgering import chordal, cli, complexes, conjecture, invariants
 from edgering.cli import main
-from edgering.errors import InternalInvariantError
+from edgering.errors import (
+    InternalInvariantError,
+    MalformedInputError,
+    UndefinedInputError,
+    UnsupportedSizeError,
+)
 from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
 from edgering.oracle import clear_memo, hochster_betti, oracle_is_2linear, oracle_pd
 from edgering.complexes import flag_complex
@@ -240,6 +248,27 @@ class TestSurvey:
     def test_size_cap(self, capsys):
         assert main(["survey", "--all-labeled", "8"]) == 3
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_closed_stdout_ends_run(self, jobs):
+        # all 2^21 graphs on 7 vertices take minutes; a reader that leaves
+        # after one line should stop the survey and its workers at once
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "edgering.cli", "survey", "--all-labeled", "7", "--jobs", jobs],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["n"] == 7
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert b"Traceback" not in proc.stderr.read()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()
+
 
 class TestOracle:
     def test_c4(self, capsys):
@@ -319,6 +348,48 @@ class TestOracle:
 
     def test_missing_input(self, capsys):
         assert main(["oracle"]) == 2
+
+
+class TestExitCodes:
+    """`main` maps every error class to its exit code, wherever a command raises it."""
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (MalformedInputError, 2, "error: "),
+            (UndefinedInputError, 2, "error: "),
+            (UnsupportedSizeError, 3, "error: "),
+            (InternalInvariantError, 5, "internal error: "),
+        ],
+        ids=["malformed", "undefined", "size", "internal"],
+    )
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            (conjecture, "report_from_decomposition", ["analyze", C4_G6]),
+            # called after the oracle's table is computed
+            (invariants, "hilbert_from_decomposition", ["oracle", C4_G6]),
+            (chordal, "decompose", ["decompose", C4_G6]),
+        ],
+        ids=["analyze", "oracle", "decompose"],
+    )
+    def test_error_class(self, monkeypatch, capsys, error, code, prefix, module, name, argv):
+        def raising(*args):
+            raise error("simulated")
+
+        monkeypatch.setattr(module, name, raising)
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", f"{prefix}simulated\n")
+
+    @pytest.mark.parametrize("command", ["oracle", "decompose"])
+    def test_unreadable_complex_file(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.cx"
+        assert main([command, "--complex", str(missing)]) == 2
+        expected = f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{missing}'\n"
+        assert capsys.readouterr() == ("", expected)
+        assert main([command, "--complex", str(tmp_path)]) == 2
+        expected = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'\n"
+        assert capsys.readouterr() == ("", expected)
 
 
 class TestBadInputExit2:
