@@ -44,7 +44,6 @@ from .graphs import (
     max_degree,
     parse_edge_list,
     parse_graph6,
-    rows_from_edge_mask,
     to_graph6,
 )
 
@@ -157,7 +156,7 @@ def _survey_worker(item) -> tuple[int, bool, str, bool, bool, str]:
     try:
         if kind == "mask":
             n, mask = data
-            g = Graph(n, tuple(rows_from_edge_mask(n, mask)))
+            g = Graph.from_edge_mask(n, mask)
         else:
             g = parse_graph6(data)
         rec = survey_record(g)

@@ -206,4 +206,4 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
     if not 0 <= n <= ENUMERATION_CAP:
         raise UnsupportedSizeError(f"labeled enumeration supports 0 <= n <= {ENUMERATION_CAP}")
     for mask in range(1 << (n * (n - 1) // 2)):
-        yield Graph(n, tuple(rows_from_edge_mask(n, mask)))
+        yield Graph.from_edge_mask(n, mask)

@@ -15,15 +15,17 @@ collapses to a point is skipped.  Only a W with no dominated vertex, other
 than a single vertex, is keyed, relabelled onto 0..|W|-1, and exact
 homology runs only on a memo miss.  At n = 12 most subsets collapse.
 
-One loop serves two kernels, which differ in the domination test and the
-key.  A flag complex, which is every complex the sweeps and `edgering
-oracle GRAPH6` build, runs on the graph H whose cliques are its faces: the
+One loop serves two kernels, and each passes it one step that does both
+for a W: the domination test and, failing it, the key and the memo lookup.
+A flag complex, which is every complex the sweeps and `edgering oracle
+GRAPH6` build, runs on the graph H whose cliques are its faces: the
 restriction to W is the flag complex of H[W], v is dominated when its
 closed neighbourhood in W lies inside that of another vertex (Boulet,
 Fieux & Jouve, Europ. J. Combin. 31, 2010), and the key is the closed
 neighbourhood rows.  Any other complex runs on facet bitmasks: the facets
-of the restriction are the maximal nonempty f & W, v is dominated when
-those holding v share another vertex, and the key is those facets, sorted.
+of the restriction, the maximal nonempty f & W, are built once per W; v is
+dominated when those holding v share another vertex, and the key is those
+facets, sorted.
 The two kernels keep separate memos, because a graph key and a facet key
 can be the same tuple of different complexes.  `hochster_betti` takes the
 graph kernel when the complex's facets are the maximal cliques of its
@@ -91,39 +93,28 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
     """Betti table of the flag complex of the graph on 0..n-1 with these
     adjacency rows."""
     closed = {1 << v: r | 1 << v for v, r in enumerate(rows)}  # by vertex bit
-    return _hochster(n, closed, _dominated_vertex, _clique_core_ranks)
+    return _hochster(n, closed, _graph_step)
 
 
 def _hochster_masks(n: int, facets: Sequence[int]) -> OracleBettiTable:
-    """Betti table of the complex on positions 0..n-1 with these facet masks."""
-    return _hochster(n, facets, _dominated_in_pieces, _piece_core_ranks)
+    """Betti table of the complex on positions 0..n-1 with these facet masks,
+    every position in some facet."""
+    return _hochster(n, facets, _facet_step)
 
 
-def _hochster(
-    n: int, data, dominated: Callable[..., int], core_ranks: Callable[..., dict[int, int]]
-) -> OracleBettiTable:
+def _hochster(n: int, data, step: Callable[..., dict[int, int] | None]) -> OracleBettiTable:
     """Hochster's sum over the subsets w of 0..n-1, in increasing order.
 
-    `dominated(data, w)` is a vertex bit v of w whose deletion keeps the
-    homotopy type of the restriction to w, or 0 if there is none;
-    `core_ranks(data, w)` is the reduced homology ranks of a restriction
-    with no such vertex.
+    `step(data, w, at_subset)` is the reduced homology ranks of the
+    restriction to w, or None if it collapses to a point; `at_subset` holds
+    what it returned for every earlier subset.
     """
-    # at_subset[w]: the ranks of the restriction to w, None if it collapses to a point
     at_subset: list[dict[int, int] | None] = [None] * (1 << n)
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << n):
-        v = dominated(data, w)
-        if v:
-            # deleting v keeps every rank, and w ^ v came earlier
-            ranks = at_subset[w] = at_subset[w ^ v]
-            if ranks is None:
-                continue  # collapses to a point
-        elif w.bit_count() == 1:
-            continue  # a point
-        else:
-            # w is its own core, of zero or at least two vertices
-            ranks = at_subset[w] = core_ranks(data, w)
+        ranks = at_subset[w] = step(data, w, at_subset)
+        if ranks is None:
+            continue
         j = w.bit_count()
         for dim, h in ranks.items():
             if h:
@@ -134,28 +125,29 @@ def _hochster(
     return OracleBettiTable(entries, n, 1 << n)
 
 
-def _dominated_vertex(closed: dict[int, int], w: int) -> int:
-    """A vertex bit v of w whose closed neighbourhood in w lies in that of
-    another vertex u, or 0 if none.  Such a u holds v, so only neighbours of
-    v are tried."""
+def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | None:
+    """Ranks of the flag complex of H[w].  A vertex v whose closed
+    neighbourhood in w lies in that of another vertex u is dominated, and
+    w takes the result for w - v; such a u holds v, so only neighbours of v
+    are tried.  Otherwise the key is the closed neighbourhood rows
+    relabelled onto 0..|w|-1."""
     m = w
     while m:
-        low = m & -m
-        m ^= low
-        row = closed[low] & w
-        nbrs = row ^ low
+        v = m & -m
+        m ^= v
+        row = closed[v] & w
+        nbrs = row ^ v
         while nbrs:
             u = nbrs & -nbrs
             if row & ~closed[u] == 0:
-                return low
+                return at_subset[w ^ v]
             nbrs ^= u
-    return 0
-
-
-def _clique_core_ranks(closed: dict[int, int], w: int) -> dict[int, int]:
-    """Ranks of the flag complex of H[w], keyed by its closed neighbourhood
-    rows relabelled onto 0..|w|-1."""
-    key = tuple(_compress(closed[1 << u] & w, w) for u in bits(w))
+    if w.bit_count() == 1:
+        return None  # a point
+    # no generator here: it would make `closed` and `w` cells, slowing every call
+    key = ()
+    for u in bits(w):
+        key += (_compress(closed[1 << u] & w, w),)
     ranks = _HOMOLOGY_MEMO.get(key)
     if ranks is None:
         cliques = _maximal_clique_masks(len(key), [r ^ 1 << i for i, r in enumerate(key)])
@@ -163,16 +155,12 @@ def _clique_core_ranks(closed: dict[int, int], w: int) -> dict[int, int]:
     return ranks
 
 
-def _pieces(facets: Sequence[int], w: int) -> list[int]:
-    """Facets of the restriction to w: the maximal nonempty f & w."""
-    return _maximal_masks({f & w for f in facets} - {0})
-
-
-def _dominated_in_pieces(facets: Sequence[int], w: int) -> int:
-    """A vertex bit v of w such that the facets of the restriction to w that
-    hold v share another vertex, or 0 if none.  A vertex in no facet counts,
-    as the AND over no facet is all ones: deleting it changes no face."""
-    pieces = _pieces(facets, w)
+def _facet_step(facets: Sequence[int], w: int, at_subset) -> dict[int, int] | None:
+    """Ranks of the restriction to w, whose facets are the maximal nonempty
+    f & w.  A vertex v is dominated when the facets that hold it share
+    another vertex, and w takes the result for w - v.  Otherwise the key is
+    those facets, sorted and relabelled onto 0..|w|-1."""
+    pieces = _maximal_masks({f & w for f in facets} - {0})
     m = w
     while m:
         v = m & -m
@@ -182,14 +170,10 @@ def _dominated_in_pieces(facets: Sequence[int], w: int) -> int:
             if p & v:
                 common &= p
         if common != v:
-            return v
-    return 0
-
-
-def _piece_core_ranks(facets: Sequence[int], w: int) -> dict[int, int]:
-    """Ranks of the restriction to w, keyed by its sorted facets relabelled
-    onto 0..|w|-1."""
-    key = tuple(sorted(_compress(p, w) for p in _pieces(facets, w)))
+            return at_subset[w ^ v]
+    if w.bit_count() == 1:
+        return None  # a point
+    key = tuple(sorted(_compress(p, w) for p in pieces))
     ranks = _FACET_MEMO.get(key)
     if ranks is None:
         ranks = _FACET_MEMO[key] = _homology_ranks(key)
@@ -208,7 +192,7 @@ def _compress(piece: int, w: int) -> int:
 
 def oracle_pd(table: OracleBettiTable) -> int:
     """Largest homological index with a nonzero entry; 0 for the polynomial ring."""
-    return max((i for i, _ in table.entries), default=0)
+    return table.projective_dimension
 
 
 def oracle_is_2linear(table: OracleBettiTable) -> bool:

@@ -1,5 +1,9 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
+from edgering import oracle
 from edgering.complexes import (
     SimplicialComplex,
     as_quasi_forest,
@@ -64,6 +68,17 @@ class TestHochsterKnownTables:
     def test_empty_complex(self):
         table = hochster_betti(SimplicialComplex.of(0, []))
         assert table.entries == {} and oracle_pd(table) == 0
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 3), (8, 4), (9, 4), (10, 4), (10, 5)])
+    def test_all_k_subsets(self, n, k):
+        # the complex of all k-subsets of n vertices is not flag for 2 <= k < n;
+        # its Stanley-Reisner ideal, the squarefree Veronese ideal of degree
+        # k + 1, has a linear resolution: beta_(i,i+k) = C(k+i-1, k) C(n, k+i)
+        clear_memo()
+        table = hochster_betti(SimplicialComplex.of(n, combinations(range(n), k)))
+        assert table.entries == {(i, i + k): comb(k + i - 1, k) * comb(n, k + i) for i in range(1, n - k + 1)}
+        assert oracle_pd(table) == n - k
+        assert _FACET_MEMO and not _HOMOLOGY_MEMO  # the facet kernel ran
 
 
 class TestTwoLinearDetection:
@@ -156,6 +171,21 @@ class TestMemoization:
             core = Graph(k, tuple(row ^ 1 << v for v, row in enumerate(key)))
             nonzero = {d: h for d, h in reduced_homology_ranks(flag_complex(core)).items() if h}
             assert {d: h for d, h in ranks.items() if h} == nonzero
+
+    def test_facet_kernel_builds_each_restriction_once(self, monkeypatch):
+        # the hollow tetrahedron on 0..3 and the triangle {0, 3, 4}, not flag:
+        # the facets of each restriction are built at most once per subset
+        calls = []
+        maximal_masks = oracle._maximal_masks
+
+        def counted(masks):
+            calls.append(1)
+            return maximal_masks(masks)
+
+        monkeypatch.setattr(oracle, "_maximal_masks", counted)
+        n, facets = 5, [0b00111, 0b01011, 0b01101, 0b01110, 0b11001]
+        assert oracle._hochster_masks(n, facets).entries
+        assert len(calls) <= 1 << n
 
     def test_size_cap(self):
         hochster_betti(SimplicialComplex.of(14, [[v] for v in range(14)]))

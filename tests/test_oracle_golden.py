@@ -1,0 +1,104 @@
+"""Golden `edgering oracle` output for seeded graphs and complexes.
+
+Each fixture line holds one input (a graph6 argument, or the text of a
+`--complex` file), the exit code and the exact stdout.  The graph inputs are
+G(n, p) graphs with n <= 12, the 4-cycle `Cl` and the perfect matching on 14
+vertices, whose complement's flag complex is the boundary of the
+7-dimensional cross-polytope; they run the graph kernel.  The complex inputs
+are the hollow triangle, seeded random complexes with n <= 10 and simplex
+skeletons (all k-subsets of n vertices); most are not flag and run the facet
+kernel.  Regenerate the fixture only when a change of output is intended:
+
+    PYTHONPATH=src:tests python tests/test_oracle_golden.py
+"""
+
+import contextlib
+import io
+import json
+import random
+from itertools import combinations
+from pathlib import Path
+
+from edgering.cli import main
+from edgering.complexes import flag_complex, one_skeleton, parse_complex
+from edgering.graphs import Graph, to_graph6
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+GOLDEN = FIXTURES / "oracle_golden.jsonl"
+MATCHING_14 = to_graph6(Graph.from_edges(14, [(2 * i, 2 * i + 1) for i in range(7)]))
+SKELETONS = [(4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 3), (8, 4), (9, 3), (9, 5)]
+
+
+def complex_text(n: int, facets) -> str:
+    return "".join(f"{line}\n" for line in [n, *(" ".join(map(str, f)) for f in facets)])
+
+
+def golden_inputs() -> list[dict]:
+    """Graph inputs as {"graph6": ...}, complex inputs as {"complex": text}."""
+    rng = random.Random("oracle_golden")
+    inputs = [{"graph6": "Cl"}, {"graph6": MATCHING_14}]
+    for n in range(1, 13):
+        for p in (0.2, 0.5, 0.8) if n < 12 else (0.25, 0.4):
+            mask = sum(1 << b for b in range(n * (n - 1) // 2) if rng.random() < p)
+            inputs.append({"graph6": to_graph6(Graph.from_edge_mask(n, mask))})
+    inputs.append({"complex": (FIXTURES / "hollow.cx").read_text()})
+    for _ in range(80):
+        # three in four hold the boundary of a simplex s, and no facet holds
+        # s, so that the complex is not flag
+        n = rng.randint(3, 10)
+        s = set(rng.sample(range(n), rng.randint(3, min(n, 5))))
+        hollow = rng.random() < 0.75
+        facets = [sorted(s - {v}) for v in s] if hollow else []
+        for _ in range(rng.randint(1, 10)):
+            f = set(rng.sample(range(n), rng.randint(2, min(n, 5))))
+            if not (hollow and s <= f):
+                facets.append(sorted(f))
+        covered = set().union(*facets)
+        facets += [[v] for v in range(n) if v not in covered]
+        inputs.append({"complex": complex_text(n, facets)})
+    for n, k in SKELETONS:
+        inputs.append({"complex": complex_text(n, combinations(range(n), k))})
+    return inputs
+
+
+def run_oracle(item: dict, tmp_dir: Path) -> tuple[int, str]:
+    if "graph6" in item:
+        argv = ["oracle", item["graph6"]]
+    else:
+        path = tmp_dir / "input.cx"
+        path.write_text(item["complex"])
+        argv = ["oracle", "--complex", str(path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def golden_text(tmp_dir: Path) -> str:
+    lines = []
+    for item in golden_inputs():
+        code, stdout = run_oracle(item, tmp_dir)
+        lines.append(json.dumps({**item, "exit": code, "stdout": stdout}, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def test_inputs_cover_both_kernels():
+    records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    assert all(r["exit"] == 0 for r in records)
+    graphs = [json.loads(r["stdout"]) for r in records if "graph6" in r]
+    complexes = [parse_complex(r["complex"]) for r in records if "complex" in r]
+    assert max(t["n"] for t in graphs) == 14
+    assert max(c.n for c in complexes) == 10
+    # the facet kernel runs on every complex that is not flag
+    assert sum(flag_complex(one_skeleton(c)).facets != c.facets for c in complexes) >= 50
+
+
+def test_matches_golden_fixture(tmp_path):
+    assert golden_text(tmp_path) == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(golden_text(Path(tmp)))

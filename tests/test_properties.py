@@ -33,7 +33,7 @@ from edgering.conjecture import classify
 from edgering.errors import EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
-from edgering.oracle import _dominated_in_pieces, _pieces, hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import _facet_step, hochster_betti, oracle_is_2linear, oracle_pd
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -88,9 +88,10 @@ def nonzero(ranks: dict[int, int]) -> dict[int, int]:
 @example((0b011, 0b110, 0b101))  # the hollow triangle: no dominated vertex
 @given(facet_keys())
 def test_core_has_the_homology_of_the_complex(key):
-    """The facet kernel's W - v step, on W the support of the complex: the
-    vertex the domination test returns lies, with another vertex, in every
-    facet that holds it, and deleting it keeps every nonzero rank."""
+    """The facet kernel's step on W, the support of the complex: the vertex
+    whose W - v it takes lies, with another vertex, in every facet that
+    holds it, and deleting it keeps every nonzero rank; with no such vertex
+    it returns the ranks of the complex, or None for a single vertex."""
     w = 0
     for f in key:
         w |= f
@@ -98,12 +99,17 @@ def test_core_has_the_homology_of_the_complex(key):
     dominated = {
         u for u in bits(w) if len(frozenset.intersection(*(frozenset(bits(f)) for f in key if f >> u & 1))) > 1
     }
-    v = _dominated_in_pieces(key, w)
-    if not v:
+    # the result for W - u stands in as u, so the step's answer names the vertex
+    got = _facet_step(key, w, {w ^ 1 << u: u for u in bits(w)})
+    if got is None:  # a single vertex, a point
+        assert w.bit_count() == 1 and not dominated
+    elif isinstance(got, dict):
         assert not dominated
+        assert nonzero(got) == nonzero(_homology_ranks(key))
     else:
-        assert v.bit_length() - 1 in dominated
-        assert nonzero(_homology_ranks(_pieces(key, w ^ v))) == nonzero(_homology_ranks(_pieces(key, w)))
+        assert got in dominated
+        rest = _maximal_masks({f & ~(1 << got) for f in key} - {0})
+        assert nonzero(_homology_ranks(rest)) == nonzero(_homology_ranks(key))
 
 
 @st.composite
