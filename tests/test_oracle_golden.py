@@ -2,7 +2,8 @@
 
 Each fixture line holds one input (a graph6 argument, or the text of a
 `--complex` file), the exit code and the exact stdout.  The graph inputs are
-G(n, p) graphs with n <= 12, the 4-cycle `Cl` and the perfect matching on 14
+G(n, p) graphs with n <= 14, the 4-cycle `Cl`, `Frqa_` (a complement with an
+acyclic link but no dominated vertex) and the perfect matching on 14
 vertices, whose complement's flag complex is the boundary of the
 7-dimensional cross-polytope; they run the graph kernel.  The complex inputs
 are the hollow triangle, seeded random complexes with n <= 10 and simplex
@@ -26,7 +27,17 @@ from edgering.graphs import Graph, to_graph6
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = FIXTURES / "oracle_golden.jsonl"
 MATCHING_14 = to_graph6(Graph.from_edges(14, [(2 * i, 2 * i + 1) for i in range(7)]))
+# the complement H of this graph has no dominated vertex, but the link of
+# vertex 4 in the flag complex of H, the flag complex of its neighbourhood,
+# is Q-acyclic
+FRQA = "Frqa_"
 SKELETONS = [(4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 3), (8, 4), (9, 3), (9, 5)]
+
+
+def gnp_graph6(rng: random.Random, n: int, p: float) -> str:
+    """A G(n, p) graph: each of the n(n-1)/2 edge-mask bits is set with chance p."""
+    mask = sum(1 << b for b in range(n * (n - 1) // 2) if rng.random() < p)
+    return to_graph6(Graph.from_edge_mask(n, mask))
 
 
 def complex_text(n: int, facets) -> str:
@@ -39,8 +50,7 @@ def golden_inputs() -> list[dict]:
     inputs = [{"graph6": "Cl"}, {"graph6": MATCHING_14}]
     for n in range(1, 13):
         for p in (0.2, 0.5, 0.8) if n < 12 else (0.25, 0.4):
-            mask = sum(1 << b for b in range(n * (n - 1) // 2) if rng.random() < p)
-            inputs.append({"graph6": to_graph6(Graph.from_edge_mask(n, mask))})
+            inputs.append({"graph6": gnp_graph6(rng, n, p)})
     inputs.append({"complex": (FIXTURES / "hollow.cx").read_text()})
     for _ in range(80):
         # three in four hold the boundary of a simplex s, and no facet holds
@@ -58,6 +68,10 @@ def golden_inputs() -> list[dict]:
         inputs.append({"complex": complex_text(n, facets)})
     for n, k in SKELETONS:
         inputs.append({"complex": complex_text(n, combinations(range(n), k))})
+    # up to the vertex cap, from their own stream so the lines above keep theirs
+    inputs.append({"graph6": FRQA})
+    cap_rng = random.Random("oracle_golden_cap")
+    inputs += [{"graph6": gnp_graph6(cap_rng, n, p)} for n in (13, 14) for p in (0.25, 0.4)]
     return inputs
 
 
