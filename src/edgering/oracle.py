@@ -6,26 +6,29 @@ rank 1 in dimension -1, which is what makes beta_(0,0) = 1 come out of the
 sum instead of being special-cased.
 
 Ground truth for everything the closed formulas claim; no quasi-forest
-assumptions are made here.  Subsets W are visited in increasing order, and a
-vertex v is dominated in the restriction to W when the faces containing v
-all extend by one more vertex u.  Deleting v keeps the homotopy type, so
-every reduced homology rank (Barmak & Minian, DCG 47, 2012): a W with a
-dominated vertex takes the result already found for W - v, and a W that
-collapses to a point is skipped.  Only a W with no dominated vertex, other
-than a single vertex, is keyed, relabelled onto 0..|W|-1, and exact
-homology runs only on a memo miss.  At n = 12 most subsets collapse.
+assumptions are made here.  Subsets W are visited in increasing order, and
+the loop keeps what each W gave: its nonzero reduced homology ranks, or None
+when the restriction to W is Q-acyclic.  A W with a vertex v that can be
+deleted without changing any rank takes the result already found for W - v.
+Only a W with no such vertex, other than a single vertex, is keyed,
+relabelled onto 0..|W|-1, and exact homology runs only on a memo miss.
 
 One loop serves two kernels, and each passes it one step that does both
-for a W: the domination test and, failing it, the key and the memo lookup.
+for a W: the deletion test and, failing it, the key and the memo lookup.
 A flag complex, which is every complex the sweeps and `edgering oracle
-GRAPH6` build, runs on the graph H whose cliques are its faces: the
-restriction to W is the flag complex of H[W], v is dominated when its
-closed neighbourhood in W lies inside that of another vertex (Boulet,
-Fieux & Jouve, Europ. J. Combin. 31, 2010), and the key is the closed
-neighbourhood rows.  Any other complex runs on facet bitmasks: the facets
-of the restriction, the maximal nonempty f & W, are built once per W; v is
-dominated when those holding v share another vertex, and the key is those
-facets, sorted.
+GRAPH6` build, runs on the graph H whose cliques are its faces.  The
+restriction to W is the flag complex of H[W], and the link of v in it is
+the flag complex of H[N(v) & W], an earlier subset.  The restriction is
+that of W - v and the cone on the link, glued along the link; when the
+link is nonempty and Q-acyclic (its result is None), Mayer-Vietoris
+(Hatcher, Algebraic Topology, 2.2) gives it the ranks of W - v.  So the
+test is one lookup per vertex, and it covers every dominated vertex, whose
+link is a cone.  The key is the closed neighbourhood rows.  Any other
+complex runs on facet bitmasks, where a link is not a restriction: the
+facets of the restriction, the maximal nonempty f & W, are built once per
+W; v is dominated when those holding v share another vertex, and deleting
+it keeps the homotopy type (Barmak & Minian, DCG 47, 2012).  The key is
+those facets, sorted.
 The two kernels keep separate memos, because a graph key and a facet key
 can be the same tuple of different complexes.  `hochster_betti` takes the
 graph kernel when the complex's facets are the maximal cliques of its
@@ -51,9 +54,9 @@ from .invariants import BettiTable
 
 ORACLE_VERTEX_CAP = 14
 
-# graph kernel: compressed closed rows of a core -> reduced homology ranks
+# graph kernel: compressed closed rows of a core -> nonzero reduced homology ranks
 _HOMOLOGY_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
-# facet kernel: sorted compressed facets of a core -> reduced homology ranks
+# facet kernel: sorted compressed facets of a core -> nonzero reduced homology ranks
 _FACET_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
 
 
@@ -105,9 +108,10 @@ def _hochster_masks(n: int, facets: Sequence[int]) -> OracleBettiTable:
 def _hochster(n: int, data, step: Callable[..., dict[int, int] | None]) -> OracleBettiTable:
     """Hochster's sum over the subsets w of 0..n-1, in increasing order.
 
-    `step(data, w, at_subset)` is the reduced homology ranks of the
-    restriction to w, or None if it collapses to a point; `at_subset` holds
-    what it returned for every earlier subset.
+    `step(data, w, at_subset)` is the nonzero reduced homology ranks of the
+    restriction to w, or None iff the restriction is Q-acyclic; `at_subset`
+    holds what it returned for every earlier subset.  The empty restriction
+    has rank 1 in dimension -1, so it is never None.
     """
     at_subset: list[dict[int, int] | None] = [None] * (1 << n)
     entries: dict[tuple[int, int], int] = {}
@@ -117,31 +121,25 @@ def _hochster(n: int, data, step: Callable[..., dict[int, int] | None]) -> Oracl
             continue
         j = w.bit_count()
         for dim, h in ranks.items():
-            if h:
-                i = j - 1 - dim
-                entries[(i, j)] = entries.get((i, j), 0) + h
+            i = j - 1 - dim
+            entries[(i, j)] = entries.get((i, j), 0) + h
     if entries.get((0, 0)) != 1:
         raise InternalInvariantError("Hochster sum did not produce beta_(0,0) = 1")
     return OracleBettiTable(entries, n, 1 << n)
 
 
 def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | None:
-    """Ranks of the flag complex of H[w].  A vertex v whose closed
-    neighbourhood in w lies in that of another vertex u is dominated, and
-    w takes the result for w - v; such a u holds v, so only neighbours of v
-    are tried.  Otherwise the key is the closed neighbourhood rows
-    relabelled onto 0..|w|-1."""
+    """Ranks of the flag complex of H[w].  The link of v in it is the flag
+    complex of its neighbourhood in w, an earlier subset; when that is
+    nonempty and Q-acyclic (None), w takes the result for w - v.  The empty
+    link, of an isolated v, is never None.  Otherwise the key is the closed
+    neighbourhood rows relabelled onto 0..|w|-1."""
     m = w
     while m:
         v = m & -m
         m ^= v
-        row = closed[v] & w
-        nbrs = row ^ v
-        while nbrs:
-            u = nbrs & -nbrs
-            if row & ~closed[u] == 0:
-                return at_subset[w ^ v]
-            nbrs ^= u
+        if at_subset[closed[v] & w ^ v] is None:
+            return at_subset[w ^ v]
     if w.bit_count() == 1:
         return None  # a point
     # no generator here: it would make `closed` and `w` cells, slowing every call
@@ -151,8 +149,8 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
     ranks = _HOMOLOGY_MEMO.get(key)
     if ranks is None:
         cliques = _maximal_clique_masks(len(key), [r ^ 1 << i for i, r in enumerate(key)])
-        ranks = _HOMOLOGY_MEMO[key] = _homology_ranks(cliques)
-    return ranks
+        ranks = _HOMOLOGY_MEMO[key] = _nonzero_ranks(cliques)
+    return ranks or None
 
 
 def _facet_step(facets: Sequence[int], w: int, at_subset) -> dict[int, int] | None:
@@ -176,8 +174,14 @@ def _facet_step(facets: Sequence[int], w: int, at_subset) -> dict[int, int] | No
     key = tuple(sorted(_compress(p, w) for p in pieces))
     ranks = _FACET_MEMO.get(key)
     if ranks is None:
-        ranks = _FACET_MEMO[key] = _homology_ranks(key)
-    return ranks
+        ranks = _FACET_MEMO[key] = _nonzero_ranks(key)
+    return ranks or None
+
+
+def _nonzero_ranks(facets: Sequence[int]) -> dict[int, int]:
+    """The nonzero reduced homology ranks of the complex with these facet
+    masks; {} when it is Q-acyclic."""
+    return {dim: h for dim, h in _homology_ranks(facets).items() if h}
 
 
 def _compress(piece: int, w: int) -> int:

@@ -485,6 +485,20 @@ def restriction_sum(c: SimplicialComplex) -> dict[tuple[int, int], int]:
     return entries
 
 
+# The complement of `Frqa_`: no vertex is dominated (no closed neighbourhood
+# lies in another), yet the neighbourhood {2, 3, 5, 6} of vertex 4 spans the
+# path 2-6-5-3, so the link of 4 in the flag complex is acyclic
+ACYCLIC_LINK_H = Graph.from_edges(
+    7, [(0, 3), (0, 6), (1, 2), (1, 5), (2, 4), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]
+)
+
+
+def induced(g: Graph, keep) -> Graph:
+    """g[keep], relabelled onto 0..len(keep)-1 in the order of `keep`."""
+    pos = {v: i for i, v in enumerate(keep)}
+    return Graph.from_edges(len(pos), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
+
+
 def raised(f, *args):
     """(exception class, message) that f(*args) raises, or None."""
     try:

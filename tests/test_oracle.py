@@ -6,6 +6,7 @@ import pytest
 from edgering import oracle
 from edgering.complexes import (
     SimplicialComplex,
+    _maximal_clique_masks,
     as_quasi_forest,
     flag_complex,
     reduced_homology_ranks,
@@ -21,7 +22,7 @@ from edgering.oracle import (
     oracle_is_2linear,
     oracle_pd,
 )
-from conftest import random_graph, restriction_sum
+from conftest import ACYCLIC_LINK_H, induced, random_graph, ref_hochster_masks, restriction_sum
 
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -171,6 +172,24 @@ class TestMemoization:
             core = Graph(k, tuple(row ^ 1 << v for v, row in enumerate(key)))
             nonzero = {d: h for d, h in reduced_homology_ranks(flag_complex(core)).items() if h}
             assert {d: h for d, h in ranks.items() if h} == nonzero
+            # nor a vertex whose link, the flag complex of its neighbourhood,
+            # is nonempty and Q-acyclic
+            for v in range(k):
+                link = core.neighbors(v)
+                assert not link or any(reduced_homology_ranks(flag_complex(induced(core, link))).values())
+
+    def test_acyclic_link_without_domination_is_not_keyed(self):
+        # no vertex of H is dominated, so a domination search keys all of
+        # 0..6; the link of vertex 4 is acyclic, so the link rule reuses the
+        # result for W - 4 instead
+        h = ACYCLIC_LINK_H
+        closed = [row | 1 << v for v, row in enumerate(h.rows)]
+        assert not any(u != v and closed[v] & ~closed[u] == 0 for u in range(7) for v in range(7))
+        assert not any(reduced_homology_ranks(flag_complex(induced(h, h.neighbors(4)))).values())
+        clear_memo()
+        table = oracle._hochster_graph(7, h.rows)
+        assert _HOMOLOGY_MEMO and all(len(key) < 7 for key in _HOMOLOGY_MEMO)
+        assert table.entries == ref_hochster_masks(7, _maximal_clique_masks(7, h.rows))
 
     def test_facet_kernel_builds_each_restriction_once(self, monkeypatch):
         # the hollow tetrahedron on 0..3 and the triangle {0, 3, 4}, not flag:

@@ -1,9 +1,10 @@
 """Property-based tests: the parsers on arbitrary input, facet
 canonicalization against its set-inclusion definition, chordality of the
 complement against networkx as one more independent recognizer, the deletion
-of a dominated vertex against uncollapsed homology, the Hochster oracle
-against a sum over restricted complexes and against the closed formulas, and
-the CLI on random argument lists."""
+of a dominated vertex, or of a vertex with an acyclic link in a flag complex,
+against uncollapsed homology, the Hochster oracle against a sum over
+restricted complexes and against the closed formulas, and the CLI on random
+argument lists."""
 
 import contextlib
 import io
@@ -33,7 +34,8 @@ from edgering.conjecture import classify
 from edgering.errors import EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
-from edgering.oracle import _facet_step, hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import _facet_step, _graph_step, hochster_betti, oracle_is_2linear, oracle_pd
+from conftest import ACYCLIC_LINK_H, induced
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -86,12 +88,15 @@ def nonzero(ranks: dict[int, int]) -> dict[int, int]:
 @example((0b11,))  # a single edge, a cone
 @example((0b0011, 0b1100))  # two edges: each pair of ends dominates itself
 @example((0b011, 0b110, 0b101))  # the hollow triangle: no dominated vertex
+# the 6-vertex real projective plane: no dominated vertex, Q-acyclic
+@example((0x07, 0x0D, 0x16, 0x19, 0x1A, 0x23, 0x2A, 0x2C, 0x31, 0x34))
 @given(facet_keys())
 def test_core_has_the_homology_of_the_complex(key):
     """The facet kernel's step on W, the support of the complex: the vertex
     whose W - v it takes lies, with another vertex, in every facet that
     holds it, and deleting it keeps every nonzero rank; with no such vertex
-    it returns the ranks of the complex, or None for a single vertex."""
+    it returns the nonzero ranks of the complex, or None when it is
+    Q-acyclic (a single vertex among them)."""
     w = 0
     for f in key:
         w |= f
@@ -101,11 +106,11 @@ def test_core_has_the_homology_of_the_complex(key):
     }
     # the result for W - u stands in as u, so the step's answer names the vertex
     got = _facet_step(key, w, {w ^ 1 << u: u for u in bits(w)})
-    if got is None:  # a single vertex, a point
-        assert w.bit_count() == 1 and not dominated
+    if got is None:
+        assert not dominated and not nonzero(_homology_ranks(key))
     elif isinstance(got, dict):
         assert not dominated
-        assert nonzero(got) == nonzero(_homology_ranks(key))
+        assert got == nonzero(_homology_ranks(key)) != {}
     else:
         assert got in dominated
         rest = _maximal_masks({f & ~(1 << got) for f in key} - {0})
@@ -116,6 +121,36 @@ def test_core_has_the_homology_of_the_complex(key):
 def graphs(draw, max_n=9):
     n = draw(st.integers(1, max_n))
     return Graph.from_edge_mask(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(ACYCLIC_LINK_H)  # no dominated vertex; the link of vertex 4 is acyclic
+@given(graphs(max_n=8))
+def test_acyclic_link_keeps_the_homology(h):
+    """Mayer-Vietoris: the flag complex of H is that of H - v and the cone
+    on the link of v, glued along the link, which is the flag complex of
+    H[N(v)].  When that link is nonempty and Q-acyclic, deleting v keeps
+    every reduced homology rank."""
+    whole = nonzero(reduced_homology_ranks(flag_complex(h)))
+    for v in range(h.n):
+        link = h.neighbors(v)
+        if link and not nonzero(reduced_homology_ranks(flag_complex(induced(h, link)))):
+            rest = [u for u in range(h.n) if u != v]
+            assert nonzero(reduced_homology_ranks(flag_complex(induced(h, rest)))) == whole
+
+
+@settings(max_examples=150, deadline=None)
+@example(ACYCLIC_LINK_H)
+@given(graphs(max_n=7))
+def test_graph_step_on_the_whole_vertex_set(h):
+    """Given the result of every proper subset, the graph kernel's step on
+    all of H is the nonzero ranks of the flag complex of H, or None iff it
+    is Q-acyclic."""
+    at_subset = [nonzero(reduced_homology_ranks(flag_complex(induced(h, list(bits(w)))))) or None
+                 for w in range(1 << h.n)]
+    closed = {1 << v: row | 1 << v for v, row in enumerate(h.rows)}
+    full = (1 << h.n) - 1
+    assert _graph_step(closed, full, at_subset) == at_subset[full]
 
 
 @settings(max_examples=200, deadline=None)
