@@ -2,10 +2,11 @@
 
 Each fixture line holds one input (a graph6 argument, or the text of a
 `--complex` file), the exit code and the exact stdout.  The graph inputs are
-G(n, p) graphs with n <= 14, the 4-cycle `Cl`, `Frqa_` (a complement with an
-acyclic link but no dominated vertex) and the perfect matching on 14
-vertices, whose complement's flag complex is the boundary of the
-7-dimensional cross-polytope; they run the graph kernel.  The complex inputs
+G(n, p) graphs with n <= 18, the 4-cycle `Cl`, `Frqa_` (a complement with an
+acyclic link but no dominated vertex), the perfect matchings on 14 and 18
+vertices, whose complements' flag complexes are the boundaries of the 7- and
+9-dimensional cross-polytopes, K_{9,9} and the complement of the barbell of
+two K_8; they run the graph kernel.  The complex inputs
 are the hollow triangle, seeded random complexes with n <= 10 and simplex
 skeletons (all k-subsets of n vertices); most are not flag and run the facet
 kernel.  Regenerate the fixture only when a change of output is intended:
@@ -20,13 +21,23 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
+from edgering import oracle
 from edgering.cli import main
 from edgering.complexes import flag_complex, one_skeleton, parse_complex
+from edgering.conjecture import build_family
 from edgering.graphs import Graph, to_graph6
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = FIXTURES / "oracle_golden.jsonl"
-MATCHING_14 = to_graph6(Graph.from_edges(14, [(2 * i, 2 * i + 1) for i in range(7)]))
+
+
+def matching_graph6(n: int) -> str:
+    return to_graph6(Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+
+
+MATCHING_14 = matching_graph6(14)
 # the complement H of this graph has no dominated vertex, but the link of
 # vertex 4 in the flag complex of H, the flag complex of its neighbourhood,
 # is Q-acyclic
@@ -72,6 +83,12 @@ def golden_inputs() -> list[dict]:
     inputs.append({"graph6": FRQA})
     cap_rng = random.Random("oracle_golden_cap")
     inputs += [{"graph6": gnp_graph6(cap_rng, n, p)} for n in (13, 14) for p in (0.25, 0.4)]
+    # n = 15..18, from a third stream
+    inputs.append({"graph6": matching_graph6(18)})
+    inputs.append({"graph6": to_graph6(build_family("complete-bipartite", 9))})
+    inputs.append({"graph6": to_graph6(build_family("barbell", 8))})
+    big_rng = random.Random("oracle_golden_18")
+    inputs += [{"graph6": gnp_graph6(big_rng, n, p)} for n, p in ((15, 0.3), (17, 0.3), (18, 0.25), (18, 0.4))]
     return inputs
 
 
@@ -83,7 +100,9 @@ def run_oracle(item: dict, tmp_dir: Path) -> tuple[int, str]:
         path.write_text(item["complex"])
         argv = ["oracle", "--complex", str(path)]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    # the n = 15..18 lines are recorded with the cap of 14 lifted
+    with contextlib.redirect_stdout(out), pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "ORACLE_VERTEX_CAP", 18)
         code = main(argv)
     return code, out.getvalue()
 
@@ -101,7 +120,7 @@ def test_inputs_cover_both_kernels():
     assert all(r["exit"] == 0 for r in records)
     graphs = [json.loads(r["stdout"]) for r in records if "graph6" in r]
     complexes = [parse_complex(r["complex"]) for r in records if "complex" in r]
-    assert max(t["n"] for t in graphs) == 14
+    assert max(t["n"] for t in graphs) == 18
     assert max(c.n for c in complexes) == 10
     # the facet kernel runs on every complex that is not flag
     assert sum(flag_complex(one_skeleton(c)).facets != c.facets for c in complexes) >= 50
