@@ -228,30 +228,32 @@ def _read_fixture(path: str) -> str:
         raise MalformedInputError(str(exc)) from None
 
 
-def _load_complex(args) -> complexes.SimplicialComplex:
-    """The oracle's complex; the vertex cap is checked before it is built, because
-    canonicalizing a fixture is superlinear in its facets and a flag complex can
-    have exponentially many."""
-    if args.complex is not None:
-        n, facets = complexes.parse_fixture(_read_fixture(args.complex))
-        oracle.check_vertex_cap(n)
-        return complexes.SimplicialComplex.of(n, facets)
-    if args.graph6 is None:
-        raise MalformedInputError("either a graph6 argument or --complex FILE is required")
-    g = parse_graph6(args.graph6)
-    oracle.check_vertex_cap(g.n)
-    return complexes.flag_complex(complement(g))
+def _load_complex(path: str) -> complexes.SimplicialComplex:
+    """The oracle's `--complex` input; the vertex cap is checked before it is
+    built, because canonicalizing a fixture is superlinear in its facets."""
+    n, facets = complexes.parse_fixture(_read_fixture(path))
+    oracle.check_vertex_cap(n)
+    return complexes.SimplicialComplex.of(n, facets)
 
 
 def cmd_oracle(args) -> int:
-    cx = _load_complex(args)
-    table = oracle.hochster_betti(cx)
-    qf = complexes.as_quasi_forest(cx)
+    if args.complex is not None:
+        cx = _load_complex(args.complex)
+        table = oracle.hochster_betti(cx)
+        qfd = complexes.as_quasi_forest(cx).decomposition
+    elif args.graph6 is None:
+        raise MalformedInputError("either a graph6 argument or --complex FILE is required")
+    else:
+        # the graph kernel runs on the complement's rows, so the flag complex,
+        # which can have exponentially many facets, is never built
+        g = parse_graph6(args.graph6)
+        oracle.check_vertex_cap(g.n)
+        h = complement(g)
+        table = oracle._hochster_graph(g.n, h.rows)
+        qfd = chordal.decompose(h)[1]
     match = None
-    if qf.decomposition is not None:
-        formula = invariants.betti_from_numerator(
-            invariants.hilbert_from_decomposition(qf.decomposition)
-        )
+    if qfd is not None:
+        formula = invariants.betti_from_numerator(invariants.hilbert_from_decomposition(qfd))
         match = formula.entries == table.entries
     rec = {
         "n": table.n,

@@ -8,32 +8,40 @@ sum instead of being special-cased.
 Ground truth for everything the closed formulas claim; no quasi-forest
 assumptions are made here.  Subsets W are visited in increasing order, and
 the loop keeps what each W gave: its nonzero reduced homology ranks, or None
-when the restriction to W is Q-acyclic.  A W with a vertex v that can be
-deleted without changing any rank takes the result already found for W - v.
-Only a W with no such vertex, other than a single vertex, is keyed,
-relabelled onto 0..|W|-1, and exact homology runs only on a memo miss.
+when the restriction to W is Q-acyclic.  A W whose ranks follow from those
+of earlier subsets takes them from there.  Only a W for which no such rule
+fits, other than a single vertex, is keyed, relabelled onto 0..|W|-1, and
+exact homology runs only on a memo miss.
 
 One loop serves two kernels, and each passes it one step that does both
-for a W: the deletion test and, failing it, the key and the memo lookup.
+for a W: the reuse rules and, failing them, the key and the memo lookup.
 A flag complex, which is every complex the sweeps and `edgering oracle
-GRAPH6` build, runs on the graph H whose cliques are its faces.  The
+GRAPH6` run on, is given by the graph H whose cliques are its faces.  The
 restriction to W is the flag complex of H[W], and the link of v in it is
 the flag complex of H[N(v) & W], an earlier subset.  The restriction is
-that of W - v and the cone on the link, glued along the link; when the
-link is nonempty and Q-acyclic (its result is None), Mayer-Vietoris
-(Hatcher, Algebraic Topology, 2.2) gives it the ranks of W - v.  So the
-test is one lookup per vertex, and it covers every dominated vertex, whose
-link is a cone.  The key is the closed neighbourhood rows.  Any other
-complex runs on facet bitmasks, where a link is not a restriction: the
-facets of the restriction, the maximal nonempty f & W, are built once per
-W; v is dominated when those holding v share another vertex, and deleting
-it keeps the homotopy type (Barmak & Minian, DCG 47, 2012).  The key is
-those facets, sorted.
+that of W - v and the cone on the link, glued along the link, and
+Mayer-Vietoris (Hatcher, Algebraic Topology, 2.2) gives three rules, each
+one lookup per vertex:
+  - the link is nonempty and Q-acyclic (its result is None): W has the
+    ranks of W - v.  This covers every dominated vertex, whose link is a
+    cone, and settles almost every subset, so it is tried for every v
+    before the other two;
+  - W - v is Q-acyclic: W has the ranks of the link one dimension up (the
+    empty link has rank 1 in dimension -1);
+  - v is isolated and W - v is not empty: W has the ranks of W - v with one
+    more in dimension 0.
+The key is the closed neighbourhood rows.  Any other complex runs on facet
+bitmasks, where a link is not a restriction: the facets of the
+restriction, the maximal nonempty f & W, are built once per W; v is
+dominated when those holding v share another vertex, and deleting it keeps
+the homotopy type (Barmak & Minian, DCG 47, 2012).  The key is those
+facets, sorted.
 The two kernels keep separate memos, because a graph key and a facet key
 can be the same tuple of different complexes.  `hochster_betti` takes the
 graph kernel when the complex's facets are the maximal cliques of its
-1-skeleton.  The ground set is capped at n <= 14; a larger one raises
-UnsupportedSizeError (CLI exit 3).
+1-skeleton.  The ground set is capped at n <= 18 for the graph kernel and
+n <= 14 for the facet kernel; a larger one raises UnsupportedSizeError (CLI
+exit 3).
 """
 
 from __future__ import annotations
@@ -52,7 +60,10 @@ from .errors import InternalInvariantError, UnsupportedSizeError
 from .graphs import bits
 from .invariants import BettiTable
 
-ORACLE_VERTEX_CAP = 14
+# ground-set caps: the graph kernel serves graph input and flag complexes,
+# the facet kernel every other complex
+GRAPH_VERTEX_CAP = 18
+FACET_VERTEX_CAP = 14
 
 # graph kernel: compressed closed rows of a core -> nonzero reduced homology ranks
 _HOMOLOGY_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
@@ -72,10 +83,13 @@ class OracleBettiTable(BettiTable):
                 raise InternalInvariantError(f"impossible Betti position {(i, j)}")
 
 
-def check_vertex_cap(n: int) -> None:
-    """Raise UnsupportedSizeError for a ground set above the oracle's cap."""
-    if n > ORACLE_VERTEX_CAP:
-        raise UnsupportedSizeError(f"oracle capped at {ORACLE_VERTEX_CAP} vertices, got {n}")
+def check_vertex_cap(n: int, flag: bool = True) -> None:
+    """Raise UnsupportedSizeError for a ground set above the cap of the graph
+    kernel, or with `flag` false, of the facet kernel."""
+    cap = GRAPH_VERTEX_CAP if flag else FACET_VERTEX_CAP
+    if n > cap:
+        which = "" if flag else " for a complex that is not flag"
+        raise UnsupportedSizeError(f"oracle capped at {cap} vertices{which}, got {n}")
 
 
 def hochster_betti(c: SimplicialComplex) -> OracleBettiTable:
@@ -89,6 +103,7 @@ def hochster_betti(c: SimplicialComplex) -> OracleBettiTable:
     rows = one_skeleton(c).rows
     if set(facets) == set(_maximal_clique_masks(c.n, rows)):
         return _hochster_graph(c.n, rows)
+    check_vertex_cap(c.n, flag=False)
     return _hochster_masks(c.n, facets)
 
 
@@ -132,8 +147,11 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
     """Ranks of the flag complex of H[w].  The link of v in it is the flag
     complex of its neighbourhood in w, an earlier subset; when that is
     nonempty and Q-acyclic (None), w takes the result for w - v.  The empty
-    link, of an isolated v, is never None.  Otherwise the key is the closed
-    neighbourhood rows relabelled onto 0..|w|-1."""
+    link, of an isolated v, is never None.  Failing that for every v: when
+    w - v is Q-acyclic, w takes the link's ranks one dimension up, and when
+    v is isolated, the ranks of w - v with one more in dimension 0.
+    Otherwise the key is the closed neighbourhood rows relabelled onto
+    0..|w|-1."""
     m = w
     while m:
         v = m & -m
@@ -142,6 +160,18 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
             return at_subset[w ^ v]
     if w.bit_count() == 1:
         return None  # a point
+    # every link has a result here, so a shifted one is never empty; a
+    # separate pass keeps the one above lean
+    m = w
+    while m:
+        v = m & -m
+        m ^= v
+        rest = at_subset[w ^ v]
+        link = closed[v] & w ^ v
+        if rest is None:
+            return {dim + 1: h for dim, h in at_subset[link].items()}
+        if not link:
+            return {**rest, 0: rest.get(0, 0) + 1}
     # no generator here: it would make `closed` and `w` cells, slowing every call
     key = ()
     for u in bits(w):

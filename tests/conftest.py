@@ -499,6 +499,32 @@ def induced(g: Graph, keep) -> Graph:
     return Graph.from_edges(len(pos), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
 
 
+def assert_graph_memo_holds_cores() -> None:
+    """Every graph memo key is the closed rows of a graph H on 0..k-1, k != 1,
+    holding the nonzero reduced homology ranks of its flag complex, that none
+    of the Mayer-Vietoris deletions fits: no vertex is dominated, or
+    isolated, or has a nonempty Q-acyclic link (the flag complex of its
+    neighbourhood), or leaves a Q-acyclic restriction when deleted."""
+    from edgering.complexes import flag_complex
+    from edgering.oracle import _HOMOLOGY_MEMO
+
+    def acyclic(g: Graph) -> bool:
+        return not any(reduced_homology_ranks(flag_complex(g)).values())
+
+    for key, ranks in _HOMOLOGY_MEMO.items():
+        k = len(key)
+        assert k != 1
+        assert all(key[v] >> v & 1 for v in range(k))
+        assert not any(u != v and key[v] & ~key[u] == 0 for u in range(k) for v in range(k))
+        core = Graph(k, tuple(row ^ 1 << v for v, row in enumerate(key)))
+        nonzero = {d: h for d, h in reduced_homology_ranks(flag_complex(core)).items() if h}
+        assert ranks == nonzero
+        for v in range(k):
+            link = core.neighbors(v)
+            assert link and not acyclic(induced(core, link))
+            assert not acyclic(induced(core, [u for u in range(k) if u != v]))
+
+
 def raised(f, *args):
     """(exception class, message) that f(*args) raises, or None."""
     try:

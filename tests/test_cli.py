@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from edgering import chordal, cli, complexes, conjecture, invariants
+from edgering import chordal, cli, complexes, conjecture, invariants, oracle
 from edgering.cli import main
 from edgering.errors import (
     InternalInvariantError,
@@ -24,6 +24,7 @@ from edgering.errors import (
 from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
 from edgering.oracle import clear_memo, hochster_betti, oracle_is_2linear, oracle_pd
 from edgering.complexes import flag_complex
+from edgering.conjecture import build_family
 
 
 C4_G6 = to_graph6(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
@@ -292,12 +293,43 @@ class TestOracle:
         assert rec["betti"] == [[0, 0, 1], [1, 3, 1]]
 
     def test_size_cap_exit_3(self, capsys):
-        g6 = to_graph6(Graph(15, (0,) * 15))
+        g6 = to_graph6(Graph(19, (0,) * 19))
         assert main(["oracle", g6]) == 3
+        assert capsys.readouterr().err == "error: oracle capped at 18 vertices, got 19\n"
+
+    def test_non_flag_complex_cap_exit_3(self, tmp_path, capsys):
+        # the hollow triangle and isolated vertices run the facet kernel
+        path = tmp_path / "hollow15.cx"
+        path.write_text("15\n0 1\n1 2\n0 2\n" + "".join(f"{v}\n" for v in range(3, 15)))
+        assert main(["oracle", "--complex", str(path)]) == 3
+        assert capsys.readouterr().err == "error: oracle capped at 14 vertices for a complex that is not flag, got 15\n"
+
+    @pytest.mark.parametrize(
+        "g6", ["Cl", "Frqa_", to_graph6(build_family("barbell", 4))], ids=["C4", "Frqa_", "barbell"]
+    )
+    def test_graph_path_builds_no_complex(self, monkeypatch, tmp_path, capsys, g6):
+        # graph input runs the graph kernel on the complement's rows and takes
+        # match from its decomposition; the output is that of the flag complex
+        path = tmp_path / "flag.cx"
+        path.write_text(complexes.format_complex(flag_complex(complement(parse_graph6(g6)))))
+        assert main(["oracle", "--complex", str(path)]) == 0
+        expected = capsys.readouterr().out
+
+        def never(*args):
+            raise AssertionError("graph input went through a complex")
+
+        monkeypatch.setattr(complexes, "flag_complex", never)
+        monkeypatch.setattr(complexes, "as_quasi_forest", never)
+        monkeypatch.setattr(oracle, "hochster_betti", never)
+        assert main(["oracle", g6]) == 0
+        assert capsys.readouterr().out == expected
+        if g6 != "Frqa_":
+            assert json.loads(expected)["match"] is True
+        assert main(["oracle", "?"]) == 2
 
     def test_fourteen_vertices_match(self, capsys):
-        # the cap: a chordal complement (a path of triangles and a pendant
-        # tail) on 14 vertices is still checked against the formulas
+        # a chordal complement (a path of triangles and a pendant tail) on 14
+        # vertices is checked against the formulas
         h = Graph.from_edges(14, [(i, i + 1) for i in range(13)] + [(i, i + 2) for i in range(0, 8)])
         assert main(["oracle", to_graph6(complement(h))]) == 0
         rec = json.loads(capsys.readouterr().out)
@@ -309,8 +341,7 @@ class TestOracle:
         # I(G) of a matching of k edges is a complete intersection of k
         # quadrics, resolved by the Koszul complex: beta_(i,2i) = C(k, i) and
         # nothing else.  Its independence complex is the cross-polytope, a
-        # sphere with no dominated vertex, whose boundary maps are the largest
-        # the oracle meets at the cap.
+        # sphere with no dominated vertex and no acyclic link.
         k = 7
         clear_memo()
         assert main(["oracle", to_graph6(Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]))]) == 0
@@ -320,8 +351,8 @@ class TestOracle:
         assert rec["pd"] == k and rec["two_linear"] is False
 
     def test_complex_cap_before_canonical_facets(self, monkeypatch, tmp_path, capsys):
-        path = tmp_path / "path15.cx"
-        path.write_text("15\n" + "".join(f"{i} {i + 1}\n" for i in range(14)))
+        path = tmp_path / "path19.cx"
+        path.write_text("19\n" + "".join(f"{i} {i + 1}\n" for i in range(18)))
 
         def never(facets):
             raise AssertionError("complex canonicalized above the oracle cap")
@@ -329,10 +360,10 @@ class TestOracle:
         with monkeypatch.context() as m:
             m.setattr(complexes, "_canonical_facets", never)
             assert main(["oracle", "--complex", str(path)]) == 3
-        assert capsys.readouterr().err == "error: oracle capped at 14 vertices, got 15\n"
+        assert capsys.readouterr().err == "error: oracle capped at 18 vertices, got 19\n"
         # decompose has no vertex cap
         assert main(["decompose", "--complex", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 15
+        assert json.loads(capsys.readouterr().out)["n"] == 19
 
     def test_size_cap_before_flag_complex(self, monkeypatch, capsys):
         # the complement of 10 disjoint triangles has 3^10 maximal cliques
@@ -344,7 +375,7 @@ class TestOracle:
 
         monkeypatch.setattr(complexes, "flag_complex", never)
         assert main(["oracle", to_graph6(triangles)]) == 3
-        assert capsys.readouterr().err == "error: oracle capped at 14 vertices, got 30\n"
+        assert capsys.readouterr().err == "error: oracle capped at 18 vertices, got 30\n"
 
     def test_missing_input(self, capsys):
         assert main(["oracle"]) == 2

@@ -28,6 +28,7 @@ from edgering.errors import MalformedInputError
 from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, bits, complement, parse_graph6, to_graph6
 from edgering.invariants import _numerator
 from conftest import (
+    assert_graph_memo_holds_cores,
     chordal_graph,
     raised,
     random_quasi_forest_facets,
@@ -211,13 +212,17 @@ def test_decomposition_checks_on_valid_and_mutated(rng):
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=9), st.booleans())
 def test_graph_kernel_matches_facet_kernel(g, cold):
-    """From an empty memo, or one kept warm across examples."""
+    """From an empty memo, or one kept warm across examples.  From an empty
+    memo, the graph kernel keys only subsets that none of its three
+    Mayer-Vietoris cases settles."""
     if cold:
         oracle.clear_memo()
     cliques = _maximal_clique_masks(g.n, g.rows)
     expected = ref_hochster_masks(g.n, cliques)
     assert oracle._hochster_masks(g.n, cliques).entries == expected
     assert oracle._hochster_graph(g.n, g.rows).entries == expected
+    if cold:
+        assert_graph_memo_holds_cores()
     facet_keys = len(oracle._FACET_MEMO)
     assert oracle.hochster_betti(flag_complex(g)).entries == expected
     assert len(oracle._FACET_MEMO) == facet_keys  # a flag complex takes the graph kernel

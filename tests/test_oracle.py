@@ -22,7 +22,14 @@ from edgering.oracle import (
     oracle_is_2linear,
     oracle_pd,
 )
-from conftest import ACYCLIC_LINK_H, induced, random_graph, ref_hochster_masks, restriction_sum
+from conftest import (
+    ACYCLIC_LINK_H,
+    assert_graph_memo_holds_cores,
+    induced,
+    random_graph,
+    ref_hochster_masks,
+    restriction_sum,
+)
 
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -162,21 +169,28 @@ class TestMemoization:
         clear_memo()
         c = SimplicialComplex.of(1 + max(map(max, facets)), facets)
         assert hochster_betti(c).entries == restriction_sum(c)
-        # every complex here is flag, so the graph kernel filled the memo with
-        # closed neighbourhood rows of cores relabelled onto 0..k-1
-        for key, ranks in _HOMOLOGY_MEMO.items():
-            k = len(key)
-            assert k != 1
-            assert all(key[v] >> v & 1 for v in range(k))
-            assert not any(u != v and key[v] & ~key[u] == 0 for u in range(k) for v in range(k))
-            core = Graph(k, tuple(row ^ 1 << v for v, row in enumerate(key)))
-            nonzero = {d: h for d, h in reduced_homology_ranks(flag_complex(core)).items() if h}
-            assert {d: h for d, h in ranks.items() if h} == nonzero
-            # nor a vertex whose link, the flag complex of its neighbourhood,
-            # is nonempty and Q-acyclic
-            for v in range(k):
-                link = core.neighbors(v)
-                assert not link or any(reduced_homology_ranks(flag_complex(induced(core, link))).values())
+        # every complex here is flag, so the graph kernel filled the memo
+        assert_graph_memo_holds_cores()
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            # the complement of a perfect matching: its flag complex is the
+            # boundary of the cross-polytope, whose restrictions to unions of
+            # pairs are spheres; W - v is then a cone, and W takes the link's
+            # ranks one dimension up
+            complement(Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])),
+            # chordal: a connected H[W] has a simplicial vertex, whose link is
+            # a simplex, and a disconnected one is points or has such a vertex
+            Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (6, 7)]),
+        ],
+        ids=["cross-polytope", "chordal"],
+    )
+    def test_only_the_empty_subset_is_keyed(self, h):
+        clear_memo()
+        table = oracle._hochster_graph(h.n, h.rows)
+        assert list(_HOMOLOGY_MEMO) == [()]
+        assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
 
     def test_acyclic_link_without_domination_is_not_keyed(self):
         # no vertex of H is dominated, so a domination search keys all of
@@ -207,7 +221,13 @@ class TestMemoization:
         assert len(calls) <= 1 << n
 
     def test_size_cap(self):
-        hochster_betti(SimplicialComplex.of(14, [[v] for v in range(14)]))
-        big = SimplicialComplex.of(15, [[v] for v in range(15)])
-        with pytest.raises(UnsupportedSizeError):
-            hochster_betti(big)
+        # 18 vertices for a flag complex, here a simplex, and 14 for any other
+        # complex, here the hollow triangle and isolated vertices
+        assert hochster_betti(SimplicialComplex.of(18, [range(18)])).entries == {}
+        with pytest.raises(UnsupportedSizeError, match="^oracle capped at 18 vertices, got 19$"):
+            hochster_betti(SimplicialComplex.of(19, [range(19)]))
+        hollow = [[0, 1], [1, 2], [0, 2]]
+        assert hochster_betti(SimplicialComplex.of(14, hollow + [[v] for v in range(3, 14)])).entries
+        not_flag = "^oracle capped at 14 vertices for a complex that is not flag, got 15$"
+        with pytest.raises(UnsupportedSizeError, match=not_flag):
+            hochster_betti(SimplicialComplex.of(15, hollow + [[v] for v in range(3, 15)]))

@@ -21,9 +21,6 @@ import random
 from itertools import combinations
 from pathlib import Path
 
-import pytest
-
-from edgering import oracle
 from edgering.cli import main
 from edgering.complexes import flag_complex, one_skeleton, parse_complex
 from edgering.conjecture import build_family
@@ -79,7 +76,7 @@ def golden_inputs() -> list[dict]:
         inputs.append({"complex": complex_text(n, facets)})
     for n, k in SKELETONS:
         inputs.append({"complex": complex_text(n, combinations(range(n), k))})
-    # up to the vertex cap, from their own stream so the lines above keep theirs
+    # from their own stream, so the lines above keep theirs
     inputs.append({"graph6": FRQA})
     cap_rng = random.Random("oracle_golden_cap")
     inputs += [{"graph6": gnp_graph6(cap_rng, n, p)} for n in (13, 14) for p in (0.25, 0.4)]
@@ -100,9 +97,7 @@ def run_oracle(item: dict, tmp_dir: Path) -> tuple[int, str]:
         path.write_text(item["complex"])
         argv = ["oracle", "--complex", str(path)]
     out = io.StringIO()
-    # the n = 15..18 lines are recorded with the cap of 14 lifted
-    with contextlib.redirect_stdout(out), pytest.MonkeyPatch.context() as m:
-        m.setattr(oracle, "ORACLE_VERTEX_CAP", 18)
+    with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
 

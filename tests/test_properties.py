@@ -35,7 +35,7 @@ from edgering.errors import EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
 from edgering.oracle import _facet_step, _graph_step, hochster_betti, oracle_is_2linear, oracle_pd
-from conftest import ACYCLIC_LINK_H, induced
+from conftest import ACYCLIC_LINK_H, chordal_graph, induced
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -198,6 +198,20 @@ def test_oracle_agrees_with_classify(g):
         _, qfd = decompose(complement(g))
         assert table.entries == betti_from_numerator(hilbert_from_decomposition(qfd)).entries
         assert oracle_pd(table) == report.pd
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(15, 18), st.floats(0, 1), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_oracle_confirms_the_formulas_up_to_the_cap(n, full_p, components, rnd):
+    """For G with a chordal complement on 15 to 18 vertices, `edgering
+    oracle` finds the Betti table of the formulas and classify's pd."""
+    g = complement(chordal_graph(rnd, n, full_p, components))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["oracle", to_graph6(g)]) == 0
+    rec = json.loads(out.getvalue())
+    assert rec["n"] == n and rec["match"] is True and rec["two_linear"] is True
+    assert rec["pd"] == classify(g).pd
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
