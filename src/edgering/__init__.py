@@ -39,9 +39,11 @@ from .complexes import (
 )
 from .conjecture import (
     ConjectureReport,
+    FormulaRecord,
     build_family,
     classify,
     family_report,
+    formulas,
     free_vertex_witness,
     gap_series,
 )
@@ -66,13 +68,11 @@ from .graphs import (
 from .invariants import (
     BettiTable,
     HilbertSeries,
-    InvariantReport,
     betti_from_numerator,
     d_tree_signature,
     depth,
     hilbert_from_decomposition,
     hilbert_from_fvector,
-    invariant_report,
     is_cm,
     krull_dim,
     projective_dimension,
@@ -89,10 +89,10 @@ __all__ = [
     "ContractViolationError",
     "EdgeRingError",
     "FVector",
+    "FormulaRecord",
     "Graph",
     "HilbertSeries",
     "InternalInvariantError",
-    "InvariantReport",
     "MalformedInputError",
     "NotChordal",
     "NotTwoLinearError",
@@ -115,13 +115,13 @@ __all__ = [
     "family_report",
     "flag_complex",
     "format_complex",
+    "formulas",
     "free_vertex_witness",
     "free_vertices",
     "gap_series",
     "hilbert_from_decomposition",
     "hilbert_from_fvector",
     "hochster_betti",
-    "invariant_report",
     "is_chordal",
     "is_cm",
     "krull_dim",

@@ -40,6 +40,7 @@ from .errors import (
 from .graphs import (
     ENUMERATION_CAP,
     Graph,
+    bits,
     complement,
     max_degree,
     parse_edge_list,
@@ -70,34 +71,34 @@ def analyze_record(g: Graph) -> dict:
     rec["n"] = g.n
     rec["max_deg"] = max_degree(g)
     rec["notes"] = []
+    rec["input"] = to_graph6(g)
     res, qfd = chordal.decompose(complement(g))
     if qfd is None:
-        rec["input"] = to_graph6(g)
         rec["complement_chordal"] = False
         rec["chordless_cycle"] = list(res.cycle)
         return rec
-    rec["complement_chordal"] = True
-    rec["facets"] = [sorted(f) for f in qfd.facets]
-    rec["d"] = list(qfd.dims)
-    rec["r"] = list(qfd.attach_dims)
-    rec["r_min"] = qfd.r_min
-    series = invariants.hilbert_from_decomposition(qfd)
-    rec["hilbert_numerator"] = list(series.numerator)
-    table = invariants.betti_from_numerator(series)
-    rec["betti"] = [[i, j, v] for (i, j), v in table.items()]
-    rec["pd"] = invariants.projective_dimension(qfd)
-    rec["depth"] = invariants.depth(qfd)
-    rec["dim"] = invariants.krull_dim(qfd)
-    rec["cm"] = invariants.is_cm(qfd)
-    sig = invariants.d_tree_signature(qfd)
-    rec["d_tree"] = list(sig) if sig is not None else None
-    report = conjecture.report_from_decomposition(g, qfd)
-    rec["input"] = report.graph6
-    rec["conjecture_holds"] = report.holds
-    rec["gap"] = report.gap
-    if report.witness is not None:
-        facet, vertex = report.witness
-        rec["witness"] = {"facet": sorted(facet), "vertex": vertex}
+    f = conjecture.formulas(g.n, [sum(1 << v for v in facet) for facet in qfd.facets], rec["max_deg"])
+    # the record does not check itself; analyze checks what it prints
+    num = invariants._checked_numerator(f.numerator, g.n, f.r_min)
+    betti = invariants._linear_strand(num)
+    if any(v < 0 for v in betti.values()):
+        raise InternalInvariantError("negative Betti number; the numerator is not 2-linear")
+    if f.cm != (f.depth == f.dim):
+        raise InternalInvariantError("CM structural test disagrees with depth = dim")
+    if f.witness is not None and not f.holds:
+        raise InternalInvariantError(
+            f"witness exists but pd {f.pd} != max degree {rec['max_deg']} for {rec['input']}"
+        )
+    rec.update(
+        complement_chordal=True, facets=[sorted(facet) for facet in qfd.facets], d=list(f.dims),
+        r=list(f.attach_dims), r_min=f.r_min, hilbert_numerator=list(num),
+        betti=[[i, j, v] for (i, j), v in betti.items()], pd=f.pd, depth=f.depth, dim=f.dim, cm=f.cm,
+        d_tree=sorted(f.dims, reverse=True) if f.d_tree else None, conjecture_holds=f.holds,
+        gap=f.pd - rec["max_deg"],
+    )
+    if f.witness is not None:
+        facet, vertex = f.witness
+        rec["witness"] = {"facet": list(bits(facet)), "vertex": vertex}
     return rec
 
 

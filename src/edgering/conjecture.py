@@ -5,19 +5,22 @@ resolution, which holds exactly when the complement of G is chordal; the
 edge ring is then the Stanley-Reisner ring of the quasi-forest built from
 the complement's maximal cliques, and pd comes from the closed formula.
 
-The verdict is always the direct comparison pd == max_deg.  The structural
-witness (a free vertex in a facet of size r_min + 2 attached to the rest
-along all of its other vertices) is computed independently; witness implies
-holds is asserted on every call, and the converse is exercised exhaustively
-by the test suite rather than assumed.
+`formulas` computes every closed formula for one graph on facet masks and
+returns one `FormulaRecord`; `classify`, `edgering analyze` and the sweeps
+all read it.  The verdict is always the direct comparison pd == max_deg.
+The structural witness (a free vertex in a facet of size r_min + 2 attached
+to the rest along all of its other vertices) is computed independently;
+`classify` and `analyze` assert that witness implies holds, and the converse
+is exercised exhaustively by the sweeps rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import chordal, invariants
-from .chordal import QuasiForestDecomposition
+from .chordal import _attachment_sizes
 from .complexes import SimplicialComplex, _position_masks
 from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
 from .graphs import Graph, bits, complement, max_degree, to_graph6
@@ -49,6 +52,10 @@ class ConjectureReport:
                 raise InternalInvariantError("gap != pd - max_deg")
             if self.holds != (self.pd == self.max_deg):
                 raise InternalInvariantError("holds flag inconsistent with pd and max_deg")
+            if self.witness is not None and not self.holds:
+                raise InternalInvariantError(
+                    f"witness exists but pd {self.pd} != max degree {self.max_deg} for {self.graph6}"
+                )
 
 
 def _free_vertex_witness_masks(facets, r_min: int) -> tuple[int, int] | None:
@@ -91,41 +98,64 @@ def free_vertex_witness(
     return c.facets[masks.index(f)], c.vertices[v]
 
 
+class FormulaRecord(NamedTuple):
+    """The closed-form quasi-forest invariants of one graph, on facet masks.
+
+    numerator is untrimmed (n + 1 coefficients over (1-t)^n); d_tree is the
+    existence of a d-tree ordering; witness is (facet mask, free vertex) or
+    None, and always None for a single facet.  A plain tuple with no checks:
+    each caller checks what it needs.
+    """
+
+    dims: tuple[int, ...]
+    attach_dims: tuple[int, ...]
+    r_min: int | None
+    numerator: tuple[int, ...]
+    pd: int
+    depth: int
+    dim: int
+    cm: bool
+    d_tree: bool
+    witness: tuple[int, int] | None
+    holds: bool
+
+
+def formulas(n: int, facets: list[int], max_deg: int) -> FormulaRecord:
+    """The record of a graph G of maximum degree max_deg on n vertices, from
+    the facet masks of its complement's quasi-forest in a quasi-forest
+    ordering, such as the MCS order of `chordal.decompose`.
+
+    The one place that composes the `invariants` formulas and the witness.
+    """
+    dims = tuple([f.bit_count() - 1 for f in facets])
+    attach_dims = tuple([a - 1 for a in _attachment_sizes(facets)])
+    r_min = min(attach_dims) if attach_dims else None
+    pd, depth = invariants._pd_depth(n, len(facets), r_min)
+    dim = invariants._krull_dim(dims)
+    return FormulaRecord(
+        dims, attach_dims, r_min, tuple(invariants._numerator(n, dims, attach_dims)), pd, depth, dim,
+        invariants._cm_structural(dims, attach_dims), invariants._d_tree_exists(n, len(facets), dim),
+        None if r_min is None else _free_vertex_witness_masks(facets, r_min), pd == max_deg,
+    )
+
+
 def classify(g: Graph) -> ConjectureReport:
     """Full pipeline: complement, chordality, decomposition, formula pd, verdict."""
     _, qfd = chordal.decompose(complement(g))
     if qfd is None:
         return ConjectureReport(graph6=to_graph6(g), has_2linear=False)
-    return report_from_decomposition(g, qfd)
-
-
-def report_from_decomposition(g: Graph, qfd: QuasiForestDecomposition) -> ConjectureReport:
-    """Verdict for a graph whose complement's quasi-forest decomposition is already built."""
-    g6 = to_graph6(g)
-    pd = invariants.projective_dimension(qfd)
     md = max_degree(g)
-    holds = pd == md
-    single = qfd.k == 1
-    witness = None
-    if not single:
-        found = _free_vertex_witness_masks(
-            [sum(1 << v for v in f) for f in qfd.facets], qfd.r_min
-        )
-        if found is not None:
-            witness = (frozenset(bits(found[0])), found[1])
-            if not holds:
-                raise InternalInvariantError(
-                    f"witness exists but pd {pd} != max degree {md} for {g6}"
-                )
+    rec = formulas(g.n, [sum(1 << v for v in facet) for facet in qfd.facets], md)
+    witness = rec.witness and (frozenset(bits(rec.witness[0])), rec.witness[1])
     return ConjectureReport(
-        graph6=g6,
+        graph6=to_graph6(g),
         has_2linear=True,
-        single_facet=single,
-        r_min=qfd.r_min,
-        pd=pd,
+        single_facet=qfd.k == 1,
+        r_min=rec.r_min,
+        pd=rec.pd,
         max_deg=md,
-        holds=holds,
-        gap=pd - md,
+        holds=rec.holds,
+        gap=rec.pd - md,
         witness=witness,
     )
 

@@ -152,21 +152,22 @@ def _fvector_numerator(counts, n: int) -> list[int]:
     return coeffs
 
 
+def _checked_numerator(coeffs, n: int, r_min: int | None) -> tuple[int, ...]:
+    """The trimmed numerator of a quasi-forest's series, checked to start
+    1 + 0t and to have degree n - r_min - 1, or 0 for a single facet."""
+    num = _trim(list(coeffs))
+    if num[0] != 1 or coeffs[1]:
+        raise InternalInvariantError("Hilbert numerator must start 1 + 0t")
+    expected = 0 if r_min is None else n - r_min - 1
+    if len(num) - 1 != expected:
+        raise InternalInvariantError(f"numerator degree {len(num) - 1} != n - r_min - 1 = {expected}")
+    return num
+
+
 def hilbert_from_decomposition(qfd: QuasiForestDecomposition) -> HilbertSeries:
     """Expand the facet/attachment series over (1-t)^n with exact binomials."""
-    n = qfd.n
-    series = HilbertSeries(tuple(_numerator(n, qfd.dims, qfd.attach_dims)), n)
-    if series.coefficient(0) != 1:
-        raise InternalInvariantError("Hilbert numerator must start at 1")
-    if qfd.k >= 2:
-        expected_degree = n - min(qfd.attach_dims) - 1
-        if series.degree != expected_degree:
-            raise InternalInvariantError(
-                f"numerator degree {series.degree} != n - r_min - 1 = {expected_degree}"
-            )
-    elif series.numerator != (1,):
-        raise InternalInvariantError("single facet must give numerator 1")
-    return series
+    coeffs = _numerator(qfd.n, qfd.dims, qfd.attach_dims)
+    return HilbertSeries(_checked_numerator(coeffs, qfd.n, qfd.r_min), qfd.n)
 
 
 def hilbert_from_fvector(fv: "FVector", n: int) -> HilbertSeries:
@@ -264,38 +265,3 @@ def _d_tree_exists(n: int, k: int, largest: int) -> bool:
     """The d-tree criterion of `d_tree_signature` on n vertices, k facets and
     a largest facet of `largest` vertices."""
     return largest == n - k + 1
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """All ring invariants of one decomposition, mutually cross-checked."""
-
-    n: int
-    k: int
-    r_min: int | None
-    pd: int
-    depth: int
-    krull_dim: int
-    is_cm: bool
-    d_tree: tuple[int, ...] | None
-
-    def __post_init__(self) -> None:
-        if self.pd + self.depth != self.n:
-            raise InternalInvariantError("pd + depth != n (Auslander-Buchsbaum)")
-        if self.depth > self.krull_dim:
-            raise InternalInvariantError("depth exceeds Krull dimension")
-        if self.is_cm != (self.depth == self.krull_dim):
-            raise InternalInvariantError("CM flag inconsistent with depth/dimension")
-
-
-def invariant_report(qfd: QuasiForestDecomposition) -> InvariantReport:
-    return InvariantReport(
-        n=qfd.n,
-        k=qfd.k,
-        r_min=qfd.r_min,
-        pd=projective_dimension(qfd),
-        depth=depth(qfd),
-        krull_dim=krull_dim(qfd),
-        is_cm=is_cm(qfd),
-        d_tree=d_tree_signature(qfd),
-    )

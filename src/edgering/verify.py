@@ -9,14 +9,14 @@ entry by entry.
 
 The per-graph worker operates on bitmask rows throughout and computes no
 formula of its own: it takes the facets of `chordal` (the maximal cliques
-in MCS order) and their attachment sizes, the Hilbert numerator, its Betti
-read-off, pd, depth, Krull dimension, the CM test and the d-tree rule from
-`invariants` and the free-vertex witness from `conjecture`, the same
-functions that `analyze`, `survey` and `classify` reach.  It checks them
-against references computed apart from them: brute-force induced cycles,
-the numerator of the f-vector series and, in the oracle variant, the
-Hochster Betti table, which the oracle's graph kernel computes straight
-from the complement's adjacency rows.  Chunks of the edge-mask range can
+in MCS order) and hands them to `conjecture.formulas`, the one function
+that `analyze`, `survey` and `classify` also call, and compares the fields
+of its record with references computed apart from it: brute-force induced
+cycles, the numerator of the f-vector series and, in the oracle variant,
+the Hochster Betti table, which the oracle's graph kernel computes straight
+from the complement's adjacency rows and which is compared with the Betti
+numbers read off the record's numerator.  Every failed comparison is
+recorded as a violation, not raised.  Chunks of the edge-mask range can
 be processed by a worker pool; results merge deterministically in mask
 order, so the outcome is identical for every worker count.
 """
@@ -28,19 +28,11 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
-from .chordal import _attachment_sizes, _clique_masks_from_peo, _first_peo_violation, _mcs_order
+from . import conjecture
+from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order
 from .complexes import _faces_by_size, _maximal_clique_masks
 from .graphs import Graph, rows_from_edge_mask, to_graph6
-from .conjecture import _free_vertex_witness_masks
-from .invariants import (
-    _cm_structural,
-    _d_tree_exists,
-    _fvector_numerator,
-    _krull_dim,
-    _linear_strand,
-    _numerator,
-    _pd_depth,
-)
+from .invariants import _fvector_numerator, _linear_strand
 from .oracle import _hochster_graph, oracle_is_2linear, oracle_pd
 
 VIOLATION_KINDS = (
@@ -141,6 +133,7 @@ def _to_g6(n: int, mask: int) -> str:
 
 def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult:
     """Process edge masks start..stop-1; pure function of its arguments."""
+    formulas = conjecture.formulas  # the record analyze and classify build, bound once per chunk
     res = SweepResult(n)
     counts = res.counts
     vio = res.violations
@@ -167,50 +160,45 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         facets = _clique_masks_from_peo(n, crow, elim)
         if with_oracle and set(facets) != set(complex_facets):
             vio["clique_paths_disagree"].append(_to_g6(n, mask))
-        attach = _attachment_sizes(facets)
-        k = len(facets)
-        dims = [f.bit_count() - 1 for f in facets]
-        attach_dims = [size - 1 for size in attach]
-        r_min = min(attach_dims) if attach_dims else None
-        num = _numerator(n, dims, attach_dims)
+        f = formulas(n, facets, max(r.bit_count() for r in rows))
+        num = f.numerator
         fnum = _fvector_numerator([len(g) for g in _faces_by_size(facets)], n)
-        if num != fnum:
+        if num != tuple(fnum):
             vio["hilbert_mismatch"].append(_to_g6(n, mask))
         deg = n
         while deg > 0 and num[deg] == 0:
             deg -= 1
-        if k >= 2 and deg != n - r_min - 1:
+        k = len(facets)
+        if k >= 2 and deg != n - f.r_min - 1:
             vio["numerator_degree"].append(_to_g6(n, mask))
-        pd, depth_val = _pd_depth(n, k, r_min)
-        holds = pd == max(r.bit_count() for r in rows)
+        holds = f.holds
         counts["holds"] += holds
         counts["fails"] += not holds
         if k == 1:
             counts["single_facet"] += 1
-        cm = _cm_structural(dims, attach_dims)
-        if cm != (depth_val == _krull_dim(dims)):
+        if f.cm != (f.depth == f.dim):
             vio["cm_inconsistent"].append(_to_g6(n, mask))
-        if cm:
+        if f.cm:
             counts["cm"] += 1
             if not holds:
                 vio["cm_not_holds"].append(_to_g6(n, mask))
         if k >= 2:
-            witness = _free_vertex_witness_masks(facets, r_min) is not None
+            witness = f.witness is not None
             counts["witness"] += witness
             if witness != holds:
                 vio["witness_equivalence"].append(_to_g6(n, mask))
-        if any(f.bit_count() == 1 for f in facets):
+        if 0 in f.dims:
             counts["isolated"] += 1
             if not holds:
                 vio["isolated_not_holds"].append(_to_g6(n, mask))
-        if _d_tree_exists(n, k, max(dims) + 1):
+        if f.d_tree:
             counts["dtree"] += 1
             if not holds:
                 vio["dtree_not_holds"].append(_to_g6(n, mask))
         if with_oracle:
             if _linear_strand(num) != table.entries:
                 vio["betti_mismatch"].append(_to_g6(n, mask))
-            if depth_val + oracle_pd(table) != n:
+            if f.depth + oracle_pd(table) != n:
                 vio["ab_identity"].append(_to_g6(n, mask))
             _check_knum(n, table, fnum, vio, mask)
     return res

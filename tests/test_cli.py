@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from edgering import chordal, cli, complexes, conjecture, invariants, oracle
+from edgering import chordal, cli, complexes, conjecture, invariants, oracle, verify
 from edgering.cli import main
 from edgering.errors import (
     InternalInvariantError,
@@ -48,7 +48,7 @@ def run_cli(args, stdin=""):
     return proc
 
 
-def simulated_bug(g):
+def simulated_bug(*args):
     raise InternalInvariantError("simulated bug")
 
 
@@ -397,7 +397,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "module, name, argv",
         [
-            (conjecture, "report_from_decomposition", ["analyze", C4_G6]),
+            (conjecture, "formulas", ["analyze", C4_G6]),
             # called after the oracle's table is computed
             (invariants, "hilbert_from_decomposition", ["oracle", C4_G6]),
             (chordal, "decompose", ["decompose", C4_G6]),
@@ -411,6 +411,14 @@ class TestExitCodes:
         monkeypatch.setattr(module, name, raising)
         assert main(argv) == code
         assert capsys.readouterr() == ("", f"{prefix}simulated\n")
+
+    def test_analyze_and_sweep_share_the_formula_record(self, monkeypatch, capsys):
+        # one patched function breaks both, so neither has a formula path of its own
+        monkeypatch.setattr(conjecture, "formulas", simulated_bug)
+        assert main(["analyze", C4_G6]) == 5
+        assert capsys.readouterr() == ("", "internal error: simulated bug\n")
+        with pytest.raises(InternalInvariantError, match="simulated bug"):
+            verify.sweep_chunk(4, 0, 64, False)
 
     @pytest.mark.parametrize("command", ["oracle", "decompose"])
     def test_unreadable_complex_file(self, tmp_path, capsys, command):

@@ -1,18 +1,28 @@
 import pytest
 
+from edgering.chordal import decompose
 from edgering.complexes import SimplicialComplex, flag_complex
 from edgering.conjecture import (
     KRR_GAP_NOTE,
     build_family,
     classify,
     family_report,
+    formulas,
     free_vertex_witness,
     gap_series,
 )
 from edgering.errors import ContractViolationError, UndefinedInputError
-from edgering.graphs import Graph, complement, max_degree, to_graph6
+from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
+from edgering.invariants import (
+    d_tree_signature,
+    depth,
+    hilbert_from_decomposition,
+    is_cm,
+    krull_dim,
+    projective_dimension,
+)
 from edgering.oracle import hochster_betti, oracle_pd
-from conftest import random_graph
+from conftest import chordal_graph, random_graph
 
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -77,6 +87,30 @@ class TestClassify:
 
     def test_graph6_matches_input(self):
         assert classify(C4).graph6 == to_graph6(C4)
+
+
+class TestFormulaRecord:
+    def test_consistency(self, rng):
+        """The record agrees with the per-decomposition views, with classify
+        and with itself (Auslander-Buchsbaum, CM iff depth = dim)."""
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            g = complement(chordal_graph(rng, n, rng.random(), rng.randint(1, min(n, 3))))
+            _, qfd = decompose(complement(g))
+            rec = formulas(n, [sum(1 << v for v in f) for f in qfd.facets], max_degree(g))
+            assert (rec.dims, rec.attach_dims, rec.r_min) == (qfd.dims, qfd.attach_dims, qfd.r_min)
+            series = hilbert_from_decomposition(qfd)
+            assert len(rec.numerator) == n + 1
+            assert rec.numerator[: len(series.numerator)] == series.numerator
+            assert (rec.pd, rec.depth, rec.dim) == (projective_dimension(qfd), depth(qfd), krull_dim(qfd))
+            assert rec.pd + rec.depth == n
+            assert rec.cm == is_cm(qfd) == (rec.depth == rec.dim)
+            assert rec.d_tree == (d_tree_signature(qfd) is not None)
+            assert (rec.r_min is None) == (qfd.k == 1)
+            rep = classify(g)
+            assert (rec.pd, rec.holds) == (rep.pd, rep.holds)
+            witness = rec.witness and (frozenset(bits(rec.witness[0])), rec.witness[1])
+            assert witness == rep.witness
 
 
 class TestFreeVertexWitness:

@@ -12,7 +12,6 @@ from edgering.invariants import (
     depth,
     hilbert_from_decomposition,
     hilbert_from_fvector,
-    invariant_report,
     is_cm,
     krull_dim,
     projective_dimension,
@@ -202,16 +201,6 @@ class TestDTreeSignature:
                 assert got == tuple(sorted(qfd.dims, reverse=True))
             checked += 1
         assert checked > 150
-
-
-class TestInvariantReport:
-    def test_consistency(self, rng):
-        for _ in range(100):
-            qfd = qfd_of(random_quasi_forest_facets(rng, max_n=8))
-            rep = invariant_report(qfd)
-            assert rep.pd + rep.depth == rep.n
-            assert rep.is_cm == (rep.depth == rep.krull_dim)
-            assert (rep.r_min is None) == (rep.k == 1)
 
 
 class TestBettiTable:

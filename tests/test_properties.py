@@ -3,7 +3,8 @@ canonicalization against its set-inclusion definition, chordality of the
 complement against networkx as one more independent recognizer, the deletion
 of a dominated vertex, or of a vertex with an acyclic link in a flag complex,
 against uncollapsed homology, the Hochster oracle against a sum over
-restricted complexes and against the closed formulas, and the CLI on random
+restricted complexes and against the closed formulas, pd and the verdict
+against the vertex connectivity of the complement, and the CLI on random
 argument lists."""
 
 import contextlib
@@ -19,7 +20,7 @@ import networkx as nx
 from hypothesis import example, given, settings, strategies as st
 
 from edgering.chordal import decompose
-from edgering.cli import main
+from edgering.cli import analyze_record, main
 from edgering.complexes import (
     SimplicialComplex,
     _canonical_facets,
@@ -212,6 +213,26 @@ def test_oracle_confirms_the_formulas_up_to_the_cap(n, full_p, components, rnd):
     rec = json.loads(out.getvalue())
     assert rec["n"] == n and rec["match"] is True and rec["two_linear"] is True
     assert rec["pd"] == classify(g).pd
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 62), st.floats(0, 1), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_pd_from_the_connectivity_of_the_complement(n, full_p, components, rnd):
+    """For G with a chordal complement H, pd(k[G]) = n - 1 - kappa(H), and
+    the conjecture holds iff kappa(H) = delta(H), since max deg G =
+    n - 1 - delta(H).  A reference that does not use the formulas, for every
+    size up to 62, far above the oracle's cap."""
+    h = chordal_graph(rnd, n, full_p, min(components, n))
+    rec = analyze_record(complement(h))
+    if h.num_edges == n * (n - 1) // 2:
+        assert rec["pd"] == 0 and rec["conjecture_holds"] is True
+        return
+    nxh = nx.Graph()
+    nxh.add_nodes_from(range(n))
+    nxh.add_edges_from(h.edges())
+    kappa = nx.node_connectivity(nxh)
+    assert rec["pd"] == n - 1 - kappa
+    assert rec["conjecture_holds"] == (kappa == min(row.bit_count() for row in h.rows))
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

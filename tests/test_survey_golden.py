@@ -8,15 +8,18 @@ only when a change of output is intended:
     PYTHONPATH=src:tests python tests/test_survey_golden.py
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
 
-from edgering.cli import analyze_record
+from edgering.cli import analyze_record, main
 from edgering.graphs import Graph, complement, parse_graph6, to_graph6
 from conftest import chordal_graph
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "survey_golden.jsonl"
+# stdout of `edgering survey --all-labeled 6`, the same for every --jobs value
+ALL_LABELED_6_SHA256 = "bdf47b1a6fcc2c5be094702fc928eaab5bf15f92f965fe9bcd093cf7cda4af99"
 SIZES = range(8, 63)
 
 
@@ -53,6 +56,12 @@ def test_inputs_cover_both_paths():
 
 def test_matches_golden_fixture():
     assert golden_text() == GOLDEN.read_text()
+
+
+def test_all_labeled_6_sha256(capsys):
+    assert main(["survey", "--all-labeled", "6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == ALL_LABELED_6_SHA256
 
 
 if __name__ == "__main__":
