@@ -237,13 +237,20 @@ def _load_complex(path: str) -> complexes.SimplicialComplex:
     return complexes.SimplicialComplex.of(n, facets)
 
 
+def _check_graph_or_complex(args) -> None:
+    """`oracle` and `decompose` take a graph6 argument or --complex FILE, not both."""
+    if (args.graph6 is None) == (args.complex is None):
+        raise MalformedInputError(
+            "exactly one input source required: positional graph6 or --complex FILE"
+        )
+
+
 def cmd_oracle(args) -> int:
+    _check_graph_or_complex(args)
     if args.complex is not None:
         cx = _load_complex(args.complex)
         table = oracle.hochster_betti(cx)
         qfd = complexes.as_quasi_forest(cx).decomposition
-    elif args.graph6 is None:
-        raise MalformedInputError("either a graph6 argument or --complex FILE is required")
     else:
         # the graph kernel runs on the complement's rows, so the flag complex,
         # which can have exponentially many facets, is never built
@@ -269,13 +276,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _check_graph_or_complex(args)
     if args.complex is not None:
         result = complexes.as_quasi_forest(complexes.parse_complex(_read_fixture(args.complex)))
         qfd = result.decomposition
         reason = result.reason
         cycle = result.chordless_cycle
-    elif args.graph6 is None:
-        raise MalformedInputError("either a graph6 argument or --complex FILE is required")
     else:
         res, qfd = chordal.decompose(complement(parse_graph6(args.graph6)))
         reason = complexes.SKELETON_NOT_CHORDAL if qfd is None else None

@@ -6,8 +6,8 @@ bit operations.  Graphs are immutable and safe to share between workers.
 
 The graph6 codecs and the symmetry check of `Graph` do their bit work at C
 level on strings of '0'/'1': a row is `format`ted into a string or read back
-with `int(..., 2)`, and a matrix is transposed with `zip`, so no Python loop
-runs per bit.
+with `int(..., 2)`, and column v of an n x n matrix held as one string of n*n
+characters is its stride slice [v::n], so no Python loop runs per bit.
 
 Supported interchange formats:
   * graph6 (short form only, n <= 62): leading byte n+63, then the upper
@@ -30,6 +30,7 @@ GRAPH6_HEADER = b">>graph6<<"
 # graph6 byte b (63..126) <-> its six bits, most significant first
 _SIX_BITS = ("",) * 63 + tuple(format(i, "06b") for i in range(64))
 _SIX_CHAR = {format(i, "06b"): chr(i + 63) for i in range(64)}
+_GRAPH6_BYTES = bytes(range(63, 127))
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,18 @@ class Graph:
                 raise MalformedInputError(f"row {v} has bits outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise MalformedInputError(f"loop at vertex {v}")
-        # bitrows[v][u] is bit u of row v; the rows are symmetric iff that
-        # matrix is its own transpose.  On a mismatch, name the first bit
-        # above the diagonal without its mirror, else one below it.
-        bitrows = [format(row, f"0{self.n}b")[::-1] for row in self.rows]
-        if ["".join(col) for col in zip(*bitrows)] != bitrows:
-            for v in range(self.n):
-                for u in range(v + 1, self.n):
+        # `format` writes a row from bit n-1 down to bit 0, so m is the
+        # adjacency matrix turned by 180 degrees, which is its own transpose
+        # iff the matrix is: iff every column, a stride slice, is its row.
+        # On a mismatch, name the first bit above the diagonal without its
+        # mirror, else one below it.
+        n = self.n
+        fmt = f"0{n}b"
+        m = "".join([format(row, fmt) for row in reversed(self.rows)])
+        if "".join([m[v::n] for v in range(n)]) != m:
+            bitrows = [format(row, fmt)[::-1] for row in self.rows]  # bit u of row v at [v][u]
+            for v in range(n):
+                for u in range(v + 1, n):
                     if bitrows[v][u] == "1" and bitrows[u][v] == "0":
                         raise MalformedInputError(f"asymmetric adjacency between {v} and {u}")
             raise MalformedInputError("asymmetric adjacency: a bit below the diagonal has no mirror")
@@ -131,9 +137,9 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise MalformedInputError("empty graph6 input")
     if data[0] == 126:
         raise UnsupportedSizeError("long-form graph6 (n > 62) is not supported")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise MalformedInputError(f"byte {b} outside graph6 range 63..126")
+    bad = data.translate(None, _GRAPH6_BYTES)
+    if bad:
+        raise MalformedInputError(f"byte {bad[0]} outside graph6 range 63..126")
     n = data[0] - 63
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -142,11 +148,14 @@ def parse_graph6(text: str | bytes) -> Graph:
             f"bit section has {len(data) - 1} bytes, expected {nbytes} for n={n}"
         )
     # column v is the v bits (0,v),(1,v),..,(v-1,v): bit u of row v below the
-    # diagonal.  Padded to n, the columns transpose into the bits above it.
+    # diagonal.  Padded to n and joined into t, the stride slice t[v::n] is
+    # the bits above it, here read from u = n-1 down.
     s = "".join(map(_SIX_BITS.__getitem__, data[1:]))
     pad = "0" * n
     cols = [s[v * (v - 1) // 2 : v * (v + 1) // 2] + pad[v:] for v in range(n)]
-    rows = [int(col[::-1], 2) | int("".join(up)[::-1], 2) for col, up in zip(cols, zip(*cols))]
+    t = "".join(cols)
+    last = n * n - n
+    rows = [int(col[::-1], 2) | int(t[last + v :: -n], 2) for v, col in enumerate(cols)]
     return Graph(n, tuple(rows))
 
 

@@ -493,6 +493,15 @@ ACYCLIC_LINK_H = Graph.from_edges(
 )
 
 
+# complexes that are not flag, as (n, facets): each has a clique of its
+# 1-skeleton that is no face
+NON_FLAG_COMPLEXES = [
+    (3, [[0, 1], [1, 2], [0, 2]]),  # hollow triangle
+    (4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # hollow tetrahedron
+    (5, [[0, 1, 2], [1, 3], [2, 3], [3, 4]]),  # {1, 2, 3} is a clique, not a face
+]
+
+
 def induced(g: Graph, keep) -> Graph:
     """g[keep], relabelled onto 0..len(keep)-1 in the order of `keep`."""
     pos = {v: i for i, v in enumerate(keep)}

@@ -450,6 +450,19 @@ class TestBadInputExit2:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["oracle", "decompose"])
+    @pytest.mark.parametrize(
+        "sources",
+        [["Cl", "--complex", "HOLLOW"], ["--complex", "HOLLOW", "Cl"], []],
+        ids=["graph6-first", "complex-first", "neither"],
+    )
+    def test_exactly_one_source(self, capsys, command, sources):
+        # a graph6 argument beside --complex is not ignored, in either order
+        argv = [command] + [str(HOLLOW_CX) if a == "HOLLOW" else a for a in sources]
+        assert main(argv) == 2
+        expected = "error: exactly one input source required: positional graph6 or --complex FILE\n"
+        assert capsys.readouterr() == ("", expected)
+
     def test_non_ascii_graph6(self, capsys):
         assert main(["analyze", "\u00e9"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

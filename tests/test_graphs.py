@@ -45,8 +45,11 @@ class TestGraph6Parse:
         assert parse_graph6(">>graph6<<C~") == k(4)
 
     def test_byte_out_of_range(self):
-        with pytest.raises(MalformedInputError):
-            parse_graph6(b"C\x20\x20")
+        # the first byte outside 63..126 is named
+        with pytest.raises(MalformedInputError, match="^byte 32 outside graph6 range 63..126$"):
+            parse_graph6(b"C\x20\x7f")
+        with pytest.raises(MalformedInputError, match="^byte 127 outside graph6 range 63..126$"):
+            parse_graph6(b"C\x7f\x20")
 
     def test_truncated(self):
         with pytest.raises(MalformedInputError):

@@ -28,6 +28,7 @@ from edgering.errors import MalformedInputError
 from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, bits, complement, parse_graph6, to_graph6
 from edgering.invariants import _numerator
 from conftest import (
+    NON_FLAG_COMPLEXES,
     assert_graph_memo_holds_cores,
     chordal_graph,
     raised,
@@ -259,14 +260,7 @@ def test_facet_kernel_matches_reference(complex_, cold):
     assert len(oracle._HOMOLOGY_MEMO) == graph_keys  # a non-flag complex takes the facet kernel
 
 
-@pytest.mark.parametrize(
-    "n, facets",
-    [
-        (3, [[0, 1], [1, 2], [0, 2]]),  # hollow triangle
-        (4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),  # hollow tetrahedron
-        (5, [[0, 1, 2], [1, 3], [2, 3], [3, 4]]),  # {1, 2, 3} is a clique, not a face
-    ],
-)
+@pytest.mark.parametrize("n, facets", NON_FLAG_COMPLEXES)
 def test_non_flag_complex_takes_the_facet_kernel(n, facets):
     oracle.clear_memo()
     c = SimplicialComplex.of(n, facets)

@@ -1,3 +1,5 @@
+import builtins
+import random
 from itertools import combinations
 from math import comb
 
@@ -10,6 +12,7 @@ from edgering.complexes import (
     as_quasi_forest,
     flag_complex,
     reduced_homology_ranks,
+    restrict,
 )
 from edgering.errors import UnsupportedSizeError
 from edgering.graphs import Graph, bits, complement
@@ -24,6 +27,7 @@ from edgering.oracle import (
 )
 from conftest import (
     ACYCLIC_LINK_H,
+    NON_FLAG_COMPLEXES,
     assert_graph_memo_holds_cores,
     induced,
     random_graph,
@@ -186,23 +190,24 @@ class TestMemoization:
         ],
         ids=["cross-polytope", "chordal"],
     )
-    def test_only_the_empty_subset_is_keyed(self, h):
+    def test_no_subset_is_keyed(self, h):
+        # the loop seeds the empty subset, so no step keys it
         clear_memo()
         table = oracle._hochster_graph(h.n, h.rows)
-        assert list(_HOMOLOGY_MEMO) == [()]
+        assert not _HOMOLOGY_MEMO
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
 
     def test_acyclic_link_without_domination_is_not_keyed(self):
         # no vertex of H is dominated, so a domination search keys all of
         # 0..6; the link of vertex 4 is acyclic, so the link rule reuses the
-        # result for W - 4 instead
+        # result for W - 4 instead, and no subset at all is keyed
         h = ACYCLIC_LINK_H
         closed = [row | 1 << v for v, row in enumerate(h.rows)]
         assert not any(u != v and closed[v] & ~closed[u] == 0 for u in range(7) for v in range(7))
         assert not any(reduced_homology_ranks(flag_complex(induced(h, h.neighbors(4)))).values())
         clear_memo()
         table = oracle._hochster_graph(7, h.rows)
-        assert _HOMOLOGY_MEMO and all(len(key) < 7 for key in _HOMOLOGY_MEMO)
+        assert not _HOMOLOGY_MEMO
         assert table.entries == ref_hochster_masks(7, _maximal_clique_masks(7, h.rows))
 
     def test_facet_kernel_builds_each_restriction_once(self, monkeypatch):
@@ -231,3 +236,61 @@ class TestMemoization:
         not_flag = "^oracle capped at 14 vertices for a complex that is not flag, got 15$"
         with pytest.raises(UnsupportedSizeError, match=not_flag):
             hochster_betti(SimplicialComplex.of(15, hollow + [[v] for v in range(3, 15)]))
+
+
+def checked_step(monkeypatch, name: str, c: SimplicialComplex) -> set[int]:
+    """Patch the kernel step `name` to hold the subset loop to its contract
+    on the complex c: the step is called at most once per nonempty w, and
+    every proper subset u of w has its result in `at_subset` by then (the
+    nonzero ranks of the restriction to u, or None when it is Q-acyclic).
+    Returns the set of w the step was called for."""
+    expected = []
+    for w in range(1 << c.n):
+        ranks = reduced_homology_ranks(restrict(c, [v for i, v in enumerate(c.vertices) if w >> i & 1]))
+        expected.append({dim: h for dim, h in ranks.items() if h} or None)
+    step = getattr(oracle, name)
+    called = set()
+
+    def checked(data, w, at_subset):
+        assert w and w not in called, f"step called again for {w:b}"
+        called.add(w)
+        u = w
+        while u:
+            u = (u - 1) & w  # the proper subsets of w, down to the empty set
+            assert at_subset[u] == expected[u], f"{u:b} not settled before {w:b}"
+        return step(data, w, at_subset)
+
+    monkeypatch.setattr(oracle, name, checked)
+    return called
+
+
+class TestLoopContract:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    def test_graph_kernel(self, monkeypatch, n, p):
+        rng = random.Random(f"loop contract {n} {p}")
+        h = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        checked_step(monkeypatch, "_graph_step", flag_complex(h))
+        clear_memo()
+        table = oracle._hochster_graph(n, h.rows)
+        assert table.entries == ref_hochster_masks(n, _maximal_clique_masks(n, h.rows))
+
+    @pytest.mark.parametrize("n, facets", NON_FLAG_COMPLEXES)
+    def test_facet_kernel(self, monkeypatch, n, facets):
+        c = SimplicialComplex.of(n, facets)
+        called = checked_step(monkeypatch, "_facet_step", c)
+        clear_memo()
+        assert hochster_betti(c).entries == restriction_sum(c)
+        # rows of the facet kernel are empty, so every nonempty subset takes the step
+        assert called == set(range(1, 1 << n))
+
+    def test_superset_first_loop_fails(self, monkeypatch):
+        # reversed ranges turn the loop into lowest vertex 0 first, each group
+        # in decreasing order: the whole set comes first, before {0, 3}, whose
+        # restriction is two points
+        n, facets = NON_FLAG_COMPLEXES[2]
+        c = SimplicialComplex.of(n, facets)
+        checked_step(monkeypatch, "_facet_step", c)
+        monkeypatch.setattr(oracle, "range", lambda *a: reversed(builtins.range(*a)), raising=False)
+        with pytest.raises(AssertionError, match="not settled before 11111"):
+            oracle._hochster_masks(n, oracle._position_masks(c))
