@@ -1,11 +1,11 @@
 """Chordality recognition with certificates and quasi-forest decompositions.
 
 Recognition runs maximum cardinality search (ties broken toward the lowest
-vertex index) in its bucket form, O(n + m) word operations, and verifies the
-reversed visit order as a perfect elimination ordering.  A failed
-verification yields a chordless-cycle certificate which is re-verified
-before being returned; a guaranteed fallback search covers any case the fast
-extraction misses.
+vertex index) in its bucket form, O(n·Δ) word operations for maximum degree
+Δ, and verifies the reversed visit order as a perfect elimination ordering.
+A failed verification yields a chordless-cycle certificate which is
+re-verified before being returned; a guaranteed fallback search covers any
+case the fast extraction misses.
 
 Facets come in the order the search completes them as maximal cliques:
 that order satisfies running intersection (Blair & Peyton, "An introduction
@@ -54,13 +54,14 @@ def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
 
     Bucket form (Tarjan & Yannakakis, SIAM J. Comput. 13, 1984): buckets[w]
     is the mask of unvisited vertices of weight w.  Each step visits the
-    lowest bit of the highest nonempty bucket and moves each unvisited
-    neighbour up one bucket, so a search costs O(n + m) word operations.
+    lowest bit of the highest nonempty bucket and moves its unvisited
+    neighbours up one bucket, one AND/XOR/OR per bucket from the top down
+    until none is left: at most Δ + 1 bucket operations per visit, so a
+    search costs O(n·Δ) word operations.
     """
     order = []
     buckets = [0] * (n + 1)
     buckets[0] = unvisited = (1 << n) - 1
-    weight = [0] * n
     top = 0
     for _ in range(n):
         while not buckets[top]:
@@ -72,15 +73,15 @@ def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
         unvisited ^= low
         m = rows[v] & unvisited
         if m:
+            w = top
             top += 1
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            w = weight[u]
-            weight[u] = w + 1
-            buckets[w] ^= low
-            buckets[w + 1] |= low
-            m ^= low
+            while m:
+                moved = buckets[w] & m
+                if moved:
+                    buckets[w] ^= moved
+                    buckets[w + 1] |= moved
+                    m ^= moved
+                w -= 1
     return order
 
 

@@ -82,6 +82,8 @@ class Graph:
     @classmethod
     def from_edge_mask(cls, n: int, mask: int) -> "Graph":
         """Graph whose edges are the set bits of `mask` in graph6 column order."""
+        if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
+            raise MalformedInputError(f"edge mask {mask} outside 0..2^{n * (n - 1) // 2} - 1 for n={n}")
         return cls(n, tuple(rows_from_edge_mask(n, mask)))
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -112,15 +114,17 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def rows_from_edge_mask(n: int, mask: int) -> list[int]:
-    """Adjacency rows for an edge bitmask in column order (0,1),(0,2),(1,2),..."""
+    """Adjacency rows for an edge bitmask in column order (0,1),(0,2),(1,2),...;
+    column v is row v below the diagonal, and each of its bits u sets bit v of row u."""
     rows = [0] * n
     i = 0
     for v in range(1, n):
-        for u in range(v):
-            if mask >> i & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            i += 1
+        rows[v] = col = mask >> i & ((1 << v) - 1)
+        i += v
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << v
+            col ^= low
     return rows
 
 

@@ -1,24 +1,27 @@
 """Exhaustive formula-vs-oracle sweeps over all labeled graphs of a given size.
 
-For every graph G the sweep computes the complement, recognizes chordality
-(and re-derives it by brute-force induced-cycle search), and on the 2-linear
-side runs the whole closed-formula pipeline, recording any graph that
-violates a claimed identity.  The oracle variant additionally computes the
+For every graph G the sweep computes the complement, recognizes chordality,
+re-derives it by brute-force induced-cycle search, and on the 2-linear side
+runs the whole closed-formula pipeline, recording any graph that violates a
+claimed identity.  The brute force looks the edges inside each vertex subset
+of size >= 4 up in a table of the edge sets of all chordless cycles on
+0..n-1, built once per n.  The oracle variant additionally computes the
 Hochster Betti table of the flag complex of the complement and compares it
 entry by entry.
 
-The per-graph worker operates on bitmask rows throughout and computes no
-formula of its own: it takes the facets of `chordal` (the maximal cliques
-in MCS order) and hands them to `conjecture.formulas`, the one function
-that `analyze`, `survey` and `classify` also call, and compares the fields
-of its record with references computed apart from it: brute-force induced
-cycles, the numerator of the f-vector series and, in the oracle variant,
-the Hochster Betti table, which the oracle's graph kernel computes straight
-from the complement's adjacency rows and which is compared with the Betti
-numbers read off the record's numerator.  Every failed comparison is
-recorded as a violation, not raised.  Chunks of the edge-mask range can
-be processed by a worker pool; results merge deterministically in mask
-order, so the outcome is identical for every worker count.
+The per-graph worker operates on edge masks and bitmask rows throughout
+and computes no formula of its own: it takes the facets of `chordal` (the
+maximal cliques in MCS order) and hands them to `conjecture.formulas`, the
+one function that `analyze`, `survey` and `classify` also call, and
+compares the fields of its record with references computed apart from it:
+brute-force induced cycles, the numerator of the f-vector series and, in
+the oracle variant, the Hochster Betti table, which the oracle's graph
+kernel computes straight from the complement's adjacency rows and which is
+compared with the Betti numbers read off the record's numerator.  Every
+failed comparison is recorded as a violation, not raised.  Chunks of the
+edge-mask range can be processed by a worker pool; results merge
+deterministically in mask order, so the outcome is identical for every
+worker count.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import conjecture
 from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order
 from .complexes import _faces_by_size, _maximal_clique_masks
-from .graphs import Graph, rows_from_edge_mask, to_graph6
+from .errors import ContractViolationError, UndefinedInputError, UnsupportedSizeError
+from .graphs import ENUMERATION_CAP, Graph, rows_from_edge_mask, to_graph6
 from .invariants import _fvector_numerator, _linear_strand
 from .oracle import _hochster_graph, oracle_is_2linear, oracle_pd
 
@@ -83,48 +87,49 @@ class SweepResult:
 
 
 @cache
-def _long_cycle_subsets(n: int) -> tuple[int, ...]:
-    """Masks of the vertex subsets of 0..n-1 with at least four vertices, by
-    size; built once per n, not once per sweep chunk."""
-    out = []
+def _cycle_table(n: int) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Edge masks, in graph6 column order, of every pair inside each vertex
+    subset of 0..n-1 with at least four vertices, and of every chordless
+    cycle through at least four vertices; built on first use per n.
+
+    A cycle on a k-subset starts at its lowest vertex and runs through a
+    permutation of the rest, one direction of each: sum C(n, k)(k-1)!/2
+    cycles, 1,137 at n = 7.
+    """
+    def edges(pairs) -> int:  # bit v(v-1)/2 + u for the pair u < v
+        return sum(1 << (max(p) * (max(p) - 1) // 2 + min(p)) for p in pairs)
+
+    pair_masks = []
+    cycles = set()
     for size in range(4, n + 1):
         for combo in combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            out.append(m)
-    return tuple(out)
+            pair_masks.append(edges(combinations(combo, 2)))
+            for perm in permutations(combo[1:]):
+                if perm[0] < perm[-1]:
+                    ring = (combo[0],) + perm
+                    cycles.add(edges(zip(ring, ring[1:] + ring[:1])))
+    return tuple(pair_masks), frozenset(cycles)
 
 
-def has_long_induced_cycle(n: int, rows: list[int] | tuple[int, ...]) -> bool:
+def has_long_induced_cycle(n: int, h_mask: int) -> bool:
     """Brute force: does some vertex subset of size >= 4 induce a chordless cycle?
 
-    Independent of the elimination-ordering recognizer; an induced cycle is
-    exactly a connected 2-regular induced subgraph.
+    `h_mask` is the graph's edge mask in graph6 column order.  A subset
+    induces a chordless cycle exactly when the edges inside it are the edge
+    set of a cycle, so each subset is one table lookup.  Independent of the
+    elimination-ordering recognizer.
     """
-    for s in _long_cycle_subsets(n):
-        m = s
-        while m:
-            low = m & -m
-            m ^= low
-            if (rows[low.bit_length() - 1] & s).bit_count() != 2:
-                break
-        else:
-            low = s & -s
-            reached = low
-            while True:
-                grow = reached
-                mm = reached
-                while mm:
-                    lb = mm & -mm
-                    mm ^= lb
-                    grow |= rows[lb.bit_length() - 1] & s
-                if grow == reached:
-                    break
-                reached = grow
-            if reached == s:
-                return True
-    return False
+    pair_masks, cycles = _cycle_table(n)
+    return not cycles.isdisjoint(map(h_mask.__and__, pair_masks))
+
+
+def _mask_count(n: int) -> int:
+    """2^(n(n-1)/2), the number of labeled graphs a sweep of size n covers."""
+    if n < 1:
+        raise UndefinedInputError("sweeps need graphs with at least one vertex")
+    if n > ENUMERATION_CAP:
+        raise UnsupportedSizeError(f"sweeps support 1..{ENUMERATION_CAP} vertices")
+    return 1 << (n * (n - 1) // 2)
 
 
 def _to_g6(n: int, mask: int) -> str:
@@ -132,19 +137,22 @@ def _to_g6(n: int, mask: int) -> str:
 
 
 def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult:
-    """Process edge masks start..stop-1; pure function of its arguments."""
+    """Process edge masks start..stop-1, where 0 <= start <= stop <=
+    2^(n(n-1)/2); pure function of its arguments."""
     formulas = conjecture.formulas  # the record analyze and classify build, bound once per chunk
+    all_pairs = _mask_count(n) - 1
+    if not 0 <= start <= stop <= all_pairs + 1:
+        raise ContractViolationError(f"mask range {start}..{stop} outside 0..{all_pairs + 1} for n={n}")
     res = SweepResult(n)
     counts = res.counts
     vio = res.violations
-    full = (1 << n) - 1
+    counts["total"] = stop - start
     for mask in range(start, stop):
-        counts["total"] += 1
-        rows = rows_from_edge_mask(n, mask)
-        crow = [full & ~r & ~(1 << v) for v, r in enumerate(rows)]
+        h_mask = all_pairs ^ mask
+        crow = rows_from_edge_mask(n, h_mask)
         elim = _mcs_order(n, crow)[::-1]
         chordal_flag = _first_peo_violation(n, crow, elim) is None
-        if chordal_flag == has_long_induced_cycle(n, crow):
+        if chordal_flag == has_long_induced_cycle(n, h_mask):
             vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
         if with_oracle:
             complex_facets = _maximal_clique_masks(n, crow)
@@ -160,7 +168,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         facets = _clique_masks_from_peo(n, crow, elim)
         if with_oracle and set(facets) != set(complex_facets):
             vio["clique_paths_disagree"].append(_to_g6(n, mask))
-        f = formulas(n, facets, max(r.bit_count() for r in rows))
+        f = formulas(n, facets, n - 1 - min(r.bit_count() for r in crow))
         num = f.numerator
         fnum = _fvector_numerator([len(g) for g in _faces_by_size(facets)], n)
         if num != tuple(fnum):
@@ -224,7 +232,7 @@ def run_sweep(n: int, *, jobs: int = 1, with_oracle: bool = False) -> SweepResul
 
     With several jobs the mask range is cut into about four chunks per job,
     so every worker gets work and a slow chunk holds up little."""
-    total = 1 << (n * (n - 1) // 2)
+    total = _mask_count(n)
     result = SweepResult(n)
     if jobs <= 1:
         result.merge(sweep_chunk(n, 0, total, with_oracle))

@@ -4,9 +4,10 @@ The checkers are deliberately written set-based and naively, without reusing
 the package's bitmask machinery, so that library results are checked against
 genuinely independent code paths.  The `ref_*` functions at the end are the
 straightforward earlier forms of the hot-path kernels (linear-scan search,
-bit-by-bit graph6, one add per facet, pairwise frozenset checks, a Kruskal
-clique forest walked in preorder, a Hochster sum that keys every subset and
-folds a missed key to its core, dense Bareiss elimination for exact rank);
+an induced-cycle walk over the vertex subsets, bit-by-bit graph6, one add
+per facet, pairwise frozenset checks, a Kruskal clique forest walked in
+preorder, a Hochster sum that keys every subset and folds a missed key to
+its core, dense Bareiss elimination for exact rank);
 the property tests require the package's kernels to agree with them exactly,
 or, for the facet order, on everything but the order within a component.
 """
@@ -202,6 +203,27 @@ def ref_mcs_order(n: int, rows) -> list[int]:
             weights[low.bit_length() - 1] += 1
             m ^= low
     return order
+
+
+def ref_has_long_induced_cycle(n: int, rows) -> bool:
+    """Induced cycle of length >= 4 by a walk over every vertex subset of size
+    >= 4: some subset must be 2-regular in the induced subgraph and connected."""
+    for size in range(4, n + 1):
+        for combo in combinations(range(n), size):
+            s = sum(1 << v for v in combo)
+            if any((rows[v] & s).bit_count() != 2 for v in combo):
+                continue
+            reached = 1 << combo[0]
+            while True:
+                grow = reached
+                for v in bits(reached):
+                    grow |= rows[v] & s
+                if grow == reached:
+                    break
+                reached = grow
+            if reached == s:
+                return True
+    return False
 
 
 def ref_graph6_rows(data: bytes) -> list[int]:

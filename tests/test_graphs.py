@@ -184,6 +184,16 @@ class TestValidation:
         with pytest.raises(UnsupportedSizeError):
             Graph(63, (0,) * 63)
 
+    @pytest.mark.parametrize("n,mask", [(3, -1), (3, 8), (1, 1), (0, 1), (7, 1 << 21)])
+    def test_edge_mask_out_of_range(self, n, mask):
+        with pytest.raises(MalformedInputError, match="edge mask"):
+            Graph.from_edge_mask(n, mask)
+
+    def test_edge_mask_extremes(self):
+        assert Graph.from_edge_mask(3, 7) == k(3)
+        assert Graph.from_edge_mask(3, 0) == Graph(3, (0, 0, 0))
+        assert Graph.from_edge_mask(0, 0) == Graph(0, ())
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 62).flatmap(lambda n: st.tuples(

@@ -25,7 +25,16 @@ from edgering.complexes import (
     flag_complex,
 )
 from edgering.errors import MalformedInputError
-from edgering.graphs import GRAPH6_HEADER, MAX_VERTICES, Graph, bits, complement, parse_graph6, to_graph6
+from edgering.graphs import (
+    GRAPH6_HEADER,
+    MAX_VERTICES,
+    Graph,
+    bits,
+    complement,
+    parse_graph6,
+    rows_from_edge_mask,
+    to_graph6,
+)
 from edgering.invariants import _numerator
 from conftest import (
     NON_FLAG_COMPLEXES,
@@ -67,6 +76,13 @@ def graphs(draw, max_n=MAX_VERTICES):
 @given(graphs())
 def test_mcs_order_matches_linear_scan(g):
     assert _mcs_order(g.n, g.rows) == ref_mcs_order(g.n, g.rows)
+
+
+def test_mcs_order_matches_linear_scan_exhaustive():
+    for n in range(7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            rows = rows_from_edge_mask(n, mask)
+            assert _mcs_order(n, rows) == ref_mcs_order(n, rows)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,15 @@
 """The sweep checks the functions that `analyze` ships: its counts must
 agree with `cli.analyze_record` graph by graph."""
 
+from math import comb
+
+import pytest
+
 from edgering import verify
 from edgering.cli import analyze_record
-from edgering.graphs import Graph
-from conftest import brute_is_chordal, random_graph
+from edgering.errors import ContractViolationError, UndefinedInputError, UnsupportedSizeError
+from edgering.graphs import Graph, rows_from_edge_mask
+from conftest import brute_is_chordal, ref_has_long_induced_cycle
 
 
 def counts_from_analyze(g: Graph) -> dict[str, int]:
@@ -43,10 +48,24 @@ class TestSweepMatchesAnalyze:
 
 
 class TestBruteCycleChecker:
+    def test_exhaustive_against_subset_walk(self):
+        for n in range(1, 7):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                rows = rows_from_edge_mask(n, mask)
+                assert verify.has_long_induced_cycle(n, mask) == ref_has_long_induced_cycle(n, rows)
+
     def test_matches_setwise_brute(self, rng):
         for _ in range(300):
-            g = random_graph(rng, 7)
-            assert verify.has_long_induced_cycle(7, list(g.rows)) == (not brute_is_chordal(g))
+            mask = rng.getrandbits(21)
+            g = Graph.from_edge_mask(7, mask)
+            assert verify.has_long_induced_cycle(7, mask) == (not brute_is_chordal(g))
+
+    def test_table_sizes(self):
+        # sum over k >= 4 of C(n, k)(k - 1)!/2 chordless cycles on 0..n-1
+        for n, size in ((1, 0), (3, 0), (4, 3), (5, 27), (6, 177), (7, 1137)):
+            pair_masks, cycles = verify._cycle_table(n)
+            assert len(cycles) == size
+            assert len(pair_masks) == sum(comb(n, k) for k in range(4, n + 1))
 
 
 class TestSweepMachinery:
@@ -92,3 +111,27 @@ class TestSweepMachinery:
         assert [lo for _, lo, _, _ in ranges] == [0] + [hi for _, _, hi, _ in ranges[:-1]]
         assert ranges[-1][2] == 1 << 15
         assert all(n == 6 and with_oracle for n, _, _, with_oracle in ranges)
+
+
+class TestSweepInputs:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices(self, n):
+        with pytest.raises(UndefinedInputError, match="at least one vertex"):
+            verify.run_sweep(n)
+        with pytest.raises(UndefinedInputError, match="at least one vertex"):
+            verify.sweep_chunk(n, 0, 1, False)
+
+    def test_above_cap(self):
+        with pytest.raises(UnsupportedSizeError):
+            verify.run_sweep(8, jobs=2)
+        with pytest.raises(UnsupportedSizeError):
+            verify.sweep_chunk(8, 0, 1, False)
+
+    @pytest.mark.parametrize("start,stop", [(5, 9), (-1, 2), (3, 2), (0, 9)])
+    def test_range_outside_the_masks(self, start, stop):
+        with pytest.raises(ContractViolationError):
+            verify.sweep_chunk(3, start, stop, False)
+
+    def test_full_and_empty_ranges(self):
+        assert verify.sweep_chunk(3, 0, 8, False).counts["total"] == 8
+        assert verify.sweep_chunk(3, 8, 8, False).counts["total"] == 0
