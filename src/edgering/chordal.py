@@ -3,9 +3,14 @@
 Recognition runs maximum cardinality search (ties broken toward the lowest
 vertex index) in its bucket form, O(n·Δ) word operations for maximum degree
 Δ, and verifies the reversed visit order as a perfect elimination ordering.
-A failed verification yields a chordless-cycle certificate which is
-re-verified before being returned; a guaranteed fallback search covers any
-case the fast extraction misses.
+When it is not one, a single search finds a chordless cycle: it walks the
+PEO violations (v, x, y) in the order the test meets them and returns v
+with the first shortest x-y path through later vertices not adjacent to v.
+Some violation always has such a path, for any elimination order: the
+first-eliminated vertex v of any chordless cycle C has two later,
+non-adjacent neighbours on C, and the rest of C joins them through later
+vertices not adjacent to v.  The cycle is re-checked in O(k) mask
+operations before it is returned.
 
 Facets come in the order the search completes them as maximal cliques:
 that order satisfies running intersection (Blair & Peyton, "An introduction
@@ -85,14 +90,9 @@ def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
     return order
 
 
-def _first_peo_violation(
-    n: int, rows: Sequence[int], elim: Sequence[int]
-) -> tuple[int, int, int, int] | None:
-    """First v (in elimination order) whose later neighbors are not a clique.
-
-    Returns (v, x, y, later_mask) with x < y a non-adjacent later pair, or
-    None when `elim` is a perfect elimination ordering.
-    """
+def _is_peo(n: int, rows: Sequence[int], elim: Sequence[int]) -> bool:
+    """Is `elim` a perfect elimination ordering: are the later neighbours of
+    every vertex a clique?"""
     remaining = (1 << n) - 1
     for v in elim:
         remaining ^= 1 << v
@@ -100,20 +100,15 @@ def _first_peo_violation(
         m = lm
         while m:
             low = m & -m
-            u = low.bit_length() - 1
             m ^= low
-            missing = lm & ~rows[u] & ~low
-            missing &= ~(low - 1)  # only pairs (u, w) with w > u; w < u was checked at w
-            if missing:
-                w = (missing & -missing).bit_length() - 1
-                return (v, u, w, remaining)
-    return None
+            if lm & ~rows[low.bit_length() - 1] & ~low:
+                return False
+    return True
 
 
 def _bfs_path(rows: Sequence[int], allowed: int, s: int, t: int) -> list[int] | None:
-    """Shortest s-t path inside the induced subgraph on `allowed`, or None."""
-    if not (allowed >> s & 1 and allowed >> t & 1):
-        return None
+    """Shortest s-t path inside the induced subgraph on `allowed`, which
+    holds both s and t, or None."""
     prev = {s: -1}
     frontier = [s]
     seen = 1 << s
@@ -138,21 +133,49 @@ def _bfs_path(rows: Sequence[int], allowed: int, s: int, t: int) -> list[int] | 
     return None
 
 
+def _chordless_cycle(n: int, rows: Sequence[int], elim: Sequence[int]) -> list[int]:
+    """A chordless cycle of a graph on which `elim` fails the PEO test.
+
+    Tries the violations in the order the test meets them: v in elimination
+    order, then its later neighbours x < y that are not adjacent.  The first
+    shortest x-y path through later vertices not adjacent to v closes the
+    cycle [v, x, ..., y]; being shortest, it has no chord.  The earliest
+    vertex of any chordless cycle gives a violation with such a path, so the
+    search fails only when `elim` is a PEO of a chordal graph.
+    """
+    remaining = (1 << n) - 1
+    for v in elim:
+        remaining ^= 1 << v
+        lm = rows[v] & remaining
+        far = remaining & ~rows[v]
+        m = lm
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            m ^= low
+            ys = m & ~rows[x]
+            while ys:
+                ylow = ys & -ys
+                ys ^= ylow
+                path = _bfs_path(rows, far | low | ylow, x, ylow.bit_length() - 1)
+                if path is not None:
+                    return [v] + path
+    raise InternalInvariantError("no chordless cycle found in a non-chordal graph")
+
+
 def _is_chordless_cycle(rows: Sequence[int], cycle: Sequence[int]) -> bool:
+    """k >= 4 distinct vertices, each adjacent, among them, to exactly its
+    two cycle neighbours: O(k) mask operations."""
     k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
+    on = 0
+    for c in cycle:
+        on |= 1 << c
+    if k < 4 or on.bit_count() != k:
         return False
-    for i, v in enumerate(cycle):
-        nxt = cycle[(i + 1) % k]
-        if not rows[v] >> nxt & 1:
-            return False
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if rows[cycle[i]] >> cycle[j] & 1:
-                return False
-    return True
+    return all(
+        rows[c] & on == 1 << cycle[i - 1] | 1 << cycle[(i + 1) % k]
+        for i, c in enumerate(cycle)
+    )
 
 
 def _normalize_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -165,39 +188,17 @@ def _normalize_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(rotated)
 
 
-def _cycle_fallback(n: int, rows: Sequence[int]) -> list[int]:
-    """Guaranteed chordless-cycle search over all (v, x, y) anchor triples."""
-    full = (1 << n) - 1
-    for v in range(n):
-        nb = rows[v]
-        xs = list(bits(nb))
-        for i, x in enumerate(xs):
-            for y in xs[i + 1:]:
-                if rows[x] >> y & 1:
-                    continue
-                allowed = (full & ~(rows[v] | 1 << v)) | 1 << x | 1 << y
-                path = _bfs_path(rows, allowed, x, y)
-                if path is not None:
-                    return [v] + path
-    raise InternalInvariantError("no chordless cycle found in a non-chordal graph")
-
-
 def is_chordal(g: Graph) -> ChordalityResult:
-    """Chordality with a verified certificate either way."""
+    """Chordality with a verified certificate either way: the reversed MCS
+    order if it passes the PEO test, else the chordless cycle that
+    `_chordless_cycle` finds from that order's violations."""
     n, rows = g.n, g.rows
     elim = _mcs_order(n, rows)[::-1]
-    viol = _first_peo_violation(n, rows, elim)
-    if viol is None:
+    if _is_peo(n, rows, elim):
         return Chordal(tuple(elim))
-    v, x, y, later = viol
-    # shortest x-y path among later vertices avoiding v's closed later neighborhood
-    allowed = (later & ~rows[v]) | 1 << x | 1 << y
-    path = _bfs_path(rows, allowed, x, y)
-    cycle = [v] + path if path is not None else None
-    if cycle is None or not _is_chordless_cycle(rows, cycle):
-        cycle = _cycle_fallback(n, rows)
-        if not _is_chordless_cycle(rows, cycle):
-            raise InternalInvariantError("fallback produced an invalid cycle certificate")
+    cycle = _chordless_cycle(n, rows, elim)
+    if not _is_chordless_cycle(rows, cycle):
+        raise InternalInvariantError("chordless-cycle search produced an invalid certificate")
     return NotChordal(_normalize_cycle(cycle))
 
 

@@ -9,11 +9,12 @@ Subcommands:
 
 Exit codes: 0 ok, 1 partial (some survey lines skipped, or stdout closed
 before all output was written), 2 malformed input, 3 size cap exceeded,
-4 not a quasi-forest, 5 internal error (a failed consistency check, that is a
-bug, reported as `internal error: ...`).  The commands compute, print and
-raise; `main` alone maps an exception to its exit code.  All JSON is emitted
-with sorted keys and stable list orders, so identical inputs and flags produce
-byte-identical output for every --jobs value.
+4 not a quasi-forest, 5 internal error (a failed consistency check or a
+broken internal contract, that is a bug, reported as `internal error: ...`).
+The commands compute, print and raise; `main` alone maps an exception to its
+exit code.  All JSON is emitted with sorted keys and stable list orders, so
+identical inputs and flags produce byte-identical output for every --jobs
+value.
 `survey` streams stdin: with --jobs 1 each record is written before the next
 line is read; with --jobs > 1 the pool's `imap` still reads ahead.  A closed
 stdout ends a survey at its next write, and its workers are terminated.
@@ -31,7 +32,7 @@ import sys
 
 from . import chordal, complexes, conjecture, invariants, oracle
 from .errors import (
-    EdgeRingError,
+    ContractViolationError,
     InternalInvariantError,
     MalformedInputError,
     UndefinedInputError,
@@ -42,6 +43,7 @@ from .graphs import (
     Graph,
     bits,
     complement,
+    mask_count,
     max_degree,
     parse_edge_list,
     parse_graph6,
@@ -151,8 +153,8 @@ def cmd_analyze(args) -> int:
 
 def _survey_worker(item) -> tuple[int, bool, str, bool, bool, str]:
     """(line_no, ok, payload, is_2linear, holds, graph6); payload is a JSON
-    line or an error message.  An InternalInvariantError is a bug, not a bad
-    input line, and propagates."""
+    line or an error message.  Only a malformed, undefined or oversized input
+    is a bad line; any other error is a bug and propagates."""
     kind, line_no, data = item
     try:
         if kind == "mask":
@@ -161,9 +163,7 @@ def _survey_worker(item) -> tuple[int, bool, str, bool, bool, str]:
         else:
             g = parse_graph6(data)
         rec = survey_record(g)
-    except InternalInvariantError:
-        raise
-    except EdgeRingError as exc:
+    except (MalformedInputError, UndefinedInputError, UnsupportedSizeError) as exc:
         return (line_no, False, str(exc), False, False, "")
     return (
         line_no,
@@ -178,11 +178,7 @@ def _survey_worker(item) -> tuple[int, bool, str, bool, bool, str]:
 def cmd_survey(args) -> int:
     if args.all_labeled is not None:
         n = args.all_labeled
-        if not 0 <= n <= ENUMERATION_CAP:
-            raise UnsupportedSizeError(f"--all-labeled supports 0..{ENUMERATION_CAP}")
-        if n < 1:
-            raise UndefinedInputError("surveys need graphs with at least one vertex")
-        items = (("mask", i, (n, mask)) for i, mask in enumerate(range(1 << (n * (n - 1) // 2))))
+        items = (("mask", i, (n, mask)) for i, mask in enumerate(range(mask_count(n))))
     else:
         lines = ((i, raw.strip()) for i, raw in enumerate(sys.stdin, 1))
         items = (("g6", i, ln) for i, ln in lines if ln)
@@ -319,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="classify a stream of graphs")
     p.add_argument("--all-labeled", type=int, default=None, metavar="N",
-                   help=f"all labeled graphs on N vertices (N <= {ENUMERATION_CAP})")
+                   help=f"all labeled graphs on N vertices (1 <= N <= {ENUMERATION_CAP})")
     p.add_argument("--only-2linear", action="store_true",
                    help="emit lines only for graphs with a 2-linear resolution")
     p.add_argument("--jobs", type=int, default=1, metavar="J", help="worker processes")
@@ -357,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except InternalInvariantError as exc:
+    except (ContractViolationError, InternalInvariantError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BrokenPipeError:

@@ -214,6 +214,18 @@ def max_degree(g: Graph) -> int:
 ENUMERATION_CAP = 7
 
 
+def mask_count(n: int) -> int:
+    """2^(n(n-1)/2), the number of labeled graphs that a sweep or an
+    all-labeled survey of size n covers; those need 1 <= n <= ENUMERATION_CAP."""
+    if n < 1:
+        raise UndefinedInputError("sweeps and surveys of all labeled graphs need at least one vertex")
+    if n > ENUMERATION_CAP:
+        raise UnsupportedSizeError(
+            f"sweeps and surveys of all labeled graphs support 1..{ENUMERATION_CAP} vertices"
+        )
+    return 1 << (n * (n - 1) // 2)
+
+
 def enumerate_labeled(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices, in edge-mask counter order."""
     if not 0 <= n <= ENUMERATION_CAP:

@@ -32,10 +32,10 @@ from functools import cache
 from itertools import combinations, permutations
 
 from . import conjecture
-from .chordal import _clique_masks_from_peo, _first_peo_violation, _mcs_order
+from .chordal import _clique_masks_from_peo, _is_peo, _mcs_order
 from .complexes import _faces_by_size, _maximal_clique_masks
-from .errors import ContractViolationError, UndefinedInputError, UnsupportedSizeError
-from .graphs import ENUMERATION_CAP, Graph, rows_from_edge_mask, to_graph6
+from .errors import ContractViolationError
+from .graphs import Graph, mask_count, rows_from_edge_mask, to_graph6
 from .invariants import _fvector_numerator, _linear_strand
 from .oracle import _hochster_graph, oracle_is_2linear, oracle_pd
 
@@ -123,15 +123,6 @@ def has_long_induced_cycle(n: int, h_mask: int) -> bool:
     return not cycles.isdisjoint(map(h_mask.__and__, pair_masks))
 
 
-def _mask_count(n: int) -> int:
-    """2^(n(n-1)/2), the number of labeled graphs a sweep of size n covers."""
-    if n < 1:
-        raise UndefinedInputError("sweeps need graphs with at least one vertex")
-    if n > ENUMERATION_CAP:
-        raise UnsupportedSizeError(f"sweeps support 1..{ENUMERATION_CAP} vertices")
-    return 1 << (n * (n - 1) // 2)
-
-
 def _to_g6(n: int, mask: int) -> str:
     return to_graph6(Graph.from_edge_mask(n, mask))
 
@@ -140,7 +131,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
     """Process edge masks start..stop-1, where 0 <= start <= stop <=
     2^(n(n-1)/2); pure function of its arguments."""
     formulas = conjecture.formulas  # the record analyze and classify build, bound once per chunk
-    all_pairs = _mask_count(n) - 1
+    all_pairs = mask_count(n) - 1
     if not 0 <= start <= stop <= all_pairs + 1:
         raise ContractViolationError(f"mask range {start}..{stop} outside 0..{all_pairs + 1} for n={n}")
     res = SweepResult(n)
@@ -151,7 +142,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         h_mask = all_pairs ^ mask
         crow = rows_from_edge_mask(n, h_mask)
         elim = _mcs_order(n, crow)[::-1]
-        chordal_flag = _first_peo_violation(n, crow, elim) is None
+        chordal_flag = _is_peo(n, crow, elim)
         if chordal_flag == has_long_induced_cycle(n, h_mask):
             vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
         if with_oracle:
@@ -232,7 +223,7 @@ def run_sweep(n: int, *, jobs: int = 1, with_oracle: bool = False) -> SweepResul
 
     With several jobs the mask range is cut into about four chunks per job,
     so every worker gets work and a slow chunk holds up little."""
-    total = _mask_count(n)
+    total = mask_count(n)
     result = SweepResult(n)
     if jobs <= 1:
         result.merge(sweep_chunk(n, 0, total, with_oracle))

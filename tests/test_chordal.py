@@ -1,11 +1,21 @@
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
-from edgering.chordal import Chordal, NotChordal, QuasiForestDecomposition, decompose, is_chordal
+from edgering import chordal
+from edgering.chordal import (
+    Chordal,
+    NotChordal,
+    QuasiForestDecomposition,
+    _chordless_cycle,
+    _is_chordless_cycle,
+    _mcs_order,
+    decompose,
+    is_chordal,
+)
 from edgering.errors import ContractViolationError, InternalInvariantError, UndefinedInputError
 from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
 from conftest import (
@@ -87,6 +97,55 @@ class TestIsChordal:
                     assert check_peo(g, res.peo)
                 else:
                     assert check_chordless_cycle(g, res.cycle)
+
+
+def first_violation(g, elim):
+    """(v, x, y): the first vertex in `elim` with later neighbours x < y that
+    are not adjacent, and the first such pair, by sets."""
+    pos = {v: i for i, v in enumerate(elim)}
+    for v in elim:
+        later = sorted(u for u in g.neighbors(v) if pos[u] > pos[v])
+        for x, y in combinations(later, 2):
+            if not g.has_edge(x, y):
+                return v, x, y
+    return None
+
+
+class TestChordlessCycleSearch:
+    def test_every_nonchordal_graph_up_to_six(self):
+        # any elimination order works, not only the MCS one; under the
+        # identity order the first violation of 3,013 graphs has no x-y path
+        # avoiding v's neighbours, so the search must go on to later ones
+        nonchordal = first_try_failed = 0
+        for n in range(4, 7):
+            for g in enumerate_labeled(n):
+                if brute_is_chordal(g):
+                    continue
+                nonchordal += 1
+                cycle = _chordless_cycle(n, g.rows, range(n))
+                assert check_chordless_cycle(g, cycle)
+                first_try_failed += (cycle[0], cycle[1], cycle[-1]) != first_violation(g, range(n))
+                assert check_chordless_cycle(g, _chordless_cycle(n, g.rows, _mcs_order(n, g.rows)[::-1]))
+        assert nonchordal == 14_819
+        assert first_try_failed == 3_013
+
+    def test_certificate_check(self):
+        ring = [(i, (i + 1) % 6) for i in range(6)]
+        c6 = Graph.from_edges(6, ring).rows
+        assert _is_chordless_cycle(c6, [0, 1, 2, 3, 4, 5])
+        assert _is_chordless_cycle(c6, (3, 2, 1, 0, 5, 4))
+        assert not _is_chordless_cycle(Graph.from_edges(6, ring + [(0, 3)]).rows, [0, 1, 2, 3, 4, 5])
+        assert not _is_chordless_cycle(c6, [0, 1, 2, 3, 4, 5, 0])
+        assert not _is_chordless_cycle(c6, [0, 1, 2, 1])
+        k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]).rows
+        assert not _is_chordless_cycle(k3, [0, 1, 2])
+        assert not _is_chordless_cycle(c6, [0, 1, 2, 3, 4])
+        assert not _is_chordless_cycle(c6, [0, 1, 3, 4])
+
+    def test_invalid_certificate_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(chordal, "_chordless_cycle", lambda n, rows, elim: [0, 1, 2])
+        with pytest.raises(InternalInvariantError, match="invalid certificate"):
+            is_chordal(C4)
 
 
 def qfd(facets, dims, attach_dims, n):

@@ -16,8 +16,10 @@ import pytest
 from edgering import chordal, cli, complexes, conjecture, invariants, oracle, verify
 from edgering.cli import main
 from edgering.errors import (
+    ContractViolationError,
     InternalInvariantError,
     MalformedInputError,
+    NotTwoLinearError,
     UndefinedInputError,
     UnsupportedSizeError,
 )
@@ -197,6 +199,15 @@ class TestSurvey:
         err = capsys.readouterr().err
         assert err == "internal error: simulated bug\n"
 
+    def test_broken_contract_is_not_a_skipped_line(self, monkeypatch, capsys):
+        def broken_contract(*args):
+            raise ContractViolationError("simulated contract bug")
+
+        monkeypatch.setattr(conjecture, "formulas", broken_contract)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(C4_G6 + "\n"))
+        assert main(["survey", "--jobs", "1"]) == 5
+        assert capsys.readouterr().err == "internal error: simulated contract bug\n"
+
     def test_streams_stdin(self, monkeypatch):
         out = io.StringIO()
         stdout_at_read = []
@@ -248,6 +259,15 @@ class TestSurvey:
 
     def test_size_cap(self, capsys):
         assert main(["survey", "--all-labeled", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: sweeps and surveys of all labeled graphs support 1..7 vertices\n"
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_all_labeled_without_vertices(self, capsys, n):
+        assert main(["survey", "--all-labeled", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: sweeps and surveys of all labeled graphs need at least one vertex\n"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_closed_stdout_ends_run(self, jobs):
@@ -391,8 +411,10 @@ class TestExitCodes:
             (UndefinedInputError, 2, "error: "),
             (UnsupportedSizeError, 3, "error: "),
             (InternalInvariantError, 5, "internal error: "),
+            (ContractViolationError, 5, "internal error: "),
+            (NotTwoLinearError, 5, "internal error: "),
         ],
-        ids=["malformed", "undefined", "size", "internal"],
+        ids=["malformed", "undefined", "size", "internal", "contract", "not-2-linear"],
     )
     @pytest.mark.parametrize(
         "module, name, argv",
