@@ -19,11 +19,11 @@ with attachment dimension -1 whenever a new connected component starts.
 Components come in order of their smallest vertex, and the first facet is
 the lexicographically smallest maximal clique containing vertex 0.
 
-`decompose` (one MCS, maximal cliques read off its verified PEO in that
-order) is the only public route from a graph to a decomposition, and the
-frozenset `QuasiForestDecomposition` is built, and re-checked, only at its
-edge.  Its checks run on a vertex-to-facets incidence mask in O(sum |F_i|),
-which is at most O(n + m), so they stay on every construction.
+`_decompose_masks` (one MCS, maximal cliques read off its verified PEO in
+that order) is the one route from a graph to facet masks, which every
+per-graph caller reads as they are; only the public `decompose` and
+`complexes.as_quasi_forest` build a frozenset `QuasiForestDecomposition`.
+Both forms pass one checker, `_check_facet_masks`, in O(sum |F_i|).
 """
 
 from __future__ import annotations
@@ -227,14 +227,43 @@ def _clique_masks_from_peo(n: int, rows: Sequence[int], elim: Sequence[int]) -> 
     return out[::-1]
 
 
-def _attachment_sizes(facets: Sequence[int]) -> list[int]:
-    """|F_i intersect (F_1 u ... u F_(i-1))| for i >= 2."""
-    sizes = []
+def _attach_dims(facets: Sequence[int]) -> list[int]:
+    """|F_i intersect (F_1 u ... u F_(i-1))| - 1 for i >= 2."""
+    dims = []
     union = 0
     for f in facets:
-        sizes.append((f & union).bit_count())
+        dims.append((f & union).bit_count() - 1)
         union |= f
-    return sizes[1:]
+    return dims[1:]
+
+
+def _check_facet_masks(facets: Sequence[int], n: int) -> None:
+    """Check a quasi-forest ordering of facet masks over positions 0..n-1:
+    at least one facet, none empty, inclusion-free, each attachment inside a
+    single earlier facet, each facet adding a vertex, the union all n vertices.
+    inc[v], the mask of the facets that hold v, makes it O(sum |F_i|)."""
+    if not facets:
+        raise ContractViolationError("a quasi-forest has at least one facet")
+    inc = [0] * max(map(int.bit_length, facets))
+    for i, f in enumerate(facets):
+        for v in bits(f):
+            inc[v] |= 1 << i
+    for i, f in enumerate(facets):
+        if not f:
+            raise ContractViolationError("empty facet")
+        holders = [inc[v] for v in bits(f)]
+        # the facets holding all of F_i: exactly F_i itself
+        if reduce(and_, holders) != 1 << i:
+            raise ContractViolationError("facets must be inclusion-free")
+        if i:
+            # per attachment vertex, the earlier facets that hold it
+            earlier = [e for e in map(((1 << i) - 1).__and__, holders) if e]
+            if len(earlier) == len(holders):
+                raise InternalInvariantError("facet adds no new vertex")
+            if earlier and not reduce(and_, earlier):
+                raise ContractViolationError("attachment is not a face of a single earlier facet")
+    if len(inc) != n or not all(inc):
+        raise InternalInvariantError("vertex count does not match facet union")
 
 
 @dataclass(frozen=True)
@@ -243,8 +272,8 @@ class QuasiForestDecomposition:
 
     dims[i] = |F_i| - 1; attach_dims[i-1] = |F_i intersect (F_1 u ... u F_(i-1))| - 1
     for i >= 2, where each such intersection is a face of a single earlier
-    facet (-1 when a new component starts).  All invariants are re-derived
-    and checked at construction time.
+    facet (-1 when a new component starts).  Construction maps the labels to
+    positions, runs `_check_facet_masks` on them, then checks both lists.
     """
 
     facets: tuple[frozenset[int], ...]
@@ -253,40 +282,15 @@ class QuasiForestDecomposition:
     n: int
 
     def __post_init__(self) -> None:
-        k = len(self.facets)
-        if k == 0:
-            raise ContractViolationError("a quasi-forest has at least one facet")
-        if len(self.dims) != k or len(self.attach_dims) != k - 1:
+        pos = {v: i for i, v in enumerate(sorted(set().union(*self.facets)))}
+        masks = [sum(1 << pos[v] for v in f) for f in self.facets]
+        _check_facet_masks(masks, self.n)
+        if len(self.dims) != len(masks) or len(self.attach_dims) != len(masks) - 1:
             raise InternalInvariantError("dimension lists inconsistent with facet count")
-        # inc[v]: mask of the indices of the facets that contain v, keyed by
-        # label, since relabelled facets may use any labels.  Every check
-        # below then costs O(sum |F_i|).
-        inc: dict[int, int] = {}
-        for i, f in enumerate(self.facets):
-            for v in f:
-                inc[v] = inc.get(v, 0) | 1 << i
-        for i, f in enumerate(self.facets):
-            if not f:
-                raise ContractViolationError("empty facet")
-            if len(f) - 1 != self.dims[i]:
-                raise InternalInvariantError("facet dimension mismatch")
-            # the facets holding all of F_i: exactly F_i itself
-            if reduce(and_, map(inc.__getitem__, f)) != 1 << i:
-                raise ContractViolationError("facets must be inclusion-free")
-            if i:
-                # per attachment vertex, the earlier facets that hold it
-                lower = (1 << i) - 1
-                earlier = [e for e in map(lower.__and__, map(inc.__getitem__, f)) if e]
-                if len(earlier) - 1 != self.attach_dims[i - 1]:
-                    raise InternalInvariantError("attachment dimension mismatch")
-                if self.attach_dims[i - 1] >= self.dims[i]:
-                    raise InternalInvariantError("facet adds no new vertex")
-                if earlier and not reduce(and_, earlier):
-                    raise ContractViolationError(
-                        "attachment is not a face of a single earlier facet"
-                    )
-        if len(inc) != self.n:
-            raise InternalInvariantError("vertex count does not match facet union")
+        if list(self.dims) != [f.bit_count() - 1 for f in masks]:
+            raise InternalInvariantError("facet dimension mismatch")
+        if list(self.attach_dims) != _attach_dims(masks):
+            raise InternalInvariantError("attachment dimension mismatch")
 
     @property
     def k(self) -> int:
@@ -298,6 +302,29 @@ class QuasiForestDecomposition:
         return min(self.attach_dims) if self.attach_dims else None
 
 
+def _decompose_masks(g: Graph) -> tuple[ChordalityResult, list[int] | None]:
+    """`decompose` on masks: the chordality certificate of g and, when g is
+    chordal, its facet masks in MCS order, checked by `_check_facet_masks`."""
+    if g.n < 1:
+        raise UndefinedInputError("a quasi-forest decomposition needs at least one vertex")
+    res = is_chordal(g)
+    if isinstance(res, NotChordal):
+        return res, None
+    facets = _clique_masks_from_peo(g.n, g.rows, res.peo)
+    _check_facet_masks(facets, g.n)
+    return res, facets
+
+
+def _labelled(facets: Sequence[int], labels: Sequence[int]) -> QuasiForestDecomposition:
+    """The decomposition with facet masks over positions in `labels`."""
+    return QuasiForestDecomposition(
+        facets=tuple(frozenset(labels[i] for i in bits(f)) for f in facets),
+        dims=tuple(f.bit_count() - 1 for f in facets),
+        attach_dims=tuple(_attach_dims(facets)),
+        n=len(labels),
+    )
+
+
 def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | None]:
     """Chordality certificate of g and, when g is chordal, the quasi-forest
     decomposition of its flag complex (facets = maximal cliques of g).
@@ -305,15 +332,5 @@ def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | No
     One maximum cardinality search; the facets are the cliques read off the
     perfect elimination ordering it just verified, in their MCS order.
     """
-    if g.n < 1:
-        raise UndefinedInputError("a quasi-forest decomposition needs at least one vertex")
-    res = is_chordal(g)
-    if isinstance(res, NotChordal):
-        return res, None
-    facets = _clique_masks_from_peo(g.n, g.rows, res.peo)
-    return res, QuasiForestDecomposition(
-        facets=tuple(frozenset(bits(f)) for f in facets),
-        dims=tuple(f.bit_count() - 1 for f in facets),
-        attach_dims=tuple(a - 1 for a in _attachment_sizes(facets)),
-        n=g.n,
-    )
+    res, facets = _decompose_masks(g)
+    return res, None if facets is None else _labelled(facets, range(g.n))

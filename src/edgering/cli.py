@@ -74,12 +74,12 @@ def analyze_record(g: Graph) -> dict:
     rec["max_deg"] = max_degree(g)
     rec["notes"] = []
     rec["input"] = to_graph6(g)
-    res, qfd = chordal.decompose(complement(g))
-    if qfd is None:
+    res, facets = chordal._decompose_masks(complement(g))
+    if facets is None:
         rec["complement_chordal"] = False
         rec["chordless_cycle"] = list(res.cycle)
         return rec
-    f = conjecture.formulas(g.n, [sum(1 << v for v in facet) for facet in qfd.facets], rec["max_deg"])
+    f = conjecture.formulas(g.n, facets, rec["max_deg"])
     # the record does not check itself; analyze checks what it prints
     num = invariants._checked_numerator(f.numerator, g.n, f.r_min)
     betti = invariants._linear_strand(num)
@@ -92,7 +92,7 @@ def analyze_record(g: Graph) -> dict:
             f"witness exists but pd {f.pd} != max degree {rec['max_deg']} for {rec['input']}"
         )
     rec.update(
-        complement_chordal=True, facets=[sorted(facet) for facet in qfd.facets], d=list(f.dims),
+        complement_chordal=True, facets=[list(bits(m)) for m in facets], d=list(f.dims),
         r=list(f.attach_dims), r_min=f.r_min, hilbert_numerator=list(num),
         betti=[[i, j, v] for (i, j), v in betti.items()], pd=f.pd, depth=f.depth, dim=f.dim, cm=f.cm,
         d_tree=sorted(f.dims, reverse=True) if f.d_tree else None, conjecture_holds=f.holds,
@@ -182,7 +182,9 @@ def cmd_survey(args) -> int:
     else:
         lines = ((i, raw.strip()) for i, raw in enumerate(sys.stdin, 1))
         items = (("g6", i, ln) for i, ln in lines if ln)
-    jobs = max(1, args.jobs)
+    # a pool larger than the CPUs this process may run on only costs memory
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = max(1, min(args.jobs, cpus))
     skipped = total = emitted_2linear = emitted_holds = 0
     counterexamples: list[str] = []
     # leaving the block early, on an error or a closed stdout, terminates the
@@ -225,14 +227,6 @@ def _read_fixture(path: str) -> str:
         raise MalformedInputError(str(exc)) from None
 
 
-def _load_complex(path: str) -> complexes.SimplicialComplex:
-    """The oracle's `--complex` input; the vertex cap is checked before it is
-    built, because canonicalizing a fixture is superlinear in its facets."""
-    n, facets = complexes.parse_fixture(_read_fixture(path))
-    oracle.check_vertex_cap(n)
-    return complexes.SimplicialComplex.of(n, facets)
-
-
 def _check_graph_or_complex(args) -> None:
     """`oracle` and `decompose` take a graph6 argument or --complex FILE, not both."""
     if (args.graph6 is None) == (args.complex is None):
@@ -244,9 +238,12 @@ def _check_graph_or_complex(args) -> None:
 def cmd_oracle(args) -> int:
     _check_graph_or_complex(args)
     if args.complex is not None:
-        cx = _load_complex(args.complex)
+        n, facet_lists = complexes.parse_fixture(_read_fixture(args.complex))
+        # before the complex is built: canonicalizing is superlinear in the facets
+        oracle.check_vertex_cap(n)
+        cx = complexes.SimplicialComplex.of(n, facet_lists)
         table = oracle.hochster_betti(cx)
-        qfd = complexes.as_quasi_forest(cx).decomposition
+        facets = complexes._quasi_forest_masks(cx)[0]
     else:
         # the graph kernel runs on the complement's rows, so the flag complex,
         # which can have exponentially many facets, is never built
@@ -254,11 +251,13 @@ def cmd_oracle(args) -> int:
         oracle.check_vertex_cap(g.n)
         h = complement(g)
         table = oracle._hochster_graph(g.n, h.rows)
-        qfd = chordal.decompose(h)[1]
+        facets = chordal._decompose_masks(h)[1]
     match = None
-    if qfd is not None:
-        formula = invariants.betti_from_numerator(invariants.hilbert_from_decomposition(qfd))
-        match = formula.entries == table.entries
+    if facets is not None:
+        # max_deg decides only `holds`, which the match does not read
+        f = conjecture.formulas(table.n, facets, 0)
+        num = invariants._checked_numerator(f.numerator, table.n, f.r_min)
+        match = invariants._linear_strand(num) == table.entries
     rec = {
         "n": table.n,
         "subsets_examined": table.subsets_examined,
@@ -274,28 +273,24 @@ def cmd_oracle(args) -> int:
 def cmd_decompose(args) -> int:
     _check_graph_or_complex(args)
     if args.complex is not None:
-        result = complexes.as_quasi_forest(complexes.parse_complex(_read_fixture(args.complex)))
-        qfd = result.decomposition
-        reason = result.reason
-        cycle = result.chordless_cycle
+        # a fixture's ground set is 0..n-1, so its positions are its labels
+        cx = complexes.parse_complex(_read_fixture(args.complex))
+        n = cx.n
+        facets, reason, cycle = complexes._quasi_forest_masks(cx)
     else:
-        res, qfd = chordal.decompose(complement(parse_graph6(args.graph6)))
-        reason = complexes.SKELETON_NOT_CHORDAL if qfd is None else None
-        cycle = tuple(res.cycle) if qfd is None else None
-    if qfd is None:
-        rec = {"error": reason}
-        rec["chordless_cycle"] = list(cycle) if cycle is not None else None
-        _print_json(rec)
+        h = complement(parse_graph6(args.graph6))
+        n = h.n
+        res, facets = chordal._decompose_masks(h)
+        reason = complexes.SKELETON_NOT_CHORDAL if facets is None else None
+        cycle = res.cycle if facets is None else None
+    if facets is None:
+        _print_json({"error": reason, "chordless_cycle": None if cycle is None else list(cycle)})
         return EXIT_NOT_QUASI_FOREST
-    rec = {
-        "facets": [sorted(f) for f in qfd.facets],
-        "d": list(qfd.dims),
-        "r": list(qfd.attach_dims),
-        "r_min": qfd.r_min,
-        "n": qfd.n,
-        "k": qfd.k,
-    }
-    _print_json(rec)
+    r = chordal._attach_dims(facets)
+    _print_json({
+        "facets": [list(bits(f)) for f in facets], "d": [f.bit_count() - 1 for f in facets],
+        "r": r, "r_min": min(r, default=None), "n": n, "k": len(facets),
+    })
     return EXIT_OK
 
 

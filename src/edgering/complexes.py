@@ -278,26 +278,28 @@ class QuasiForestResult:
     chordless_cycle: tuple[int, ...] | None = None
 
 
+def _quasi_forest_masks(
+    c: SimplicialComplex,
+) -> tuple[list[int] | None, str | None, tuple[int, ...] | None]:
+    """`as_quasi_forest` on masks: (facet masks over positions in c.vertices,
+    in MCS order, None, None), or (None, reason, chordless cycle or None)."""
+    res, facets = chordal._decompose_masks(one_skeleton(c))
+    if facets is None:
+        return None, SKELETON_NOT_CHORDAL, tuple(c.vertices[i] for i in res.cycle)
+    if set(facets) != set(_position_masks(c)):
+        return None, NOT_FLAG, None
+    return facets, None, None
+
+
 def as_quasi_forest(c: SimplicialComplex) -> QuasiForestResult:
     """Recognize c as a quasi-forest and return an ordered decomposition.
 
     Criterion: the 1-skeleton is chordal and c is the flag complex of it.
     The complex on the empty ground set raises UndefinedInputError.
     """
-    labels = c.vertices
-    res, qfd = chordal.decompose(one_skeleton(c))
-    if qfd is None:
-        return QuasiForestResult(None, SKELETON_NOT_CHORDAL, tuple(labels[i] for i in res.cycle))
-    if labels != tuple(range(c.n)):
-        qfd = chordal.QuasiForestDecomposition(
-            facets=tuple(frozenset(labels[i] for i in f) for f in qfd.facets),
-            dims=qfd.dims,
-            attach_dims=qfd.attach_dims,
-            n=qfd.n,
-        )
-    if set(qfd.facets) != set(c.facets):
-        return QuasiForestResult(None, NOT_FLAG)
-    return QuasiForestResult(qfd)
+    facets, reason, cycle = _quasi_forest_masks(c)
+    qfd = None if facets is None else chordal._labelled(facets, c.vertices)
+    return QuasiForestResult(qfd, reason, cycle)
 
 
 def parse_complex(text: str) -> SimplicialComplex:

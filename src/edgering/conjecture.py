@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import chordal, invariants
-from .chordal import _attachment_sizes
+from .chordal import _attach_dims
 from .complexes import SimplicialComplex, _position_masks
 from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
 from .graphs import Graph, bits, complement, max_degree, to_graph6
@@ -123,12 +123,12 @@ class FormulaRecord(NamedTuple):
 def formulas(n: int, facets: list[int], max_deg: int) -> FormulaRecord:
     """The record of a graph G of maximum degree max_deg on n vertices, from
     the facet masks of its complement's quasi-forest in a quasi-forest
-    ordering, such as the MCS order of `chordal.decompose`.
+    ordering, such as the MCS order of `chordal._decompose_masks`.
 
     The one place that composes the `invariants` formulas and the witness.
     """
     dims = tuple([f.bit_count() - 1 for f in facets])
-    attach_dims = tuple([a - 1 for a in _attachment_sizes(facets)])
+    attach_dims = tuple(_attach_dims(facets))
     r_min = min(attach_dims) if attach_dims else None
     pd, depth = invariants._pd_depth(n, len(facets), r_min)
     dim = invariants._krull_dim(dims)
@@ -141,22 +141,15 @@ def formulas(n: int, facets: list[int], max_deg: int) -> FormulaRecord:
 
 def classify(g: Graph) -> ConjectureReport:
     """Full pipeline: complement, chordality, decomposition, formula pd, verdict."""
-    _, qfd = chordal.decompose(complement(g))
-    if qfd is None:
+    facets = chordal._decompose_masks(complement(g))[1]
+    if facets is None:
         return ConjectureReport(graph6=to_graph6(g), has_2linear=False)
     md = max_degree(g)
-    rec = formulas(g.n, [sum(1 << v for v in facet) for facet in qfd.facets], md)
-    witness = rec.witness and (frozenset(bits(rec.witness[0])), rec.witness[1])
+    rec = formulas(g.n, facets, md)
     return ConjectureReport(
-        graph6=to_graph6(g),
-        has_2linear=True,
-        single_facet=qfd.k == 1,
-        r_min=rec.r_min,
-        pd=rec.pd,
-        max_deg=md,
-        holds=rec.holds,
-        gap=rec.pd - md,
-        witness=witness,
+        graph6=to_graph6(g), has_2linear=True, single_facet=len(facets) == 1,
+        r_min=rec.r_min, pd=rec.pd, max_deg=md, holds=rec.holds, gap=rec.pd - md,
+        witness=rec.witness and (frozenset(bits(rec.witness[0])), rec.witness[1]),
     )
 
 

@@ -76,14 +76,6 @@ class HilbertSeries:
             power -= 1
         return _trim(num), power
 
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.numerator):
-            if c:
-                terms.append(f"{c:+d}" if i == 0 else f"{c:+d}*t^{i}")
-        body = " ".join(terms) if terms else "0"
-        return f"({body}) / (1-t)^{self.denom_power}"
-
 
 class BettiTable:
     """Graded Betti numbers as a map (i, j) -> positive value; (0,0) is implicit 1."""

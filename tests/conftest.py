@@ -297,31 +297,34 @@ def ref_numerator(n: int, dims, attach_dims) -> list[int]:
 
 def ref_check_decomposition(facets, dims, attach_dims, n: int) -> None:
     """The checks of `QuasiForestDecomposition` by pairwise frozenset
-    comparisons: raises what its constructor raises."""
+    comparisons: raises what its constructor raises.  The structural checks
+    of the facets come first, then the facet dimensions, then the attachment
+    dimensions."""
     k = len(facets)
     if k == 0:
         raise ContractViolationError("a quasi-forest has at least one facet")
-    if len(dims) != k or len(attach_dims) != k - 1:
-        raise InternalInvariantError("dimension lists inconsistent with facet count")
     union: frozenset[int] = frozenset()
     for i, f in enumerate(facets):
         if not f:
             raise ContractViolationError("empty facet")
-        if len(f) - 1 != dims[i]:
-            raise InternalInvariantError("facet dimension mismatch")
         if any(f <= g for j, g in enumerate(facets) if j != i):
             raise ContractViolationError("facets must be inclusion-free")
         if i:
             inter = f & union
-            if len(inter) - 1 != attach_dims[i - 1]:
-                raise InternalInvariantError("attachment dimension mismatch")
-            if attach_dims[i - 1] >= dims[i]:
+            if inter == f:
                 raise InternalInvariantError("facet adds no new vertex")
             if inter and not any(inter <= g for g in facets[:i]):
                 raise ContractViolationError("attachment is not a face of a single earlier facet")
         union |= f
     if len(union) != n:
         raise InternalInvariantError("vertex count does not match facet union")
+    if len(dims) != k or len(attach_dims) != k - 1:
+        raise InternalInvariantError("dimension lists inconsistent with facet count")
+    if any(len(f) - 1 != d for f, d in zip(facets, dims)):
+        raise InternalInvariantError("facet dimension mismatch")
+    for i in range(1, k):
+        if len(facets[i] & frozenset().union(*facets[:i])) - 1 != attach_dims[i - 1]:
+            raise InternalInvariantError("attachment dimension mismatch")
 
 
 def ref_quasi_forest_masks(cliques) -> tuple[list[int], list[int]]:

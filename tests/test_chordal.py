@@ -10,6 +10,7 @@ from edgering.chordal import (
     Chordal,
     NotChordal,
     QuasiForestDecomposition,
+    _check_facet_masks,
     _chordless_cycle,
     _is_chordless_cycle,
     _mcs_order,
@@ -315,6 +316,12 @@ class TestDecompositionValidation:
     def test_rejects(self, facets, dims, attach_dims, n, error, message):
         with pytest.raises(error, match=message):
             QuasiForestDecomposition(tuple(frozenset(f) for f in facets), dims, attach_dims, n)
+
+    def test_mask_checker_rejects_an_uncovered_position(self):
+        # positions 0, 1 and 3 lie in a facet and 2 in none; relabelled
+        # facets never leave a gap, so only the mask form can see one
+        with pytest.raises(InternalInvariantError, match="facet union"):
+            _check_facet_masks([0b0011, 0b1010], 4)
 
     def test_rejects_nested_facets(self):
         with pytest.raises(ContractViolationError, match="inclusion-free"):

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from edgering import chordal, cli, complexes, conjecture, invariants, oracle, verify
+from edgering import chordal, cli, complexes, conjecture, oracle, verify
 from edgering.cli import main
 from edgering.errors import (
     ContractViolationError,
@@ -60,6 +61,13 @@ class TestAnalyze:
         assert main(["analyze", C4_G6]) == 5
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "internal error: simulated bug\n"
+
+    def test_corrupted_facets_exit_5(self, monkeypatch, capsys):
+        # the complement of Cl is 2K2; {0} lies inside its facet {0, 2}
+        corrupted = [0b0101, 0b0001, 0b1010]
+        monkeypatch.setattr(chordal, "_clique_masks_from_peo", lambda n, rows, elim: corrupted)
+        assert main(["analyze", "Cl"]) == 5
+        assert capsys.readouterr() == ("", "internal error: facets must be inclusion-free\n")
 
     # K4 has a chordal complement; the complement of 2K2 is C4
     @pytest.mark.parametrize("g6", [K4_G6, to_graph6(Graph.from_edges(4, [(0, 2), (1, 3)]))])
@@ -257,6 +265,39 @@ class TestSurvey:
         assert one.returncode == four.returncode == 0
         assert one.stdout == four.stdout
 
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, size", [({0, 1, 2}, 8, 3), (None, 2, 2), (None, None, None)]
+    )
+    def test_pool_clamped_to_available_cpus(self, monkeypatch, capsys, affinity, cpu_count, size):
+        sizes = []
+
+        class RecordingPool:
+            """Records the size it is asked for and runs the work in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, items, chunksize=1):
+                return map(func, items)
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        assert main(["survey", "--all-labeled", "3", "--jobs", "100000"]) == 0
+        out = capsys.readouterr().out
+        assert sizes == ([] if size is None else [size])
+        assert main(["survey", "--all-labeled", "3", "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_size_cap(self, capsys):
         assert main(["survey", "--all-labeled", "8"]) == 3
         err = capsys.readouterr().err
@@ -420,9 +461,9 @@ class TestExitCodes:
         "module, name, argv",
         [
             (conjecture, "formulas", ["analyze", C4_G6]),
-            # called after the oracle's table is computed
-            (invariants, "hilbert_from_decomposition", ["oracle", C4_G6]),
-            (chordal, "decompose", ["decompose", C4_G6]),
+            # called after the oracle's table is computed, for its match
+            (conjecture, "formulas", ["oracle", C4_G6]),
+            (chordal, "_decompose_masks", ["decompose", C4_G6]),
         ],
         ids=["analyze", "oracle", "decompose"],
     )

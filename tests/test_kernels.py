@@ -1,9 +1,10 @@
 """The hot-path kernels against their reference forms in conftest: bucket
 maximum cardinality search, string-level graph6, the grouped Hilbert
-numerator, and the incidence-mask checks of a quasi-forest decomposition.
-Each must agree exactly, down to the exception class and message.  The facet
-order of `decompose` (MCS completion order) is held to the Kruskal clique
-forest on everything but the order within a component.  Both Hochster
+numerator, and the incidence-mask checks of a quasi-forest decomposition,
+both in its constructor and on facet masks.  Each must agree exactly, down
+to the exception class and message.  The facet order of `decompose` (MCS
+completion order) is held to the Kruskal clique forest on everything but
+the order within a component.  Both Hochster
 kernels are held to the earlier facet kernel, which keys every subset and
 folds a missed key to its core, and the facet kernel on non-flag complexes
 also to a sum over `restrict`.  Sparse exact rank is held to dense Bareiss
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgering import intlinalg, oracle
-from edgering.chordal import QuasiForestDecomposition, _mcs_order, decompose
+from edgering.chordal import QuasiForestDecomposition, _check_facet_masks, _mcs_order, decompose
 from edgering.complexes import (
     SimplicialComplex,
     _boundary,
@@ -164,12 +165,19 @@ def test_facet_order_agrees_with_spanning_forest(n, components, full_p, seed):
 
 
 def verdicts(facets, dims, attach_dims, n):
-    """(what the constructor raises, what the reference checks raise)."""
+    """[what the constructor raises, what the reference checks raise], and
+    when the dimension lists are the ones the facets imply, what the mask
+    checker raises on the facets relabelled onto 0..n-1."""
     facets = tuple(frozenset(f) for f in facets)
-    return (
+    found = [
         raised(QuasiForestDecomposition, facets, tuple(dims), tuple(attach_dims), n),
         raised(ref_check_decomposition, facets, tuple(dims), tuple(attach_dims), n),
-    )
+    ]
+    if (list(dims), list(attach_dims)) == consistent_lists(facets)[:2]:
+        pos = {v: i for i, v in enumerate(sorted(set().union(*facets)))}
+        masks = [sum(1 << pos[v] for v in f) for f in facets]
+        found.append(raised(_check_facet_masks, masks, n))
+    return found
 
 
 def consistent_lists(facets):
@@ -197,8 +205,9 @@ def test_decomposition_checks_match_frozenset_form(facets, dim_shift, attach_shi
         dims[-1] += dim_shift
     if attach_shift_at < len(attach):
         attach[attach_shift_at] += 1
-    new, ref = verdicts(facets, dims, attach, n + n_shift)
+    new, ref, *mask = verdicts(facets, dims, attach, n + n_shift)
     assert new == ref
+    assert mask in ([], [ref])
 
 
 def test_decomposition_checks_on_valid_and_mutated(rng):
@@ -219,8 +228,8 @@ def test_decomposition_checks_on_valid_and_mutated(rng):
             facets[i] = sorted(set(facets[i]) | set(facets[j][:1]))
         elif mutation == 4:
             facets.append(rng.choice(facets)[:-1] or [label[-1]])
-        new, ref = verdicts(facets, *consistent_lists(facets))
-        assert new == ref
+        new, ref, mask = verdicts(facets, *consistent_lists(facets))
+        assert new == ref == mask
         accepted += new is None
         rejected += new is not None
     assert accepted > 100 and rejected > 50
