@@ -235,12 +235,19 @@ def _check_graph_or_complex(args) -> None:
         )
 
 
+def _check_oracle_size(n: int) -> None:
+    """Reject a ground set the oracle does not take, before its kernel runs."""
+    if n < 1:
+        raise UndefinedInputError("the oracle needs at least one vertex")
+    oracle.check_vertex_cap(n)
+
+
 def cmd_oracle(args) -> int:
     _check_graph_or_complex(args)
     if args.complex is not None:
         n, facet_lists = complexes.parse_fixture(_read_fixture(args.complex))
         # before the complex is built: canonicalizing is superlinear in the facets
-        oracle.check_vertex_cap(n)
+        _check_oracle_size(n)
         cx = complexes.SimplicialComplex.of(n, facet_lists)
         table = oracle.hochster_betti(cx)
         facets = complexes._quasi_forest_masks(cx)[0]
@@ -248,7 +255,7 @@ def cmd_oracle(args) -> int:
         # the graph kernel runs on the complement's rows, so the flag complex,
         # which can have exponentially many facets, is never built
         g = parse_graph6(args.graph6)
-        oracle.check_vertex_cap(g.n)
+        _check_oracle_size(g.n)
         h = complement(g)
         table = oracle._hochster_graph(g.n, h.rows)
         facets = chordal._decompose_masks(h)[1]

@@ -21,25 +21,27 @@ A flag complex, which is every complex the sweeps and `edgering oracle
 GRAPH6` run on, is given by the graph H whose cliques are its faces.  The
 restriction to W is the flag complex of H[W], and the link of v in it is
 the flag complex of H[N(v) & W], a proper subset.  The restriction is
-that of W - v and the cone on the link, glued along the link, and
-Mayer-Vietoris (Hatcher, Algebraic Topology, 2.2) gives three rules, each
-one lookup per vertex:
-  - the link is nonempty and Q-acyclic (its result is None): W has the
-    ranks of W - v.  This covers every dominated vertex, whose link is a
-    cone, and settles almost every subset, so it is tried for every v
-    before the other two.  The loop itself tries it for the lowest vertex
-    of W, which settles about three subsets in four of the n = 12
-    benchmark graphs without a call to the step;
-  - W - v is Q-acyclic: W has the ranks of the link one dimension up (the
-    empty link has rank 1 in dimension -1);
-  - v is isolated and W - v is not empty: W has the ranks of W - v with one
-    more in dimension 0.
-The key is the closed neighbourhood rows.  Any other complex runs on facet
-bitmasks, where a link is not a restriction: the facets of the
-restriction, the maximal nonempty f & W, are built once per W; v is
-dominated when those holding v share another vertex, and deleting it keeps
-the homotopy type (Barmak & Minian, DCG 47, 2012).  The key is those
-facets, sorted.
+that of W - v and the cone on the link, glued along the link.  The cone is
+acyclic, so the long exact Mayer-Vietoris sequence (Hatcher, Algebraic
+Topology, 2.2) gives H~_d(W) as the cokernel of H~_d(link) -> H~_d(W - v)
+plus the kernel of the same map in degree d - 1.  That map is zero in
+every degree where either side is zero, which gives one rule, one lookup
+per vertex: when no degree holds homology in both the link and W - v, W
+has the ranks of W - v plus those of the link one dimension up.  The
+complexes are augmented, so the empty link of an isolated v has rank 1 in
+dimension -1 and adds one in dimension 0.  The step tries the rule's
+cheapest case, a nonempty Q-acyclic link (its result is None), where W
+has the ranks of W - v, for every v first: it covers every dominated
+vertex, whose link is a cone, and settles almost every subset.  The loop
+itself tries that case for the lowest vertex of W, which settles about
+three subsets in four of the n = 12 benchmark graphs without a call to
+the step.  The key is the closed neighbourhood rows.
+
+Any other complex runs on facet bitmasks, where a link is not a
+restriction: the facets of the restriction, the maximal nonempty f & W,
+are built once per W; v is dominated when those holding v share another
+vertex, and deleting it keeps the homotopy type (Barmak & Minian, DCG 47,
+2012).  The key is those facets, sorted.
 The two kernels keep separate memos, because a graph key and a facet key
 can be the same tuple of different complexes.  `hochster_betti` takes the
 graph kernel when the complex's facets are the maximal cliques of its
@@ -166,10 +168,17 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
     complex of its neighbourhood in w, a proper subset; when that is
     nonempty and Q-acyclic (None), w takes the result for w - v.  The empty
     link, of an isolated v, is never None.  Failing that for every v: when
-    w - v is Q-acyclic, w takes the link's ranks one dimension up, and when
-    v is isolated, the ranks of w - v with one more in dimension 0.
-    Otherwise the key is the closed neighbourhood rows relabelled onto
-    0..|w|-1."""
+    no degree holds homology in both the link and w - v, w has the ranks of
+    w - v plus those of the link one dimension up.  Otherwise the key is
+    the closed neighbourhood rows relabelled onto 0..|w|-1.
+
+    The rule is exact: the restriction to w is that of w - v and the cone
+    on the link, glued along the link, and the cone is acyclic, so the long
+    exact Mayer-Vietoris sequence gives H~_d(w) as the cokernel of
+    H~_d(link) -> H~_d(w - v) plus the kernel of that map in degree d - 1.
+    The map is zero where either side is.  The complexes are augmented, so
+    the empty link has rank 1 in dimension -1 and an isolated v adds one in
+    dimension 0; an acyclic link is the case that returns w - v."""
     m = w
     while m:
         v = m & -m
@@ -178,18 +187,19 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
             return at_subset[w ^ v]
     if w.bit_count() == 1:
         return None  # a point
-    # every link has a result here, so a shifted one is never empty; a
-    # separate pass keeps the one above lean
+    # every link has a result here, so the sum is never empty; a separate
+    # pass keeps the one above lean
     m = w
     while m:
         v = m & -m
         m ^= v
-        rest = at_subset[w ^ v]
-        link = closed[v] & w ^ v
-        if rest is None:
-            return {dim + 1: h for dim, h in at_subset[link].items()}
-        if not link:
-            return {**rest, 0: rest.get(0, 0) + 1}
+        rest = at_subset[w ^ v] or {}
+        link = at_subset[closed[v] & w ^ v]
+        if rest.keys().isdisjoint(link):
+            ranks = dict(rest)
+            for dim, h in link.items():
+                ranks[dim + 1] = ranks.get(dim + 1, 0) + h
+            return ranks
     # no generator here: it would make `closed` and `w` cells, slowing every call
     key = ()
     for u in bits(w):

@@ -386,7 +386,10 @@ class TestOracle:
         assert capsys.readouterr().out == expected
         if g6 != "Frqa_":
             assert json.loads(expected)["match"] is True
+        # no vertex is an oracle error, raised before the kernel runs
+        monkeypatch.setattr(oracle, "_hochster_graph", never)
         assert main(["oracle", "?"]) == 2
+        assert capsys.readouterr() == ("", "error: the oracle needs at least one vertex\n")
 
     def test_fourteen_vertices_match(self, capsys):
         # a chordal complement (a path of triangles and a pendant tail) on 14
@@ -512,6 +515,8 @@ class TestBadInputExit2:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        if argv[0] == "oracle":
+            assert captured.err == "error: the oracle needs at least one vertex\n"
 
     @pytest.mark.parametrize("command", ["oracle", "decompose"])
     @pytest.mark.parametrize(

@@ -239,8 +239,8 @@ def test_decomposition_checks_on_valid_and_mutated(rng):
 @given(graphs(max_n=9), st.booleans())
 def test_graph_kernel_matches_facet_kernel(g, cold):
     """From an empty memo, or one kept warm across examples.  From an empty
-    memo, the graph kernel keys only subsets that none of its three
-    Mayer-Vietoris cases settles."""
+    memo, the graph kernel keys only subsets that its link rule and its
+    Mayer-Vietoris rule settle at no vertex."""
     if cold:
         oracle.clear_memo()
     cliques = _maximal_clique_masks(g.n, g.rows)

@@ -39,6 +39,12 @@ from conftest import (
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
+def seeded_gnp(seed: str, n: int, p: float) -> Graph:
+    """G(n, p) on 0..n-1, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
 def assert_facet_memo_holds_cores():
     """Every facet memo key is a complex on 0..k-1 with no dominated vertex
     (the facets holding v share no other vertex) and not a single vertex."""
@@ -197,6 +203,30 @@ class TestMemoization:
         assert not _HOMOLOGY_MEMO
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
 
+    def test_disjoint_cycles_are_keyed(self):
+        # H = two disjoint 4-cycles: every link is two points and every W - v
+        # is a path and a 4-cycle, both with homology in dimension 0, so the
+        # Mayer-Vietoris rule fits at no vertex and the whole set takes the
+        # exact-rank path; every proper subset is settled without a key
+        h = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+        clear_memo()
+        table = oracle._hochster_graph(h.n, h.rows)
+        assert list(_HOMOLOGY_MEMO.values()) == [{0: 1, 1: 2}]
+        assert_graph_memo_holds_cores()
+        assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
+
+    def test_seeded_n12_graphs_build_no_key(self):
+        # two seeded G(12, p) at each density of the n = 12 benchmark graphs;
+        # with only the link rule, the acyclic W - v and the isolated v, the
+        # eight cold calls built 119 keys
+        for p in (0.25, 0.3, 0.35, 0.4):
+            for i in range(2):
+                h = seeded_gnp(f"no key {p} {i}", 12, p)
+                clear_memo()
+                table = oracle._hochster_graph(12, h.rows)
+                assert not _HOMOLOGY_MEMO
+                assert table.entries == ref_hochster_masks(12, _maximal_clique_masks(12, h.rows))
+
     def test_acyclic_link_without_domination_is_not_keyed(self):
         # no vertex of H is dominated, so a domination search keys all of
         # 0..6; the link of vertex 4 is acyclic, so the link rule reuses the
@@ -264,16 +294,48 @@ def checked_step(monkeypatch, name: str, c: SimplicialComplex) -> set[int]:
     return called
 
 
+LOOP_CONTRACT_SIZES = range(1, 11)
+LOOP_CONTRACT_DENSITIES = [0.25, 0.5, 0.75]
+
+
 class TestLoopContract:
-    @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", LOOP_CONTRACT_SIZES)
+    @pytest.mark.parametrize("p", LOOP_CONTRACT_DENSITIES)
     def test_graph_kernel(self, monkeypatch, n, p):
-        rng = random.Random(f"loop contract {n} {p}")
-        h = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        h = seeded_gnp(f"loop contract {n} {p}", n, p)
         checked_step(monkeypatch, "_graph_step", flag_complex(h))
         clear_memo()
         table = oracle._hochster_graph(n, h.rows)
         assert table.entries == ref_hochster_masks(n, _maximal_clique_masks(n, h.rows))
+
+    def test_graph_kernel_sums_link_and_rest(self, monkeypatch):
+        # the graphs above reach the Mayer-Vietoris rule where its special
+        # cases fit at no vertex: every link nonempty and not Q-acyclic and
+        # no W - v Q-acyclic.  The rule builds a new dict there, while the
+        # key path returns a memo value or None, so the contract above checks
+        # sums of the ranks of W - v and the shifted link ranks
+        step = oracle._graph_step
+        summed = []
+
+        def counted(closed, w, at_subset):
+            ranks = step(closed, w, at_subset)
+            pairs = [(at_subset[w ^ 1 << u], closed[1 << u] & w ^ 1 << u) for u in bits(w)]
+            if (
+                ranks is not None
+                and not any(ranks is r for r in _HOMOLOGY_MEMO.values())
+                and len(pairs) > 1
+                and all(rest is not None and link and at_subset[link] is not None for rest, link in pairs)
+            ):
+                summed.append(w)
+            return ranks
+
+        monkeypatch.setattr(oracle, "_graph_step", counted)
+        for n in LOOP_CONTRACT_SIZES:
+            for p in LOOP_CONTRACT_DENSITIES:
+                h = seeded_gnp(f"loop contract {n} {p}", n, p)
+                clear_memo()
+                oracle._hochster_graph(n, h.rows)
+        assert summed
 
     @pytest.mark.parametrize("n, facets", NON_FLAG_COMPLEXES)
     def test_facet_kernel(self, monkeypatch, n, facets):
