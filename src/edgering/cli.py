@@ -3,14 +3,16 @@
 Subcommands:
   analyze    full pipeline for one graph, single JSON document on stdout
   survey     one JSON line per input graph plus a trailing summary object
-  oracle     brute-force Betti table, with a match flag against the formulas
+  oracle     brute-force Betti table of a graph's complement flag complex
+             or of a flag complex, with a match flag against the formulas
   decompose  quasi-forest decomposition of a complex or of a graph's
              complement flag complex
 
 Exit codes: 0 ok, 1 partial (some survey lines skipped, or stdout closed
 before all output was written), 2 malformed input, 3 size cap exceeded,
-4 not a quasi-forest, 5 internal error (a failed consistency check or a
-broken internal contract, that is a bug, reported as `internal error: ...`).
+4 not a quasi-forest (for `oracle`, a complex that is not flag), 5 internal
+error (a failed consistency check or a broken internal contract, that is a
+bug, reported as `internal error: ...`).
 The commands compute, print and raise; `main` alone maps an exception to its
 exit code.  All JSON is emitted with sorted keys and stable list orders, so
 identical inputs and flags produce byte-identical output for every --jobs
@@ -248,17 +250,18 @@ def cmd_oracle(args) -> int:
         n, facet_lists = complexes.parse_fixture(_read_fixture(args.complex))
         # before the complex is built: canonicalizing is superlinear in the facets
         _check_oracle_size(n)
-        cx = complexes.SimplicialComplex.of(n, facet_lists)
-        table = oracle.hochster_betti(cx)
-        facets = complexes._quasi_forest_masks(cx)[0]
+        h = oracle._flag_skeleton(complexes.SimplicialComplex.of(n, facet_lists))
+        if h is None:
+            _print_json({"error": complexes.NOT_FLAG, "chordless_cycle": None})
+            return EXIT_NOT_QUASI_FOREST
     else:
-        # the graph kernel runs on the complement's rows, so the flag complex,
-        # which can have exponentially many facets, is never built
         g = parse_graph6(args.graph6)
         _check_oracle_size(g.n)
         h = complement(g)
-        table = oracle._hochster_graph(g.n, h.rows)
-        facets = chordal._decompose_masks(h)[1]
+    # the kernel runs on the rows of H, so the flag complex of a graph's
+    # complement, which can have exponentially many facets, is never built
+    table = oracle._hochster_graph(h.n, h.rows)
+    facets = chordal._decompose_masks(h)[1]
     match = None
     if facets is not None:
         # max_deg decides only `holds`, which the match does not read

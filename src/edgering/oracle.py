@@ -15,66 +15,51 @@ those of its proper subsets takes them from there.  Only a W for which no
 such rule fits, other than a single vertex, is keyed, relabelled onto
 0..|W|-1, and exact homology runs only on a memo miss.
 
-One loop serves two kernels, and each passes it one step that does both
-for a W: the reuse rules and, failing them, the key and the memo lookup.
-A flag complex, which is every complex the sweeps and `edgering oracle
-GRAPH6` run on, is given by the graph H whose cliques are its faces.  The
-restriction to W is the flag complex of H[W], and the link of v in it is
-the flag complex of H[N(v) & W], a proper subset.  The restriction is
-that of W - v and the cone on the link, glued along the link.  The cone is
-acyclic, so the long exact Mayer-Vietoris sequence (Hatcher, Algebraic
-Topology, 2.2) gives H~_d(W) as the cokernel of H~_d(link) -> H~_d(W - v)
-plus the kernel of the same map in degree d - 1.  That map is zero in
-every degree where either side is zero, which gives one rule, one lookup
-per vertex: when no degree holds homology in both the link and W - v, W
-has the ranks of W - v plus those of the link one dimension up.  The
-complexes are augmented, so the empty link of an isolated v has rank 1 in
-dimension -1 and adds one in dimension 0.  The step tries the rule's
-cheapest case, a nonempty Q-acyclic link (its result is None), where W
-has the ranks of W - v, for every v first: it covers every dominated
-vertex, whose link is a cone, and settles almost every subset.  The loop
-itself tries that case for the lowest vertex of W, which settles about
-three subsets in four of the n = 12 benchmark graphs without a call to
-the step.  The key is the closed neighbourhood rows.
+The kernel runs on flag complexes, which is every complex the paper's
+rings have: k[G] is the Stanley-Reisner ring of the flag complex of the
+complement of G.  A flag complex is given by the graph H whose cliques are
+its faces.  The restriction to W is the flag complex of H[W], and the link
+of v in it is the flag complex of H[N(v) & W], a proper subset.  The
+restriction is that of W - v and the cone on the link, glued along the
+link.  The cone is acyclic, so the long exact Mayer-Vietoris sequence
+(Hatcher, Algebraic Topology, 2.2) gives H~_d(W) as the cokernel of
+H~_d(link) -> H~_d(W - v) plus the kernel of the same map in degree d - 1.
+That map is zero in every degree where either side is zero, which gives
+one rule, one lookup per vertex: when no degree holds homology in both the
+link and W - v, W has the ranks of W - v plus those of the link one
+dimension up.  The complexes are augmented, so the empty link of an
+isolated v has rank 1 in dimension -1 and adds one in dimension 0.  The
+step tries the rule's cheapest case, a nonempty Q-acyclic link (its result
+is None), where W has the ranks of W - v, for every v first: it covers
+every dominated vertex, whose link is a cone, and settles almost every
+subset.  The loop itself tries that case for the lowest vertex of W, which
+settles about three subsets in four of the n = 12 benchmark graphs without
+a call to the step.  The key is the closed neighbourhood rows.
 
-Any other complex runs on facet bitmasks, where a link is not a
-restriction: the facets of the restriction, the maximal nonempty f & W,
-are built once per W; v is dominated when those holding v share another
-vertex, and deleting it keeps the homotopy type (Barmak & Minian, DCG 47,
-2012).  The key is those facets, sorted.
-The two kernels keep separate memos, because a graph key and a facet key
-can be the same tuple of different complexes.  `hochster_betti` takes the
-graph kernel when the complex's facets are the maximal cliques of its
-1-skeleton.  The ground set is capped at n <= 18 for the graph kernel and
-n <= 14 for the facet kernel; a larger one raises UnsupportedSizeError (CLI
-exit 3).
+`hochster_betti` raises ContractViolationError on a complex that is not
+flag.  The ground set is capped at n <= 18; a larger one raises
+UnsupportedSizeError (CLI exit 3).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .complexes import (
     SimplicialComplex,
     _homology_ranks,
     _maximal_clique_masks,
-    _maximal_masks,
     _position_masks,
     one_skeleton,
 )
-from .errors import InternalInvariantError, UnsupportedSizeError
-from .graphs import bits
+from .errors import ContractViolationError, InternalInvariantError, UnsupportedSizeError
+from .graphs import Graph, bits
 from .invariants import BettiTable
 
-# ground-set caps: the graph kernel serves graph input and flag complexes,
-# the facet kernel every other complex
-GRAPH_VERTEX_CAP = 18
-FACET_VERTEX_CAP = 14
+VERTEX_CAP = 18
 
-# graph kernel: compressed closed rows of a core -> nonzero reduced homology ranks
+# compressed closed rows of a core -> nonzero reduced homology ranks
 _HOMOLOGY_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
-# facet kernel: sorted compressed facets of a core -> nonzero reduced homology ranks
-_FACET_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
 
 
 class OracleBettiTable(BettiTable):
@@ -89,59 +74,46 @@ class OracleBettiTable(BettiTable):
                 raise InternalInvariantError(f"impossible Betti position {(i, j)}")
 
 
-def check_vertex_cap(n: int, flag: bool = True) -> None:
-    """Raise UnsupportedSizeError for a ground set above the cap of the graph
-    kernel, or with `flag` false, of the facet kernel."""
-    cap = GRAPH_VERTEX_CAP if flag else FACET_VERTEX_CAP
-    if n > cap:
-        which = "" if flag else " for a complex that is not flag"
-        raise UnsupportedSizeError(f"oracle capped at {cap} vertices{which}, got {n}")
+def check_vertex_cap(n: int) -> None:
+    """Raise UnsupportedSizeError for a ground set above VERTEX_CAP."""
+    if n > VERTEX_CAP:
+        raise UnsupportedSizeError(f"oracle capped at {VERTEX_CAP} vertices, got {n}")
+
+
+def _flag_skeleton(c: SimplicialComplex) -> Graph | None:
+    """The 1-skeleton of c when c is its flag complex, that is when c's
+    facets are the maximal cliques of the 1-skeleton; None otherwise."""
+    h = one_skeleton(c)
+    if set(_position_masks(c)) != set(_maximal_clique_masks(c.n, h.rows)):
+        return None
+    return h
 
 
 def hochster_betti(c: SimplicialComplex) -> OracleBettiTable:
-    """Exact Betti table of the Stanley-Reisner ring of c, by subset summation.
-
-    A flag complex, one whose facets are the maximal cliques of its
-    1-skeleton, takes the graph kernel; any other takes the facet kernel.
-    """
+    """Exact Betti table of the Stanley-Reisner ring of the flag complex c,
+    by subset summation."""
     check_vertex_cap(c.n)
-    facets = _position_masks(c)
-    rows = one_skeleton(c).rows
-    if set(facets) == set(_maximal_clique_masks(c.n, rows)):
-        return _hochster_graph(c.n, rows)
-    check_vertex_cap(c.n, flag=False)
-    return _hochster_masks(c.n, facets)
+    h = _flag_skeleton(c)
+    if h is None:
+        raise ContractViolationError("the oracle takes flag complexes only")
+    return _hochster_graph(c.n, h.rows)
 
 
 def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
-    """Betti table of the flag complex of the graph on 0..n-1 with these
-    adjacency rows."""
-    closed = {1 << v: r | 1 << v for v, r in enumerate(rows)}  # by vertex bit
-    return _hochster(n, rows, closed, _graph_step)
-
-
-def _hochster_masks(n: int, facets: Sequence[int]) -> OracleBettiTable:
-    """Betti table of the complex on positions 0..n-1 with these facet masks,
-    every position in some facet.  Its rows are empty, so the loop's link
-    rule never fires and every nonempty subset takes the step."""
-    return _hochster(n, [0] * n, facets, _facet_step)
-
-
-def _hochster(
-    n: int, rows: Sequence[int], data, step: Callable[..., dict[int, int] | None]
-) -> OracleBettiTable:
-    """Hochster's sum over the subsets w of 0..n-1, grouped by their lowest
-    vertex k for k = n-1 down to 0, each group in increasing order, so that
-    every proper subset of w comes before w.
+    """Betti table of the flag complex of the graph H on 0..n-1 with these
+    adjacency rows: Hochster's sum over the subsets w of 0..n-1, grouped by
+    their lowest vertex k for k = n-1 down to 0, each group in increasing
+    order, so that every proper subset of w comes before w.
 
     The empty restriction has rank 1 in dimension -1, so it is never None.
     For a nonempty w with lowest vertex k, the link of k is the flag complex
     of the subset rows[k] & w: when its result is None (nonempty and
-    Q-acyclic), w takes the result for w - k.  Otherwise
-    `step(data, w, at_subset)` gives the nonzero reduced homology ranks of
-    the restriction to w, or None iff it is Q-acyclic; `at_subset` holds the
-    result of every proper subset of w.
+    Q-acyclic), w takes the result for w - k.  Otherwise `_graph_step`
+    gives the nonzero reduced homology ranks of H[w], or None iff it is
+    Q-acyclic, from the result of every proper subset of w in `at_subset`.
     """
+    closed = {1 << v: r | 1 << v for v, r in enumerate(rows)}  # by vertex bit
+    step = _graph_step
     top = 1 << n
     at_subset: list[dict[int, int] | None] = [None] * top
     at_subset[0] = {-1: 1}
@@ -152,7 +124,7 @@ def _hochster(
             if at_subset[row & w] is None:
                 at_subset[w] = at_subset[w ^ v]
             else:
-                at_subset[w] = step(data, w, at_subset)
+                at_subset[w] = step(closed, w, at_subset)
     # beta_(i,j) sits at flat[i * (n + 1) + j], with i = j - 1 - dim
     width = n + 1
     flat = [0] * (width * width)
@@ -207,39 +179,8 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
     ranks = _HOMOLOGY_MEMO.get(key)
     if ranks is None:
         cliques = _maximal_clique_masks(len(key), [r ^ 1 << i for i, r in enumerate(key)])
-        ranks = _HOMOLOGY_MEMO[key] = _nonzero_ranks(cliques)
+        ranks = _HOMOLOGY_MEMO[key] = {dim: h for dim, h in _homology_ranks(cliques).items() if h}
     return ranks or None
-
-
-def _facet_step(facets: Sequence[int], w: int, at_subset) -> dict[int, int] | None:
-    """Ranks of the restriction to w, whose facets are the maximal nonempty
-    f & w.  A vertex v is dominated when the facets that hold it share
-    another vertex, and w takes the result for w - v.  Otherwise the key is
-    those facets, sorted and relabelled onto 0..|w|-1."""
-    pieces = _maximal_masks({f & w for f in facets} - {0})
-    m = w
-    while m:
-        v = m & -m
-        m ^= v
-        common = -1
-        for p in pieces:
-            if p & v:
-                common &= p
-        if common != v:
-            return at_subset[w ^ v]
-    if w.bit_count() == 1:
-        return None  # a point
-    key = tuple(sorted(_compress(p, w) for p in pieces))
-    ranks = _FACET_MEMO.get(key)
-    if ranks is None:
-        ranks = _FACET_MEMO[key] = _nonzero_ranks(key)
-    return ranks or None
-
-
-def _nonzero_ranks(facets: Sequence[int]) -> dict[int, int]:
-    """The nonzero reduced homology ranks of the complex with these facet
-    masks; {} when it is Q-acyclic."""
-    return {dim: h for dim, h in _homology_ranks(facets).items() if h}
 
 
 def _compress(piece: int, w: int) -> int:
@@ -264,4 +205,3 @@ def oracle_is_2linear(table: OracleBettiTable) -> bool:
 
 def clear_memo() -> None:
     _HOMOLOGY_MEMO.clear()
-    _FACET_MEMO.clear()

@@ -346,42 +346,43 @@ class TestOracle:
         assert rec["betti"] == [[0, 0, 1]] and rec["match"] is True
 
     def test_complex_file(self, capsys):
-        # the README example
-        assert main(["oracle", "--complex", str(HOLLOW_CX)]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        jsonschema.validate(rec, schema("oracle"))
-        assert rec["two_linear"] is False and rec["match"] is None
-        assert rec["betti"] == [[0, 0, 1], [1, 3, 1]]
+        # the README example: the hollow triangle is not flag
+        assert main(["oracle", "--complex", str(HOLLOW_CX)]) == 4
+        out, err = capsys.readouterr()
+        assert out == '{"chordless_cycle": null, "error": "not-flag"}\n' and err == ""
+        jsonschema.validate(json.loads(out), schema("oracle"))
 
     def test_size_cap_exit_3(self, capsys):
         g6 = to_graph6(Graph(19, (0,) * 19))
         assert main(["oracle", g6]) == 3
         assert capsys.readouterr().err == "error: oracle capped at 18 vertices, got 19\n"
 
-    def test_non_flag_complex_cap_exit_3(self, tmp_path, capsys):
-        # the hollow triangle and isolated vertices run the facet kernel
+    def test_large_non_flag_complex_exit_4(self, tmp_path, capsys):
+        # the hollow triangle and isolated vertices, below the cap of 18
         path = tmp_path / "hollow15.cx"
         path.write_text("15\n0 1\n1 2\n0 2\n" + "".join(f"{v}\n" for v in range(3, 15)))
-        assert main(["oracle", "--complex", str(path)]) == 3
-        assert capsys.readouterr().err == "error: oracle capped at 14 vertices for a complex that is not flag, got 15\n"
+        assert main(["oracle", "--complex", str(path)]) == 4
+        assert capsys.readouterr() == ('{"chordless_cycle": null, "error": "not-flag"}\n', "")
 
     @pytest.mark.parametrize(
         "g6", ["Cl", "Frqa_", to_graph6(build_family("barbell", 4))], ids=["C4", "Frqa_", "barbell"]
     )
     def test_graph_path_builds_no_complex(self, monkeypatch, tmp_path, capsys, g6):
-        # graph input runs the graph kernel on the complement's rows and takes
-        # match from its decomposition; the output is that of the flag complex
+        # both inputs run the kernel on the rows of H and take match from its
+        # decomposition: a graph's complement, and the 1-skeleton of a flag
+        # complex, so the flag complex of the complement prints the same bytes
         path = tmp_path / "flag.cx"
         path.write_text(complexes.format_complex(flag_complex(complement(parse_graph6(g6)))))
-        assert main(["oracle", "--complex", str(path)]) == 0
-        expected = capsys.readouterr().out
 
         def never(*args):
-            raise AssertionError("graph input went through a complex")
+            raise AssertionError("oracle input went through a complex")
 
         monkeypatch.setattr(complexes, "flag_complex", never)
         monkeypatch.setattr(complexes, "as_quasi_forest", never)
+        monkeypatch.setattr(complexes, "_quasi_forest_masks", never)
         monkeypatch.setattr(oracle, "hochster_betti", never)
+        assert main(["oracle", "--complex", str(path)]) == 0
+        expected = capsys.readouterr().out
         assert main(["oracle", g6]) == 0
         assert capsys.readouterr().out == expected
         if g6 != "Frqa_":

@@ -4,11 +4,12 @@ numerator, and the incidence-mask checks of a quasi-forest decomposition,
 both in its constructor and on facet masks.  Each must agree exactly, down
 to the exception class and message.  The facet order of `decompose` (MCS
 completion order) is held to the Kruskal clique forest on everything but
-the order within a component.  Both Hochster
-kernels are held to the earlier facet kernel, which keys every subset and
-folds a missed key to its core, and the facet kernel on non-flag complexes
-also to a sum over `restrict`.  Sparse exact rank is held to dense Bareiss
-elimination, on random integer matrices and on boundary maps."""
+the order within a component.  The Hochster
+kernel is held to the earlier facet kernel, which keys every subset and
+folds a missed key to its core, on random graphs and on graphs with keyed
+cores, and that reference, on complexes that are not flag, to a sum over
+`restrict`.  Sparse exact rank is held to dense Bareiss elimination, on
+random integer matrices and on boundary maps."""
 
 import random
 
@@ -23,9 +24,10 @@ from edgering.complexes import (
     _faces_by_size,
     _maximal_clique_masks,
     _maximal_masks,
+    _position_masks,
     flag_complex,
 )
-from edgering.errors import MalformedInputError
+from edgering.errors import ContractViolationError, MalformedInputError
 from edgering.graphs import (
     GRAPH6_HEADER,
     MAX_VERTICES,
@@ -235,23 +237,55 @@ def test_decomposition_checks_on_valid_and_mutated(rng):
     assert accepted > 100 and rejected > 50
 
 
+@st.composite
+def keyed_core_graphs(draw, max_n=12):
+    """A graph H on at most max_n vertices whose flag complex has restrictions
+    that no rule of the kernel settles, so that they are keyed: a disjoint
+    union of cycles C_k, k >= 4, and complements of perfect matchings (the
+    boundaries of cross-polytopes), plus extra vertices joined to random
+    earlier vertices, relabelled at random."""
+    rows: list[int] = []
+
+    def join(u, v):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+
+    pieces = st.tuples(st.sampled_from(["cycle", "cross"]), st.integers(4, 8))
+    for kind, size in draw(st.lists(pieces, min_size=1, max_size=3)):
+        if kind == "cross":
+            size -= size % 2
+        if len(rows) + size > max_n:
+            continue
+        first = len(rows)
+        rows += [0] * size
+        for i in range(size):
+            if kind == "cycle":
+                join(first + i, first + (i + 1) % size)
+            else:
+                for j in range(i + 2 - i % 2, size):  # all but the partner i ^ 1
+                    join(first + i, first + j)
+    for _ in range(draw(st.integers(0, max_n - len(rows)))):
+        rows.append(0)
+        new = len(rows) - 1
+        for u in bits(draw(st.integers(0, (1 << new) - 1)) & draw(st.integers(0, (1 << new) - 1))):
+            join(u, new)
+    perm = draw(st.permutations(range(len(rows))))
+    return Graph.from_edges(len(rows), [(perm[u], perm[v]) for u in range(len(rows)) for v in bits(rows[u]) if u < v])
+
+
 @settings(max_examples=300, deadline=None)
-@given(graphs(max_n=9), st.booleans())
-def test_graph_kernel_matches_facet_kernel(g, cold):
+@given(st.one_of(graphs(max_n=9), keyed_core_graphs()), st.booleans())
+def test_graph_kernel_matches_reference(g, cold):
     """From an empty memo, or one kept warm across examples.  From an empty
     memo, the graph kernel keys only subsets that its link rule and its
     Mayer-Vietoris rule settle at no vertex."""
     if cold:
         oracle.clear_memo()
-    cliques = _maximal_clique_masks(g.n, g.rows)
-    expected = ref_hochster_masks(g.n, cliques)
-    assert oracle._hochster_masks(g.n, cliques).entries == expected
+    expected = ref_hochster_masks(g.n, _maximal_clique_masks(g.n, g.rows))
     assert oracle._hochster_graph(g.n, g.rows).entries == expected
     if cold:
         assert_graph_memo_holds_cores()
-    facet_keys = len(oracle._FACET_MEMO)
     assert oracle.hochster_betti(flag_complex(g)).entries == expected
-    assert len(oracle._FACET_MEMO) == facet_keys  # a flag complex takes the graph kernel
 
 
 @st.composite
@@ -270,27 +304,28 @@ def non_flag_complexes(draw, max_n=10):
     return n, _maximal_masks(masks)
 
 
+def assert_refused(c):
+    with pytest.raises(ContractViolationError, match="^the oracle takes flag complexes only$"):
+        oracle.hochster_betti(c)
+
+
 @settings(max_examples=300, deadline=None)
-@given(non_flag_complexes(), st.booleans())
-def test_facet_kernel_matches_reference(complex_, cold):
-    """From an empty memo, or one kept warm across examples."""
+@given(non_flag_complexes())
+def test_facet_kernel_matches_reference(complex_):
+    """The reference facet kernel, `ref_hochster_masks`, against the sum over
+    `restrict` on complexes that are not flag, which the oracle refuses."""
     n, facets = complex_
-    if cold:
-        oracle.clear_memo()
-    expected = ref_hochster_masks(n, facets)
-    assert oracle._hochster_masks(n, facets).entries == expected
-    graph_keys = len(oracle._HOMOLOGY_MEMO)
     c = SimplicialComplex.of(n, [list(bits(f)) for f in facets])
-    assert oracle.hochster_betti(c).entries == expected
-    assert len(oracle._HOMOLOGY_MEMO) == graph_keys  # a non-flag complex takes the facet kernel
+    assert ref_hochster_masks(n, facets) == restriction_sum(c)
+    assert_refused(c)
 
 
 @pytest.mark.parametrize("n, facets", NON_FLAG_COMPLEXES)
 def test_non_flag_complex_takes_the_facet_kernel(n, facets):
-    oracle.clear_memo()
+    """Only the reference facet kernel takes a complex that is not flag."""
     c = SimplicialComplex.of(n, facets)
-    assert oracle.hochster_betti(c).entries == restriction_sum(c)
-    assert oracle._FACET_MEMO and not oracle._HOMOLOGY_MEMO
+    assert ref_hochster_masks(n, _position_masks(c)) == restriction_sum(c)
+    assert_refused(c)
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,11 +14,10 @@ from edgering.complexes import (
     reduced_homology_ranks,
     restrict,
 )
-from edgering.errors import UnsupportedSizeError
+from edgering.errors import ContractViolationError, UnsupportedSizeError
 from edgering.graphs import Graph, bits, complement
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
 from edgering.oracle import (
-    _FACET_MEMO,
     _HOMOLOGY_MEMO,
     clear_memo,
     hochster_betti,
@@ -27,7 +26,6 @@ from edgering.oracle import (
 )
 from conftest import (
     ACYCLIC_LINK_H,
-    NON_FLAG_COMPLEXES,
     assert_graph_memo_holds_cores,
     induced,
     random_graph,
@@ -45,19 +43,7 @@ def seeded_gnp(seed: str, n: int, p: float) -> Graph:
     return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
 
 
-def assert_facet_memo_holds_cores():
-    """Every facet memo key is a complex on 0..k-1 with no dominated vertex
-    (the facets holding v share no other vertex) and not a single vertex."""
-    assert _FACET_MEMO
-    for key in _FACET_MEMO:
-        support = 0
-        for f in key:
-            support |= f
-        k = support.bit_count()
-        assert support == (1 << k) - 1
-        assert k != 1
-        for v in range(k):
-            assert frozenset.intersection(*(frozenset(bits(f)) for f in key if f >> v & 1)) == {v}
+NOT_FLAG = "^the oracle takes flag complexes only$"
 
 
 class TestHochsterKnownTables:
@@ -79,9 +65,11 @@ class TestHochsterKnownTables:
         assert table.entries == {(1, 2): 1}
 
     def test_hollow_triangle_cubic(self):
-        table = hochster_betti(SimplicialComplex.of(3, [[0, 1], [1, 2], [0, 2]]))
-        assert table.entries == {(1, 3): 1}
-        assert not oracle_is_2linear(table)
+        # not flag: the oracle refuses it, and the reference finds the cubic
+        c = SimplicialComplex.of(3, [[0, 1], [1, 2], [0, 2]])
+        assert ref_hochster_masks(3, [0b011, 0b110, 0b101]) == restriction_sum(c) == {(1, 3): 1}
+        with pytest.raises(ContractViolationError, match=NOT_FLAG):
+            hochster_betti(c)
 
     def test_empty_complex(self):
         table = hochster_betti(SimplicialComplex.of(0, []))
@@ -92,11 +80,11 @@ class TestHochsterKnownTables:
         # the complex of all k-subsets of n vertices is not flag for 2 <= k < n;
         # its Stanley-Reisner ideal, the squarefree Veronese ideal of degree
         # k + 1, has a linear resolution: beta_(i,i+k) = C(k+i-1, k) C(n, k+i)
-        clear_memo()
-        table = hochster_betti(SimplicialComplex.of(n, combinations(range(n), k)))
-        assert table.entries == {(i, i + k): comb(k + i - 1, k) * comb(n, k + i) for i in range(1, n - k + 1)}
-        assert oracle_pd(table) == n - k
-        assert _FACET_MEMO and not _HOMOLOGY_MEMO  # the facet kernel ran
+        c = SimplicialComplex.of(n, combinations(range(n), k))
+        expected = {(i, i + k): comb(k + i - 1, k) * comb(n, k + i) for i in range(1, n - k + 1)}
+        assert ref_hochster_masks(n, [sum(1 << v for v in f) for f in combinations(range(n), k)]) == expected
+        with pytest.raises(ContractViolationError, match=NOT_FLAG):
+            hochster_betti(c)
 
 
 class TestTwoLinearDetection:
@@ -134,39 +122,20 @@ class TestOracleVsFormula:
 
 class TestMemoization:
     def test_relabelled_complex_hits_memo(self):
-        # the facet memo key is the restriction relabelled onto 0..|W|-1, so a
-        # copy of the complex on gapped labels adds no key and gets the same
-        # table; {1, 2, 3} is a clique but no face, so c is not flag
+        # the memo key is the restriction relabelled onto 0..|W|-1, so a copy
+        # of the complex on gapped labels adds no key and gets the same
+        # table; the flag complex of two disjoint 4-cycles keys its whole
+        # vertex set and nothing else
         clear_memo()
-        c = SimplicialComplex.of(5, [[0, 1, 2], [1, 3], [2, 3], [3, 4]])
+        square = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        c = SimplicialComplex.of(8, square + [[u + 4, v + 4] for u, v in square])
         first = hochster_betti(c)
-        keys = len(_FACET_MEMO)
-        relabelled = SimplicialComplex.of([3, 8, 9, 20, 21], [[3, 8, 9], [8, 20], [9, 20], [20, 21]])
+        assert len(_HOMOLOGY_MEMO) == 1
+        labels = [3, 8, 9, 20, 21, 30, 31, 40]
+        relabelled = SimplicialComplex.of(labels, [[labels[v] for v in f] for f in c.facet_lists()])
         assert hochster_betti(relabelled).entries == first.entries
-        assert len(_FACET_MEMO) == keys
-        # keys are sorted facet lists: no piece inside another
-        for key in _FACET_MEMO:
-            assert list(key) == sorted(key)
-            assert not any(a != b and a & b == a for a in key for b in key)
-        assert_facet_memo_holds_cores()
-
-    def test_facet_memo_holds_only_cores(self, rng):
-        # non-flag complexes: the boundary of a simplex S plus random facets
-        # that do not hold S; a W that collapses is never keyed
-        clear_memo()
-        for _ in range(40):
-            n = rng.randint(3, 7)
-            s = rng.sample(range(n), rng.randint(3, n))
-            facets = [[u for u in s if u != v] for v in s]
-            for _ in range(rng.randint(0, 5)):
-                f = [v for v in range(n) if rng.random() < 0.5]
-                if f and not set(s) <= set(f):
-                    facets.append(f)
-            facets += [[v] for v in range(n)]
-            c = SimplicialComplex.of(n, facets)
-            assert hochster_betti(c).entries == restriction_sum(c)
-        assert not _HOMOLOGY_MEMO
-        assert_facet_memo_holds_cores()
+        assert len(_HOMOLOGY_MEMO) == 1
+        assert_graph_memo_holds_cores()
 
     @pytest.mark.parametrize(
         "facets",
@@ -179,7 +148,7 @@ class TestMemoization:
         clear_memo()
         c = SimplicialComplex.of(1 + max(map(max, facets)), facets)
         assert hochster_betti(c).entries == restriction_sum(c)
-        # every complex here is flag, so the graph kernel filled the memo
+        # every complex here is flag, so the kernel runs and fills the memo
         assert_graph_memo_holds_cores()
 
     @pytest.mark.parametrize(
@@ -240,31 +209,14 @@ class TestMemoization:
         assert not _HOMOLOGY_MEMO
         assert table.entries == ref_hochster_masks(7, _maximal_clique_masks(7, h.rows))
 
-    def test_facet_kernel_builds_each_restriction_once(self, monkeypatch):
-        # the hollow tetrahedron on 0..3 and the triangle {0, 3, 4}, not flag:
-        # the facets of each restriction are built at most once per subset
-        calls = []
-        maximal_masks = oracle._maximal_masks
-
-        def counted(masks):
-            calls.append(1)
-            return maximal_masks(masks)
-
-        monkeypatch.setattr(oracle, "_maximal_masks", counted)
-        n, facets = 5, [0b00111, 0b01011, 0b01101, 0b01110, 0b11001]
-        assert oracle._hochster_masks(n, facets).entries
-        assert len(calls) <= 1 << n
-
     def test_size_cap(self):
-        # 18 vertices for a flag complex, here a simplex, and 14 for any other
-        # complex, here the hollow triangle and isolated vertices
+        # 18 vertices, here for a simplex; below the cap a complex that is
+        # not flag, here the hollow triangle and isolated vertices, is refused
         assert hochster_betti(SimplicialComplex.of(18, [range(18)])).entries == {}
         with pytest.raises(UnsupportedSizeError, match="^oracle capped at 18 vertices, got 19$"):
             hochster_betti(SimplicialComplex.of(19, [range(19)]))
         hollow = [[0, 1], [1, 2], [0, 2]]
-        assert hochster_betti(SimplicialComplex.of(14, hollow + [[v] for v in range(3, 14)])).entries
-        not_flag = "^oracle capped at 14 vertices for a complex that is not flag, got 15$"
-        with pytest.raises(UnsupportedSizeError, match=not_flag):
+        with pytest.raises(ContractViolationError, match=NOT_FLAG):
             hochster_betti(SimplicialComplex.of(15, hollow + [[v] for v in range(3, 15)]))
 
 
@@ -295,6 +247,12 @@ def checked_step(monkeypatch, name: str, c: SimplicialComplex) -> set[int]:
 
 
 LOOP_CONTRACT_SIZES = range(1, 11)
+# graphs on 0..4 in which vertex 0 is isolated
+WHOLE_SET_STEP_GRAPHS = [
+    Graph(5, (0,) * 5),
+    Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    Graph.from_edges(5, [(1, 2), (3, 4)]),
+]
 LOOP_CONTRACT_DENSITIES = [0.25, 0.5, 0.75]
 
 
@@ -337,22 +295,25 @@ class TestLoopContract:
                 oracle._hochster_graph(n, h.rows)
         assert summed
 
-    @pytest.mark.parametrize("n, facets", NON_FLAG_COMPLEXES)
-    def test_facet_kernel(self, monkeypatch, n, facets):
-        c = SimplicialComplex.of(n, facets)
-        called = checked_step(monkeypatch, "_facet_step", c)
+    @pytest.mark.parametrize("h", WHOLE_SET_STEP_GRAPHS, ids=["edgeless", "point-and-square", "point-and-paths"])
+    def test_whole_set_reaches_step(self, monkeypatch, h):
+        # vertex 0 is isolated, so its link is empty, never None, and the
+        # loop passes the whole vertex set to the step
+        called = checked_step(monkeypatch, "_graph_step", flag_complex(h))
         clear_memo()
-        assert hochster_betti(c).entries == restriction_sum(c)
-        # rows of the facet kernel are empty, so every nonempty subset takes the step
-        assert called == set(range(1, 1 << n))
+        table = oracle._hochster_graph(h.n, h.rows)
+        assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
+        assert (1 << h.n) - 1 in called
+        if not any(h.rows):
+            # every link is empty, so every nonempty subset takes the step
+            assert called == set(range(1, 1 << h.n))
 
     def test_superset_first_loop_fails(self, monkeypatch):
         # reversed ranges turn the loop into lowest vertex 0 first, each group
-        # in decreasing order: the whole set comes first, before {0, 3}, whose
-        # restriction is two points
-        n, facets = NON_FLAG_COMPLEXES[2]
-        c = SimplicialComplex.of(n, facets)
-        checked_step(monkeypatch, "_facet_step", c)
+        # in decreasing order: the whole set comes first, before the square
+        # {1, 2, 3, 4}, whose restriction is a circle
+        h = WHOLE_SET_STEP_GRAPHS[1]
+        checked_step(monkeypatch, "_graph_step", flag_complex(h))
         monkeypatch.setattr(oracle, "range", lambda *a: reversed(builtins.range(*a)), raising=False)
         with pytest.raises(AssertionError, match="not settled before 11111"):
-            oracle._hochster_masks(n, oracle._position_masks(c))
+            oracle._hochster_graph(h.n, h.rows)

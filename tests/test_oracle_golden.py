@@ -6,10 +6,11 @@ G(n, p) graphs with n <= 18, the 4-cycle `Cl`, `Frqa_` (a complement with an
 acyclic link but no dominated vertex), the perfect matchings on 14 and 18
 vertices, whose complements' flag complexes are the boundaries of the 7- and
 9-dimensional cross-polytopes, K_{9,9} and the complement of the barbell of
-two K_8; they run the graph kernel.  The complex inputs
-are the hollow triangle, seeded random complexes with n <= 10 and simplex
-skeletons (all k-subsets of n vertices); most are not flag and run the facet
-kernel.  Regenerate the fixture only when a change of output is intended:
+two K_8.  The complex inputs are the hollow triangle, seeded random
+complexes with n <= 10 and simplex skeletons (all k-subsets of n vertices);
+the flag ones run the kernel on their 1-skeleton, and the others, most of
+them, exit 4 as not flag.  Regenerate the fixture only when a change of
+output is intended:
 
     PYTHONPATH=src:tests python tests/test_oracle_golden.py
 """
@@ -28,6 +29,7 @@ from edgering.graphs import Graph, to_graph6
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 GOLDEN = FIXTURES / "oracle_golden.jsonl"
+NOT_FLAG_LINE = '{"chordless_cycle": null, "error": "not-flag"}\n'
 
 
 def matching_graph6(n: int) -> str:
@@ -110,15 +112,21 @@ def golden_text(tmp_dir: Path) -> str:
     return "".join(lines)
 
 
-def test_inputs_cover_both_kernels():
+def test_inputs_cover_flag_and_non_flag_complexes():
     records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
-    assert all(r["exit"] == 0 for r in records)
     graphs = [json.loads(r["stdout"]) for r in records if "graph6" in r]
-    complexes = [parse_complex(r["complex"]) for r in records if "complex" in r]
+    assert all(r["exit"] == 0 for r in records if "graph6" in r)
     assert max(t["n"] for t in graphs) == 18
-    assert max(c.n for c in complexes) == 10
-    # the facet kernel runs on every complex that is not flag
-    assert sum(flag_complex(one_skeleton(c)).facets != c.facets for c in complexes) >= 50
+    flag = {True: [], False: []}
+    for r in records:
+        if "complex" in r:
+            c = parse_complex(r["complex"])
+            flag[flag_complex(one_skeleton(c)).facets == c.facets].append((c, r))
+    assert max(c.n for c, _ in flag[True] + flag[False]) == 10
+    assert flag[True] and all(r["exit"] == 0 for _, r in flag[True])
+    # every complex that is not flag exits 4
+    assert len(flag[False]) >= 50
+    assert all(r["exit"] == 4 and r["stdout"] == NOT_FLAG_LINE for _, r in flag[False])
 
 
 def test_matches_golden_fixture(tmp_path):

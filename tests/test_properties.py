@@ -17,6 +17,7 @@ from pathlib import Path
 
 import jsonschema
 import networkx as nx
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from edgering.chordal import decompose
@@ -26,17 +27,18 @@ from edgering.complexes import (
     _canonical_facets,
     _homology_ranks,
     _maximal_masks,
+    _position_masks,
     flag_complex,
     parse_complex,
     reduced_homology_ranks,
     restrict,
 )
 from edgering.conjecture import classify
-from edgering.errors import EdgeRingError
+from edgering.errors import ContractViolationError, EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
-from edgering.oracle import _facet_step, _graph_step, hochster_betti, oracle_is_2linear, oracle_pd
-from conftest import ACYCLIC_LINK_H, chordal_graph, induced
+from edgering.oracle import _graph_step, hochster_betti, oracle_is_2linear, oracle_pd
+from conftest import ACYCLIC_LINK_H, chordal_graph, induced, ref_core_key, ref_hochster_masks
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -93,29 +95,26 @@ def nonzero(ranks: dict[int, int]) -> dict[int, int]:
 @example((0x07, 0x0D, 0x16, 0x19, 0x1A, 0x23, 0x2A, 0x2C, 0x31, 0x34))
 @given(facet_keys())
 def test_core_has_the_homology_of_the_complex(key):
-    """The facet kernel's step on W, the support of the complex: the vertex
-    whose W - v it takes lies, with another vertex, in every facet that
-    holds it, and deleting it keeps every nonzero rank; with no such vertex
-    it returns the nonzero ranks of the complex, or None when it is
-    Q-acyclic (a single vertex among them)."""
+    """The strong-collapse core of the reference kernel, `ref_core_key`:
+    deleting a dominated vertex, one that lies with another vertex in every
+    facet that holds it, keeps every nonzero rank, and so does the core, in
+    which no vertex is dominated."""
     w = 0
     for f in key:
         w |= f
-    # set-based: u is dominated when the facets that hold u share another vertex
-    dominated = {
-        u for u in bits(w) if len(frozenset.intersection(*(frozenset(bits(f)) for f in key if f >> u & 1))) > 1
-    }
-    # the result for W - u stands in as u, so the step's answer names the vertex
-    got = _facet_step(key, w, {w ^ 1 << u: u for u in bits(w)})
-    if got is None:
-        assert not dominated and not nonzero(_homology_ranks(key))
-    elif isinstance(got, dict):
-        assert not dominated
-        assert got == nonzero(_homology_ranks(key)) != {}
-    else:
-        assert got in dominated
-        rest = _maximal_masks({f & ~(1 << got) for f in key} - {0})
-        assert nonzero(_homology_ranks(rest)) == nonzero(_homology_ranks(key))
+    ranks = nonzero(_homology_ranks(key))
+    for u in bits(w):
+        # set-based: u is dominated when the facets that hold u share another vertex
+        if len(frozenset.intersection(*(frozenset(bits(f)) for f in key if f >> u & 1))) > 1:
+            rest = _maximal_masks({f & ~(1 << u) for f in key} - {0})
+            assert nonzero(_homology_ranks(rest)) == ranks
+    core = ref_core_key(key)
+    assert nonzero(_homology_ranks(core)) == ranks
+    support = 0
+    for f in core:
+        support |= f
+    for u in bits(support):
+        assert frozenset.intersection(*(frozenset(bits(f)) for f in core if f >> u & 1)) == {u}
 
 
 @st.composite
@@ -186,7 +185,17 @@ def test_hochster_sum_equals_restriction_homology(c):
                 if h:
                     key = (size - 1 - dim, size)
                     expected[key] = expected.get(key, 0) + h
-    assert hochster_betti(c).entries == expected
+    def is_face(s):
+        return any(s <= f for f in c.facets)
+
+    # set-based: c is flag when every clique of its 1-skeleton is a face
+    cliques = (set(s) for k in range(3, c.n + 1) for s in combinations(c.vertices, k))
+    if not all(is_face(s) for s in cliques if all(is_face({a, b}) for a, b in combinations(s, 2))):
+        assert ref_hochster_masks(c.n, _position_masks(c)) == expected
+        with pytest.raises(ContractViolationError, match="^the oracle takes flag complexes only$"):
+            hochster_betti(c)
+    else:
+        assert hochster_betti(c).entries == expected
 
 
 @settings(max_examples=150, deadline=None)
