@@ -32,7 +32,7 @@ import multiprocessing
 import os
 import sys
 
-from . import chordal, complexes, conjecture, invariants, oracle
+from . import chordal, complexes, conjecture, oracle
 from .errors import (
     ContractViolationError,
     InternalInvariantError,
@@ -82,17 +82,7 @@ def analyze_record(g: Graph) -> dict:
         rec["chordless_cycle"] = list(res.cycle)
         return rec
     f = conjecture.formulas(g.n, facets, rec["max_deg"])
-    # the record does not check itself; analyze checks what it prints
-    num = invariants._checked_numerator(f.numerator, g.n, f.r_min)
-    betti = invariants._linear_strand(num)
-    if any(v < 0 for v in betti.values()):
-        raise InternalInvariantError("negative Betti number; the numerator is not 2-linear")
-    if f.cm != (f.depth == f.dim):
-        raise InternalInvariantError("CM structural test disagrees with depth = dim")
-    if f.witness is not None and not f.holds:
-        raise InternalInvariantError(
-            f"witness exists but pd {f.pd} != max degree {rec['max_deg']} for {rec['input']}"
-        )
+    num, betti = conjecture.checked_strand(f, g.n, rec["max_deg"], rec["input"])
     rec.update(
         complement_chordal=True, facets=[list(bits(m)) for m in facets], d=list(f.dims),
         r=list(f.attach_dims), r_min=f.r_min, hilbert_numerator=list(num),
@@ -264,10 +254,9 @@ def cmd_oracle(args) -> int:
     facets = chordal._decompose_masks(h)[1]
     match = None
     if facets is not None:
-        # max_deg decides only `holds`, which the match does not read
-        f = conjecture.formulas(table.n, facets, 0)
-        num = invariants._checked_numerator(f.numerator, table.n, f.r_min)
-        match = invariants._linear_strand(num) == table.entries
+        max_deg = h.n - 1 - min(map(int.bit_count, h.rows))  # of G, the complement of H
+        f = conjecture.formulas(h.n, facets, max_deg)
+        match = conjecture.checked_strand(f, h.n, max_deg, to_graph6(complement(h)))[1] == table.entries
     rec = {
         "n": table.n,
         "subsets_examined": table.subsets_examined,

@@ -6,12 +6,12 @@ edge ring is then the Stanley-Reisner ring of the quasi-forest built from
 the complement's maximal cliques, and pd comes from the closed formula.
 
 `formulas` computes every closed formula for one graph on facet masks and
-returns one `FormulaRecord`; `classify`, `edgering analyze` and the sweeps
-all read it.  The verdict is always the direct comparison pd == max_deg.
-The structural witness (a free vertex in a facet of size r_min + 2 attached
-to the rest along all of its other vertices) is computed independently;
-`classify` and `analyze` assert that witness implies holds, and the converse
-is exercised exhaustively by the sweeps rather than assumed.
+returns one `FormulaRecord`; `classify`, `edgering analyze`, `oracle` and
+the sweeps all read it, all but the sweeps through `checked_strand`.  The
+verdict is always the direct comparison pd == max_deg.  The structural
+witness (a free vertex in a facet of size r_min + 2 attached to the rest
+along all of its other vertices) is computed independently; witness
+implies holds is checked, and the converse exercised by the sweeps.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class ConjectureReport:
                 raise InternalInvariantError("gap != pd - max_deg")
             if self.holds != (self.pd == self.max_deg):
                 raise InternalInvariantError("holds flag inconsistent with pd and max_deg")
-            if self.witness is not None and not self.holds:
-                raise InternalInvariantError(
-                    f"witness exists but pd {self.pd} != max degree {self.max_deg} for {self.graph6}"
-                )
 
 
 def _free_vertex_witness_masks(facets, r_min: int) -> tuple[int, int] | None:
@@ -103,8 +99,7 @@ class FormulaRecord(NamedTuple):
 
     numerator is untrimmed (n + 1 coefficients over (1-t)^n); d_tree is the
     existence of a d-tree ordering; witness is (facet mask, free vertex) or
-    None, and always None for a single facet.  A plain tuple with no checks:
-    each caller checks what it needs.
+    None, and always None for a single facet.  `checked_strand` checks it.
     """
 
     dims: tuple[int, ...]
@@ -139,15 +134,35 @@ def formulas(n: int, facets: list[int], max_deg: int) -> FormulaRecord:
     )
 
 
+def checked_strand(
+    rec: FormulaRecord, n: int, max_deg: int, graph6: str
+) -> tuple[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The trimmed Hilbert numerator and the Betti strand of the record of a
+    graph on n vertices, checked in O(n): the numerator starts 1 + 0t and has
+    degree n - r_min - 1, no Betti number is negative, CM holds exactly when
+    depth = dim, and a witness implies holds; else InternalInvariantError."""
+    num = invariants._checked_numerator(rec.numerator, n, rec.r_min)
+    betti = invariants._linear_strand(num)
+    if any(v < 0 for v in betti.values()):
+        raise InternalInvariantError("negative Betti number; the numerator is not 2-linear")
+    if rec.cm != (rec.depth == rec.dim):
+        raise InternalInvariantError("CM structural test disagrees with depth = dim")
+    if rec.witness is not None and not rec.holds:
+        raise InternalInvariantError(f"witness exists but pd {rec.pd} != max degree {max_deg} for {graph6}")
+    return num, betti
+
+
 def classify(g: Graph) -> ConjectureReport:
     """Full pipeline: complement, chordality, decomposition, formula pd, verdict."""
     facets = chordal._decompose_masks(complement(g))[1]
     if facets is None:
         return ConjectureReport(graph6=to_graph6(g), has_2linear=False)
     md = max_degree(g)
+    g6 = to_graph6(g)
     rec = formulas(g.n, facets, md)
+    checked_strand(rec, g.n, md, g6)
     return ConjectureReport(
-        graph6=to_graph6(g), has_2linear=True, single_facet=len(facets) == 1,
+        graph6=g6, has_2linear=True, single_facet=len(facets) == 1,
         r_min=rec.r_min, pd=rec.pd, max_deg=md, holds=rec.holds, gap=rec.pd - md,
         witness=rec.witness and (frozenset(bits(rec.witness[0])), rec.witness[1]),
     )

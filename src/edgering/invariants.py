@@ -59,9 +59,6 @@ class HilbertSeries:
     def degree(self) -> int:
         return len(self.numerator) - 1
 
-    def coefficient(self, i: int) -> int:
-        return self.numerator[i] if 0 <= i <= self.degree else 0
-
     def reduced(self) -> tuple[tuple[int, ...], int]:
         """Cancel (1-t) factors for display; equality stays on the canonical form."""
         num = list(self.numerator)

@@ -11,9 +11,8 @@ lowest vertex, from the highest group down, so every proper subset of W
 comes before W.  It keeps what each W gave: its nonzero reduced homology
 ranks, or None when the restriction to W is Q-acyclic; the empty set, rank
 1 in dimension -1, is set before it starts.  A W whose ranks follow from
-those of its proper subsets takes them from there.  Only a W for which no
-such rule fits, other than a single vertex, is keyed, relabelled onto
-0..|W|-1, and exact homology runs only on a memo miss.
+those of its proper subsets takes them from there.  Only a W that no such
+rule settles runs exact homology; the kernel keeps no state between calls.
 
 The kernel runs on flag complexes, which is every complex the paper's
 rings have: k[G] is the Stanley-Reisner ring of the flag complex of the
@@ -34,7 +33,7 @@ is None), where W has the ranks of W - v, for every v first: it covers
 every dominated vertex, whose link is a cone, and settles almost every
 subset.  The loop itself tries that case for the lowest vertex of W, which
 settles about three subsets in four of the n = 12 benchmark graphs without
-a call to the step.  The key is the closed neighbourhood rows.
+a call to the step.
 
 `hochster_betti` raises ContractViolationError on a complex that is not
 flag.  The ground set is capped at n <= 18; a larger one raises
@@ -57,9 +56,6 @@ from .graphs import Graph, bits
 from .invariants import BettiTable
 
 VERTEX_CAP = 18
-
-# compressed closed rows of a core -> nonzero reduced homology ranks
-_HOMOLOGY_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
 
 
 class OracleBettiTable(BettiTable):
@@ -141,8 +137,8 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
     nonempty and Q-acyclic (None), w takes the result for w - v.  The empty
     link, of an isolated v, is never None.  Failing that for every v: when
     no degree holds homology in both the link and w - v, w has the ranks of
-    w - v plus those of the link one dimension up.  Otherwise the key is
-    the closed neighbourhood rows relabelled onto 0..|w|-1.
+    w - v plus those of the link one dimension up.  Otherwise exact
+    homology runs on the maximal cliques of H[w].
 
     The rule is exact: the restriction to w is that of w - v and the cone
     on the link, glued along the link, and the cone is acyclic, so the long
@@ -172,25 +168,13 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
             for dim, h in link.items():
                 ranks[dim + 1] = ranks.get(dim + 1, 0) + h
             return ranks
-    # no generator here: it would make `closed` and `w` cells, slowing every call
-    key = ()
+    # vertices outside w keep empty rows, and `w.__and__` drops their
+    # one-vertex cliques; a comprehension would make `closed` and `w` cells
+    rows = [0] * len(closed)
     for u in bits(w):
-        key += (_compress(closed[1 << u] & w, w),)
-    ranks = _HOMOLOGY_MEMO.get(key)
-    if ranks is None:
-        cliques = _maximal_clique_masks(len(key), [r ^ 1 << i for i, r in enumerate(key)])
-        ranks = _HOMOLOGY_MEMO[key] = {dim: h for dim, h in _homology_ranks(cliques).items() if h}
-    return ranks or None
-
-
-def _compress(piece: int, w: int) -> int:
-    """`piece`, a subset of the mask `w`, relabelled onto 0..|w|-1 in order."""
-    out = 0
-    while piece:
-        low = piece & -piece
-        out |= 1 << (w & (low - 1)).bit_count()
-        piece ^= low
-    return out
+        rows[u] = closed[1 << u] & w ^ 1 << u
+    ranks = _homology_ranks(list(filter(w.__and__, _maximal_clique_masks(len(rows), rows))))
+    return {dim: h for dim, h in ranks.items() if h} or None
 
 
 def oracle_pd(table: OracleBettiTable) -> int:
@@ -204,4 +188,4 @@ def oracle_is_2linear(table: OracleBettiTable) -> bool:
 
 
 def clear_memo() -> None:
-    _HOMOLOGY_MEMO.clear()
+    """A no-op: the oracle keeps no state between calls, and no memo to clear."""

@@ -15,7 +15,9 @@ or, for the facet order, on everything but the order within a component.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import combinations, permutations
+from unittest.mock import patch
 
 import pytest
 
@@ -34,7 +36,6 @@ from edgering.errors import (
 )
 from edgering.graphs import Graph, bits
 from edgering.invariants import one_minus_t_pow
-from edgering.oracle import _compress
 
 
 def check_peo(g: Graph, peo) -> bool:
@@ -434,6 +435,16 @@ def sparse_rows(matrix: list[list[int]]) -> list[dict[int, int]]:
     return [{c: v for c, v in enumerate(row) if v} for row in matrix]
 
 
+def _compress(piece: int, w: int) -> int:
+    """`piece`, a subset of the mask `w`, relabelled onto 0..|w|-1 in order."""
+    out = 0
+    while piece:
+        low = piece & -piece
+        out |= 1 << (w & (low - 1)).bit_count()
+        piece ^= low
+    return out
+
+
 _REF_FACET_MEMO: dict[tuple[int, ...], dict[int, int]] = {}
 
 
@@ -533,31 +544,59 @@ def induced(g: Graph, keep) -> Graph:
     return Graph.from_edges(len(pos), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
 
 
-def assert_graph_memo_holds_cores() -> None:
-    """Every graph memo key is the closed rows of a graph H on 0..k-1, k != 1,
-    holding the nonzero reduced homology ranks of its flag complex, that the
-    Mayer-Vietoris rule fits at no vertex: none is dominated, and for every
-    v some degree holds homology in both its link (the flag complex of its
-    neighbourhood, the empty one with rank 1 in dimension -1) and the
-    restriction to the other vertices.  So no link is empty or Q-acyclic,
-    and no deletion leaves a Q-acyclic restriction."""
+@contextmanager
+def recording_exact_calls():
+    """Wrap the oracle's exact homology, `oracle._homology_ranks`, and yield
+    the list of its calls as (W, ranks): W the vertex subset, the union of
+    the facet masks it was given, and ranks its nonzero results."""
+    from edgering import oracle
+
+    exact = oracle._homology_ranks
+    calls: list[tuple[int, dict[int, int]]] = []
+
+    def recorded(facets):
+        ranks = exact(facets)
+        w = 0
+        for f in facets:
+            w |= f
+        calls.append((w, {d: h for d, h in ranks.items() if h}))
+        return ranks
+
+    with patch.object(oracle, "_homology_ranks", recorded):
+        yield calls
+
+
+@pytest.fixture
+def exact_calls():
+    """The calls of the oracle's exact homology during the test, as
+    `recording_exact_calls` records them."""
+    with recording_exact_calls() as calls:
+        yield calls
+
+
+def assert_exact_calls_hold_cores(h: Graph, calls) -> None:
+    """Every subset W that reached exact homology on the flag complex of H
+    has k != 1 vertices and got the nonzero reduced homology ranks of the
+    flag complex of H[W], and the Mayer-Vietoris rule fits at none of its
+    vertices: none is dominated, and for every v some degree holds homology
+    in both its link (the flag complex of its neighbourhood, the empty one
+    with rank 1 in dimension -1) and the restriction to W - v.  So no link
+    is empty or Q-acyclic, and no deletion leaves a Q-acyclic restriction."""
     from edgering.complexes import flag_complex
-    from edgering.oracle import _HOMOLOGY_MEMO
 
-    def degrees(g: Graph) -> set[int]:
-        return {d for d, h in reduced_homology_ranks(flag_complex(g)).items() if h}
+    def nonzero(g: Graph) -> dict[int, int]:
+        return {d: h for d, h in reduced_homology_ranks(flag_complex(g)).items() if h}
 
-    for key, ranks in _HOMOLOGY_MEMO.items():
-        k = len(key)
+    for w, ranks in calls:
+        core = induced(h, list(bits(w)))
+        k = core.n
         assert k != 1
-        assert all(key[v] >> v & 1 for v in range(k))
-        assert not any(u != v and key[v] & ~key[u] == 0 for u in range(k) for v in range(k))
-        core = Graph(k, tuple(row ^ 1 << v for v, row in enumerate(key)))
-        nonzero = {d: h for d, h in reduced_homology_ranks(flag_complex(core)).items() if h}
-        assert ranks == nonzero
+        closed = [row | 1 << v for v, row in enumerate(core.rows)]
+        assert not any(u != v and closed[v] & ~closed[u] == 0 for u in range(k) for v in range(k))
+        assert ranks == nonzero(core)
         for v in range(k):
-            link = degrees(induced(core, core.neighbors(v)))
-            assert link & degrees(induced(core, [u for u in range(k) if u != v]))
+            link = nonzero(induced(core, core.neighbors(v)))
+            assert link.keys() & nonzero(induced(core, [u for u in range(k) if u != v])).keys()
 
 
 def raised(f, *args):

@@ -1,5 +1,6 @@
 import pytest
 
+from edgering import conjecture
 from edgering.chordal import decompose
 from edgering.complexes import SimplicialComplex, flag_complex
 from edgering.conjecture import (
@@ -11,7 +12,8 @@ from edgering.conjecture import (
     free_vertex_witness,
     gap_series,
 )
-from edgering.errors import ContractViolationError, UndefinedInputError
+from edgering.cli import main
+from edgering.errors import ContractViolationError, InternalInvariantError, UndefinedInputError
 from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
 from edgering.invariants import (
     d_tree_signature,
@@ -112,6 +114,24 @@ class TestFormulaRecord:
             witness = rec.witness and (frozenset(bits(rec.witness[0])), rec.witness[1])
             assert witness == rep.witness
 
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    def test_flipped_cm_is_an_internal_error(self, monkeypatch, capsys, command):
+        """Every reader of the record runs the same checks: a record whose CM
+        flag disagrees with depth = dim fails `classify`, `analyze` and
+        `oracle` with the same message."""
+        real = formulas
+
+        def flipped(*args):
+            rec = real(*args)
+            return rec._replace(cm=not rec.cm)
+
+        monkeypatch.setattr(conjecture, "formulas", flipped)
+        message = "CM structural test disagrees with depth = dim"
+        with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+            classify(C4)
+        assert main([command, to_graph6(C4)]) == 5
+        assert capsys.readouterr() == ("", f"internal error: {message}\n")
+
 
 class TestFreeVertexWitness:
     def test_c4_complex_none(self):
@@ -188,6 +208,6 @@ class TestWitnessSoundness:
     def test_witness_implies_holds_on_random_graphs(self, rng):
         for _ in range(400):
             g = random_graph(rng, 7)
-            rep = classify(g)  # classify itself asserts witness -> holds
+            rep = classify(g)  # classify itself checks witness -> holds
             if rep.has_2linear and rep.witness is not None:
                 assert rep.holds

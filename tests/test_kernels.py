@@ -6,9 +6,9 @@ to the exception class and message.  The facet order of `decompose` (MCS
 completion order) is held to the Kruskal clique forest on everything but
 the order within a component.  The Hochster
 kernel is held to the earlier facet kernel, which keys every subset and
-folds a missed key to its core, on random graphs and on graphs with keyed
-cores, and that reference, on complexes that are not flag, to a sum over
-`restrict`.  Sparse exact rank is held to dense Bareiss elimination, on
+folds a missed key to its core, on random graphs and on graphs whose
+restrictions reach exact homology, and that reference, on complexes that
+are not flag, to a sum over `restrict`.  Sparse exact rank is held to dense Bareiss elimination, on
 random integer matrices and on boundary maps."""
 
 import random
@@ -41,10 +41,11 @@ from edgering.graphs import (
 from edgering.invariants import _numerator
 from conftest import (
     NON_FLAG_COMPLEXES,
-    assert_graph_memo_holds_cores,
+    assert_exact_calls_hold_cores,
     chordal_graph,
     raised,
     random_quasi_forest_facets,
+    recording_exact_calls,
     ref_bareiss_rank,
     ref_check_decomposition,
     ref_hochster_masks,
@@ -240,10 +241,10 @@ def test_decomposition_checks_on_valid_and_mutated(rng):
 @st.composite
 def keyed_core_graphs(draw, max_n=12):
     """A graph H on at most max_n vertices whose flag complex has restrictions
-    that no rule of the kernel settles, so that they are keyed: a disjoint
-    union of cycles C_k, k >= 4, and complements of perfect matchings (the
-    boundaries of cross-polytopes), plus extra vertices joined to random
-    earlier vertices, relabelled at random."""
+    that no rule of the kernel settles, so that they reach exact homology: a
+    disjoint union of cycles C_k, k >= 4, and complements of perfect
+    matchings (the boundaries of cross-polytopes), plus extra vertices joined
+    to random earlier vertices, relabelled at random."""
     rows: list[int] = []
 
     def join(u, v):
@@ -274,17 +275,14 @@ def keyed_core_graphs(draw, max_n=12):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(graphs(max_n=9), keyed_core_graphs()), st.booleans())
-def test_graph_kernel_matches_reference(g, cold):
-    """From an empty memo, or one kept warm across examples.  From an empty
-    memo, the graph kernel keys only subsets that its link rule and its
-    Mayer-Vietoris rule settle at no vertex."""
-    if cold:
-        oracle.clear_memo()
+@given(st.one_of(graphs(max_n=9), keyed_core_graphs()))
+def test_graph_kernel_matches_reference(g):
+    """The graph kernel runs exact homology only on subsets that its link
+    rule and its Mayer-Vietoris rule settle at no vertex."""
     expected = ref_hochster_masks(g.n, _maximal_clique_masks(g.n, g.rows))
-    assert oracle._hochster_graph(g.n, g.rows).entries == expected
-    if cold:
-        assert_graph_memo_holds_cores()
+    with recording_exact_calls() as calls:
+        assert oracle._hochster_graph(g.n, g.rows).entries == expected
+    assert_exact_calls_hold_cores(g, calls)
     assert oracle.hochster_betti(flag_complex(g)).entries == expected
 
 

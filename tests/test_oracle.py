@@ -17,16 +17,10 @@ from edgering.complexes import (
 from edgering.errors import ContractViolationError, UnsupportedSizeError
 from edgering.graphs import Graph, bits, complement
 from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
-from edgering.oracle import (
-    _HOMOLOGY_MEMO,
-    clear_memo,
-    hochster_betti,
-    oracle_is_2linear,
-    oracle_pd,
-)
+from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
 from conftest import (
     ACYCLIC_LINK_H,
-    assert_graph_memo_holds_cores,
+    assert_exact_calls_hold_cores,
     induced,
     random_graph,
     ref_hochster_masks,
@@ -121,35 +115,34 @@ class TestOracleVsFormula:
 
 
 class TestMemoization:
-    def test_relabelled_complex_hits_memo(self):
-        # the memo key is the restriction relabelled onto 0..|W|-1, so a copy
-        # of the complex on gapped labels adds no key and gets the same
-        # table; the flag complex of two disjoint 4-cycles keys its whole
-        # vertex set and nothing else
-        clear_memo()
+    """Which subsets reach the exact-homology fallback of the graph kernel,
+    the path that once went through a memo keyed by the relabelled
+    restriction; the kernel now keeps no state between calls."""
+
+    def test_relabelled_complex_hits_memo(self, exact_calls):
+        # a copy of the complex on gapped labels gets the same table; the
+        # flag complex of two disjoint 4-cycles runs exact homology on its
+        # whole vertex set and nothing else, in either labelling
         square = [[0, 1], [1, 2], [2, 3], [0, 3]]
         c = SimplicialComplex.of(8, square + [[u + 4, v + 4] for u, v in square])
         first = hochster_betti(c)
-        assert len(_HOMOLOGY_MEMO) == 1
         labels = [3, 8, 9, 20, 21, 30, 31, 40]
         relabelled = SimplicialComplex.of(labels, [[labels[v] for v in f] for f in c.facet_lists()])
         assert hochster_betti(relabelled).entries == first.entries
-        assert len(_HOMOLOGY_MEMO) == 1
-        assert_graph_memo_holds_cores()
+        assert exact_calls == [(0b11111111, {0: 1, 1: 2})] * 2
 
     @pytest.mark.parametrize(
         "facets",
         [[[0, 1]], [[0, 1], [1, 2]], [[0, 1], [2, 3]], [[0, 1, 2], [2, 3], [3, 4, 5], [5, 0]]],
     )
-    def test_core_keys_mutually_dominating(self, facets):
+    def test_core_keys_mutually_dominating(self, exact_calls, facets):
         # 0 and 1 lie in the same facets and dominate each other: deleting both
         # at once would turn the edge [[0, 1]] into the empty complex (rank
         # H~_-1 = 1) and the two edges [[0, 1], [2, 3]] into one edge (H~_0 = 0)
-        clear_memo()
         c = SimplicialComplex.of(1 + max(map(max, facets)), facets)
         assert hochster_betti(c).entries == restriction_sum(c)
-        # every complex here is flag, so the kernel runs and fills the memo
-        assert_graph_memo_holds_cores()
+        # every complex here is flag, so the graph kernel runs on its skeleton
+        assert_exact_calls_hold_cores(oracle._flag_skeleton(c), exact_calls)
 
     @pytest.mark.parametrize(
         "h",
@@ -165,48 +158,45 @@ class TestMemoization:
         ],
         ids=["cross-polytope", "chordal"],
     )
-    def test_no_subset_is_keyed(self, h):
-        # the loop seeds the empty subset, so no step keys it
-        clear_memo()
+    def test_no_subset_is_keyed(self, exact_calls, h):
+        # the loop seeds the empty subset, so no step runs exact homology on it
         table = oracle._hochster_graph(h.n, h.rows)
-        assert not _HOMOLOGY_MEMO
+        assert not exact_calls
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
 
-    def test_disjoint_cycles_are_keyed(self):
+    def test_disjoint_cycles_are_keyed(self, exact_calls):
         # H = two disjoint 4-cycles: every link is two points and every W - v
         # is a path and a 4-cycle, both with homology in dimension 0, so the
         # Mayer-Vietoris rule fits at no vertex and the whole set takes the
-        # exact-rank path; every proper subset is settled without a key
+        # exact-homology path; every proper subset is settled without it
         h = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
-        clear_memo()
         table = oracle._hochster_graph(h.n, h.rows)
-        assert list(_HOMOLOGY_MEMO.values()) == [{0: 1, 1: 2}]
-        assert_graph_memo_holds_cores()
+        assert exact_calls == [(0b11111111, {0: 1, 1: 2})]
+        assert_exact_calls_hold_cores(h, exact_calls)
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
 
-    def test_seeded_n12_graphs_build_no_key(self):
+    def test_seeded_n12_graphs_build_no_key(self, exact_calls):
         # two seeded G(12, p) at each density of the n = 12 benchmark graphs;
         # with only the link rule, the acyclic W - v and the isolated v, the
-        # eight cold calls built 119 keys
+        # eight cold calls once built 119 memo keys for exact homology
         for p in (0.25, 0.3, 0.35, 0.4):
             for i in range(2):
                 h = seeded_gnp(f"no key {p} {i}", 12, p)
-                clear_memo()
                 table = oracle._hochster_graph(12, h.rows)
-                assert not _HOMOLOGY_MEMO
+                assert not exact_calls
                 assert table.entries == ref_hochster_masks(12, _maximal_clique_masks(12, h.rows))
 
-    def test_acyclic_link_without_domination_is_not_keyed(self):
-        # no vertex of H is dominated, so a domination search keys all of
-        # 0..6; the link of vertex 4 is acyclic, so the link rule reuses the
-        # result for W - 4 instead, and no subset at all is keyed
+    def test_acyclic_link_without_domination_is_not_keyed(self, exact_calls):
+        # no vertex of H is dominated, so a domination search leaves all of
+        # 0..6 to exact homology; the link of vertex 4 is acyclic, so the
+        # link rule reuses the result for W - 4 instead, and no subset at all
+        # runs exact homology
         h = ACYCLIC_LINK_H
         closed = [row | 1 << v for v, row in enumerate(h.rows)]
         assert not any(u != v and closed[v] & ~closed[u] == 0 for u in range(7) for v in range(7))
         assert not any(reduced_homology_ranks(flag_complex(induced(h, h.neighbors(4)))).values())
-        clear_memo()
         table = oracle._hochster_graph(7, h.rows)
-        assert not _HOMOLOGY_MEMO
+        assert not exact_calls
         assert table.entries == ref_hochster_masks(7, _maximal_clique_masks(7, h.rows))
 
     def test_size_cap(self):
@@ -262,16 +252,15 @@ class TestLoopContract:
     def test_graph_kernel(self, monkeypatch, n, p):
         h = seeded_gnp(f"loop contract {n} {p}", n, p)
         checked_step(monkeypatch, "_graph_step", flag_complex(h))
-        clear_memo()
         table = oracle._hochster_graph(n, h.rows)
         assert table.entries == ref_hochster_masks(n, _maximal_clique_masks(n, h.rows))
 
-    def test_graph_kernel_sums_link_and_rest(self, monkeypatch):
+    def test_graph_kernel_sums_link_and_rest(self, monkeypatch, exact_calls):
         # the graphs above reach the Mayer-Vietoris rule where its special
         # cases fit at no vertex: every link nonempty and not Q-acyclic and
-        # no W - v Q-acyclic.  The rule builds a new dict there, while the
-        # key path returns a memo value or None, so the contract above checks
-        # sums of the ranks of W - v and the shifted link ranks
+        # no W - v Q-acyclic.  A result there that no exact-homology call
+        # made is a sum, so the contract above checks sums of the ranks of
+        # W - v and the shifted link ranks
         step = oracle._graph_step
         summed = []
 
@@ -280,7 +269,7 @@ class TestLoopContract:
             pairs = [(at_subset[w ^ 1 << u], closed[1 << u] & w ^ 1 << u) for u in bits(w)]
             if (
                 ranks is not None
-                and not any(ranks is r for r in _HOMOLOGY_MEMO.values())
+                and w not in {u for u, _ in exact_calls}
                 and len(pairs) > 1
                 and all(rest is not None and link and at_subset[link] is not None for rest, link in pairs)
             ):
@@ -291,7 +280,7 @@ class TestLoopContract:
         for n in LOOP_CONTRACT_SIZES:
             for p in LOOP_CONTRACT_DENSITIES:
                 h = seeded_gnp(f"loop contract {n} {p}", n, p)
-                clear_memo()
+                exact_calls.clear()
                 oracle._hochster_graph(n, h.rows)
         assert summed
 
@@ -300,7 +289,6 @@ class TestLoopContract:
         # vertex 0 is isolated, so its link is empty, never None, and the
         # loop passes the whole vertex set to the step
         called = checked_step(monkeypatch, "_graph_step", flag_complex(h))
-        clear_memo()
         table = oracle._hochster_graph(h.n, h.rows)
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
         assert (1 << h.n) - 1 in called

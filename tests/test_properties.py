@@ -176,8 +176,9 @@ def complexes_on_gapped_labels(draw, max_n=7):
 @settings(max_examples=200, deadline=None)
 @given(complexes_on_gapped_labels())
 def test_hochster_sum_equals_restriction_homology(c):
-    # the kernel's memo persists across examples, so a key shared by two
-    # different restrictions, or a wrong relabelling, shows up here
+    # gapped labels catch a wrong relabelling, and the reference's memo
+    # persists across examples, so a key it shares between two different
+    # restrictions shows up here
     expected: dict[tuple[int, int], int] = {}
     for size in range(1, c.n + 1):  # W = {} gives the implicit beta_(0,0)
         for w in combinations(c.vertices, size):
