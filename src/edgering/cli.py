@@ -28,9 +28,9 @@ import argparse
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import sys
+from functools import cache
 
 from . import chordal, complexes, conjecture, oracle
 from .errors import (
@@ -179,6 +179,8 @@ def cmd_survey(args) -> int:
     jobs = max(1, min(args.jobs, cpus))
     skipped = total = emitted_2linear = emitted_holds = 0
     counterexamples: list[str] = []
+    if jobs > 1:
+        import multiprocessing  # here, not at the top: it slows every start-up
     # leaving the block early, on an error or a closed stdout, terminates the
     # workers instead of waiting for them to finish the whole input
     with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
@@ -293,7 +295,10 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; `parse_args` gives each call a fresh
+    namespace, so `main` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="edgering",
         description="Homological invariants of edge rings with 2-linear resolutions",

@@ -28,12 +28,11 @@ one rule, one lookup per vertex: when no degree holds homology in both the
 link and W - v, W has the ranks of W - v plus those of the link one
 dimension up.  The complexes are augmented, so the empty link of an
 isolated v has rank 1 in dimension -1 and adds one in dimension 0.  The
-step tries the rule's cheapest case, a nonempty Q-acyclic link (its result
-is None), where W has the ranks of W - v, for every v first: it covers
-every dominated vertex, whose link is a cone, and settles almost every
-subset.  The loop itself tries that case for the lowest vertex of W, which
-settles about three subsets in four of the n = 12 benchmark graphs without
-a call to the step.
+loop tries the rule's cheapest case, a nonempty Q-acyclic link (its result
+is None), where W has the ranks of W - v, at every vertex of W, lowest
+first, without a call: it covers every dominated vertex, whose link is a
+cone, and settles 47,785 of the 49,152 subsets of the n = 12 benchmark
+graphs.  The step runs the rule in general on the other 1,367 (2.8 %).
 
 `hochster_betti` raises ContractViolationError on a complex that is not
 flag.  The ground set is capped at n <= 18; a larger one raises
@@ -102,11 +101,12 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
     order, so that every proper subset of w comes before w.
 
     The empty restriction has rank 1 in dimension -1, so it is never None.
-    For a nonempty w with lowest vertex k, the link of k is the flag complex
-    of the subset rows[k] & w: when its result is None (nonempty and
-    Q-acyclic), w takes the result for w - k.  Otherwise `_graph_step`
-    gives the nonzero reduced homology ranks of H[w], or None iff it is
-    Q-acyclic, from the result of every proper subset of w in `at_subset`.
+    For a nonempty w, the link of each vertex u of w is the flag complex of
+    the subset rows[u] & w, tried from k up: at the first u whose result is
+    None (nonempty and Q-acyclic), w takes the result for w - u.  Failing
+    that at every u, `_graph_step` gives the nonzero reduced homology ranks
+    of H[w], or None iff it is Q-acyclic, from the result of every proper
+    subset of w in `at_subset`.
     """
     closed = {1 << v: r | 1 << v for v, r in enumerate(rows)}  # by vertex bit
     step = _graph_step
@@ -117,8 +117,17 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
         v = 1 << k
         row = rows[k]
         for w in range(v, top, v << 1):
+            # the lowest vertex first and apart: its row needs no lookup
             if at_subset[row & w] is None:
                 at_subset[w] = at_subset[w ^ v]
+                continue
+            m = w ^ v
+            while m:
+                u = m & -m
+                if at_subset[closed[u] & w ^ u] is None:
+                    at_subset[w] = at_subset[w ^ u]
+                    break
+                m ^= u
             else:
                 at_subset[w] = step(closed, w, at_subset)
     # beta_(i,j) sits at flat[i * (n + 1) + j], with i = j - 1 - dim
@@ -132,13 +141,12 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
 
 
 def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | None:
-    """Ranks of the flag complex of H[w].  The link of v in it is the flag
-    complex of its neighbourhood in w, a proper subset; when that is
-    nonempty and Q-acyclic (None), w takes the result for w - v.  The empty
-    link, of an isolated v, is never None.  Failing that for every v: when
-    no degree holds homology in both the link and w - v, w has the ranks of
-    w - v plus those of the link one dimension up.  Otherwise exact
-    homology runs on the maximal cliques of H[w].
+    """Ranks of the flag complex of H[w]: None for a point.  Otherwise the
+    link of v in it is the flag complex of its neighbourhood in w, a proper
+    subset: at the first v where no degree holds homology in both the link
+    and w - v, w has the ranks of w - v plus those of the link one
+    dimension up.  Failing that at every v, exact homology runs on the
+    maximal cliques of H[w].
 
     The rule is exact: the restriction to w is that of w - v and the cone
     on the link, glued along the link, and the cone is acyclic, so the long
@@ -146,28 +154,22 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
     H~_d(link) -> H~_d(w - v) plus the kernel of that map in degree d - 1.
     The map is zero where either side is.  The complexes are augmented, so
     the empty link has rank 1 in dimension -1 and an isolated v adds one in
-    dimension 0; an acyclic link is the case that returns w - v."""
-    m = w
-    while m:
-        v = m & -m
-        m ^= v
-        if at_subset[closed[v] & w ^ v] is None:
-            return at_subset[w ^ v]
+    dimension 0.  A Q-acyclic side (None) has no homology, so the rule fits
+    at its v and w takes the other side's ranks; the loop settles every w
+    with a nonempty Q-acyclic link before it calls the step."""
     if w.bit_count() == 1:
         return None  # a point
-    # every link has a result here, so the sum is never empty; a separate
-    # pass keeps the one above lean
     m = w
     while m:
         v = m & -m
         m ^= v
         rest = at_subset[w ^ v] or {}
-        link = at_subset[closed[v] & w ^ v]
+        link = at_subset[closed[v] & w ^ v] or {}
         if rest.keys().isdisjoint(link):
             ranks = dict(rest)
             for dim, h in link.items():
                 ranks[dim + 1] = ranks.get(dim + 1, 0) + h
-            return ranks
+            return ranks or None
     # vertices outside w keep empty rows, and `w.__and__` drops their
     # one-vertex cliques; a comprehension would make `closed` and `w` cells
     rows = [0] * len(closed)

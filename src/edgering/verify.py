@@ -26,7 +26,6 @@ worker count.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, permutations
@@ -230,6 +229,7 @@ def run_sweep(n: int, *, jobs: int = 1, with_oracle: bool = False) -> SweepResul
         return result
     chunk = -(-total // (4 * jobs))
     ranges = [(n, lo, min(lo + chunk, total), with_oracle) for lo in range(0, total, chunk)]
+    import multiprocessing  # here, not at the top: it slows every start-up
     with multiprocessing.Pool(jobs) as pool:
         for part in pool.imap(_chunk_worker, ranges):
             result.merge(part)

@@ -34,6 +34,7 @@ C4_G6 = to_graph6(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 K4_G6 = "C~"
 EDGELESS4_G6 = "C?"
 HOLLOW_CX = Path(__file__).parent / "fixtures" / "hollow.cx"
+CL_COMPLEMENT_CX = Path(__file__).parent / "fixtures" / "cl_complement.cx"
 
 
 def schema(name):
@@ -446,6 +447,42 @@ class TestOracle:
 
     def test_missing_input(self, capsys):
         assert main(["oracle"]) == 2
+
+
+class TestOneProcess:
+    """`main` reuses one parser for every call in a process, and importing
+    the CLI leaves the worker-pool module out until a pool is made."""
+
+    def test_calls_share_no_state(self, capsys):
+        # each call prints and exits as a fresh process does: --pretty does
+        # not carry over to the analyze after it, and argparse's exit 2
+        # leaves nothing behind for the calls after it
+        parser = cli.build_parser()
+        calls = [
+            ["oracle", "Cl"],
+            ["analyze", "--pretty", "Cl"],
+            ["analyze", "Cl"],
+            ["analyze", "--no-such-flag", "Cl"],
+            ["oracle", "--complex", str(CL_COMPLEMENT_CX)],
+            ["survey", "--all-labeled", "3"],
+        ]
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((capsys.readouterr().out, code))
+        assert results == [(proc.stdout, proc.returncode) for proc in map(run_cli, calls)]
+        assert [code for _, code in results] == [0, 0, 0, 2, 0, 0]
+        assert json.loads(results[2][0])["input"] == "Cl"
+        assert results[4][0] == results[0][0]
+        assert cli.build_parser() is parser
+
+    def test_import_leaves_multiprocessing_out(self):
+        code = "import sys; from edgering import cli, verify; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 class TestExitCodes:

@@ -237,11 +237,12 @@ def checked_step(monkeypatch, name: str, c: SimplicialComplex) -> set[int]:
 
 
 LOOP_CONTRACT_SIZES = range(1, 11)
-# graphs on 0..4 in which vertex 0 is isolated
+# graphs on 0..4 in which vertex 0 is isolated, each with whether the whole
+# vertex set reaches the step
 WHOLE_SET_STEP_GRAPHS = [
-    Graph(5, (0,) * 5),
-    Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)]),
-    Graph.from_edges(5, [(1, 2), (3, 4)]),
+    (Graph(5, (0,) * 5), True),
+    (Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)]), True),
+    (Graph.from_edges(5, [(1, 2), (3, 4)]), False),
 ]
 LOOP_CONTRACT_DENSITIES = [0.25, 0.5, 0.75]
 
@@ -254,6 +255,25 @@ class TestLoopContract:
         checked_step(monkeypatch, "_graph_step", flag_complex(h))
         table = oracle._hochster_graph(n, h.rows)
         assert table.entries == ref_hochster_masks(n, _maximal_clique_masks(n, h.rows))
+
+    def test_step_sees_no_acyclic_link(self, monkeypatch):
+        # the loop tries the link rule at every vertex of W before it calls
+        # the step, so every link the step sees is empty or has homology
+        step = oracle._graph_step
+        called = []
+
+        def checked(closed, w, at_subset):
+            for u in bits(w):
+                assert at_subset[closed[1 << u] & w ^ 1 << u] is not None, f"link of {u} in {w:b} is acyclic"
+            called.append(w)
+            return step(closed, w, at_subset)
+
+        monkeypatch.setattr(oracle, "_graph_step", checked)
+        for n in LOOP_CONTRACT_SIZES:
+            for p in LOOP_CONTRACT_DENSITIES:
+                h = seeded_gnp(f"loop contract {n} {p}", n, p)
+                oracle._hochster_graph(n, h.rows)
+        assert called
 
     def test_graph_kernel_sums_link_and_rest(self, monkeypatch, exact_calls):
         # the graphs above reach the Mayer-Vietoris rule where its special
@@ -284,24 +304,31 @@ class TestLoopContract:
                 oracle._hochster_graph(n, h.rows)
         assert summed
 
-    @pytest.mark.parametrize("h", WHOLE_SET_STEP_GRAPHS, ids=["edgeless", "point-and-square", "point-and-paths"])
-    def test_whole_set_reaches_step(self, monkeypatch, h):
+    @pytest.mark.parametrize(
+        "h, reaches", WHOLE_SET_STEP_GRAPHS, ids=["edgeless", "point-and-square", "point-and-paths"]
+    )
+    def test_whole_set_reaches_step(self, monkeypatch, h, reaches):
         # vertex 0 is isolated, so its link is empty, never None, and the
-        # loop passes the whole vertex set to the step
+        # loop passes the whole vertex set to the step unless the link of
+        # another vertex is Q-acyclic: in the two paths the link of vertex 1
+        # is the point 2, and the whole set takes the result for W - 1
         called = checked_step(monkeypatch, "_graph_step", flag_complex(h))
         table = oracle._hochster_graph(h.n, h.rows)
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
-        assert (1 << h.n) - 1 in called
+        assert ((1 << h.n) - 1 in called) == reaches
         if not any(h.rows):
             # every link is empty, so every nonempty subset takes the step
             assert called == set(range(1, 1 << h.n))
 
     def test_superset_first_loop_fails(self, monkeypatch):
         # reversed ranges turn the loop into lowest vertex 0 first, each group
-        # in decreasing order: the whole set comes first, before the square
-        # {1, 2, 3, 4}, whose restriction is a circle
-        h = WHOLE_SET_STEP_GRAPHS[1]
+        # in decreasing order, so supersets come before their subsets.  A
+        # result not yet set reads as None, a Q-acyclic link, so the loop
+        # settles the first five sets, the whole set among them, wrongly and
+        # without a call; the first call, for {0, 2, 4}, finds the two points
+        # {2, 4} unset
+        h = WHOLE_SET_STEP_GRAPHS[1][0]
         checked_step(monkeypatch, "_graph_step", flag_complex(h))
         monkeypatch.setattr(oracle, "range", lambda *a: reversed(builtins.range(*a)), raising=False)
-        with pytest.raises(AssertionError, match="not settled before 11111"):
+        with pytest.raises(AssertionError, match="^10100 not settled before 10101\n"):
             oracle._hochster_graph(h.n, h.rows)

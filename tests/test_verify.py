@@ -1,6 +1,7 @@
 """The sweep checks the functions that `analyze` ships: its counts must
 agree with `cli.analyze_record` graph by graph."""
 
+import multiprocessing
 from math import comb
 
 import pytest
@@ -105,7 +106,7 @@ class TestSweepMachinery:
                 ranges.extend(args)
                 return iter(())
 
-        monkeypatch.setattr(verify.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         verify.run_sweep(6, with_oracle=True, jobs=4)
         assert len(ranges) >= 4
         assert [lo for _, lo, _, _ in ranges] == [0] + [hi for _, _, hi, _ in ranges[:-1]]
