@@ -25,13 +25,9 @@ from .chordal import (
 )
 from .complexes import (
     FVector,
-    QuasiForestResult,
     SimplicialComplex,
-    as_quasi_forest,
     f_vector,
     flag_complex,
-    format_complex,
-    free_vertices,
     one_skeleton,
     parse_complex,
     reduced_homology_ranks,
@@ -44,7 +40,6 @@ from .conjecture import (
     classify,
     family_report,
     formulas,
-    free_vertex_witness,
     gap_series,
 )
 from .errors import (
@@ -52,7 +47,6 @@ from .errors import (
     EdgeRingError,
     InternalInvariantError,
     MalformedInputError,
-    NotTwoLinearError,
     UndefinedInputError,
     UnsupportedSizeError,
 )
@@ -65,18 +59,7 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .invariants import (
-    BettiTable,
-    HilbertSeries,
-    betti_from_numerator,
-    d_tree_signature,
-    depth,
-    hilbert_from_decomposition,
-    hilbert_from_fvector,
-    is_cm,
-    krull_dim,
-    projective_dimension,
-)
+from .invariants import BettiTable
 from .oracle import OracleBettiTable, hochster_betti, oracle_is_2linear, oracle_pd
 
 __version__ = "0.1.0"
@@ -91,40 +74,26 @@ __all__ = [
     "FVector",
     "FormulaRecord",
     "Graph",
-    "HilbertSeries",
     "InternalInvariantError",
     "MalformedInputError",
     "NotChordal",
-    "NotTwoLinearError",
     "OracleBettiTable",
     "QuasiForestDecomposition",
-    "QuasiForestResult",
     "SimplicialComplex",
     "UndefinedInputError",
     "UnsupportedSizeError",
-    "as_quasi_forest",
-    "betti_from_numerator",
     "build_family",
     "classify",
     "complement",
-    "d_tree_signature",
     "decompose",
-    "depth",
     "enumerate_labeled",
     "f_vector",
     "family_report",
     "flag_complex",
-    "format_complex",
     "formulas",
-    "free_vertex_witness",
-    "free_vertices",
     "gap_series",
-    "hilbert_from_decomposition",
-    "hilbert_from_fvector",
     "hochster_betti",
     "is_chordal",
-    "is_cm",
-    "krull_dim",
     "max_degree",
     "one_skeleton",
     "oracle_is_2linear",
@@ -132,7 +101,6 @@ __all__ = [
     "parse_complex",
     "parse_edge_list",
     "parse_graph6",
-    "projective_dimension",
     "reduced_homology_ranks",
     "restrict",
     "to_graph6",

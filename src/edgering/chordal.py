@@ -21,9 +21,9 @@ the lexicographically smallest maximal clique containing vertex 0.
 
 `_decompose_masks` (one MCS, maximal cliques read off its verified PEO in
 that order) is the one route from a graph to facet masks, which every
-per-graph caller reads as they are; only the public `decompose` and
-`complexes.as_quasi_forest` build a frozenset `QuasiForestDecomposition`.
-Both forms pass one checker, `_check_facet_masks`, in O(sum |F_i|).
+per-graph caller reads as they are; only the public `decompose` builds a
+frozenset `QuasiForestDecomposition`.  Both forms pass one checker,
+`_check_facet_masks`, in O(sum |F_i|).
 """
 
 from __future__ import annotations
@@ -315,16 +315,6 @@ def _decompose_masks(g: Graph) -> tuple[ChordalityResult, list[int] | None]:
     return res, facets
 
 
-def _labelled(facets: Sequence[int], labels: Sequence[int]) -> QuasiForestDecomposition:
-    """The decomposition with facet masks over positions in `labels`."""
-    return QuasiForestDecomposition(
-        facets=tuple(frozenset(labels[i] for i in bits(f)) for f in facets),
-        dims=tuple(f.bit_count() - 1 for f in facets),
-        attach_dims=tuple(_attach_dims(facets)),
-        n=len(labels),
-    )
-
-
 def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | None]:
     """Chordality certificate of g and, when g is chordal, the quasi-forest
     decomposition of its flag complex (facets = maximal cliques of g).
@@ -333,4 +323,11 @@ def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | No
     perfect elimination ordering it just verified, in their MCS order.
     """
     res, facets = _decompose_masks(g)
-    return res, None if facets is None else _labelled(facets, range(g.n))
+    if facets is None:
+        return res, None
+    return res, QuasiForestDecomposition(
+        facets=tuple(frozenset(bits(f)) for f in facets),
+        dims=tuple(f.bit_count() - 1 for f in facets),
+        attach_dims=tuple(_attach_dims(facets)),
+        n=g.n,
+    )

@@ -256,50 +256,26 @@ def _homology_ranks(facets: Sequence[int]) -> dict[int, int]:
     return ranks
 
 
-def free_vertices(c: SimplicialComplex) -> frozenset[int]:
-    """Vertices lying in exactly one facet."""
-    count: dict[int, int] = {}
-    for f in c.facets:
-        for v in f:
-            count[v] = count.get(v, 0) + 1
-    return frozenset(v for v, k in count.items() if k == 1)
-
-
 SKELETON_NOT_CHORDAL = "skeleton-not-chordal"
 NOT_FLAG = "not-flag"
-
-
-@dataclass(frozen=True)
-class QuasiForestResult:
-    """Outcome of quasi-forest recognition; `reason` is set iff decomposition is None."""
-
-    decomposition: chordal.QuasiForestDecomposition | None
-    reason: str | None = None
-    chordless_cycle: tuple[int, ...] | None = None
 
 
 def _quasi_forest_masks(
     c: SimplicialComplex,
 ) -> tuple[list[int] | None, str | None, tuple[int, ...] | None]:
-    """`as_quasi_forest` on masks: (facet masks over positions in c.vertices,
-    in MCS order, None, None), or (None, reason, chordless cycle or None)."""
+    """Recognize c as a quasi-forest: (facet masks over positions in
+    c.vertices, in MCS order, None, None), or (None, reason, chordless cycle
+    or None).
+
+    Criterion: the 1-skeleton is chordal and c is the flag complex of it.
+    The complex on the empty ground set raises UndefinedInputError.
+    """
     res, facets = chordal._decompose_masks(one_skeleton(c))
     if facets is None:
         return None, SKELETON_NOT_CHORDAL, tuple(c.vertices[i] for i in res.cycle)
     if set(facets) != set(_position_masks(c)):
         return None, NOT_FLAG, None
     return facets, None, None
-
-
-def as_quasi_forest(c: SimplicialComplex) -> QuasiForestResult:
-    """Recognize c as a quasi-forest and return an ordered decomposition.
-
-    Criterion: the 1-skeleton is chordal and c is the flag complex of it.
-    The complex on the empty ground set raises UndefinedInputError.
-    """
-    facets, reason, cycle = _quasi_forest_masks(c)
-    qfd = None if facets is None else chordal._labelled(facets, c.vertices)
-    return QuasiForestResult(qfd, reason, cycle)
 
 
 def parse_complex(text: str) -> SimplicialComplex:
@@ -337,11 +313,3 @@ def parse_fixture(text: str) -> tuple[int, list[list[int]]]:
             "every vertex must lie in a facet"
         )
     return n, facets
-
-
-def format_complex(c: SimplicialComplex) -> str:
-    if c.vertices != tuple(range(c.n)):
-        raise ContractViolationError("fixture format requires ground set 0..n-1")
-    lines = [str(c.n)]
-    lines += [" ".join(map(str, f)) for f in c.facet_lists()]
-    return "\n".join(lines) + "\n"

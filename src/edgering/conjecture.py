@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 from . import chordal, invariants
 from .chordal import _attach_dims
-from .complexes import SimplicialComplex, _position_masks
-from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
+from .errors import InternalInvariantError, UndefinedInputError
 from .graphs import Graph, bits, complement, max_degree, to_graph6
 
 KRR_GAP_NOTE = (
@@ -55,11 +54,14 @@ class ConjectureReport:
 
 
 def _free_vertex_witness_masks(facets, r_min: int) -> tuple[int, int] | None:
-    """The witness of `free_vertex_witness` on facet masks: (facet mask, vertex)
-    for the first witness facet in canonical order (sorted vertex lists), or None.
+    """The free-vertex witness on the facet masks of a quasi-forest with at
+    least two facets: (facet mask, vertex) for the first witness facet in
+    canonical order (sorted vertex lists), or None.
 
-    A facet is a witness iff it has r_min + 2 vertices and exactly one of
-    them lies in no other facet; that vertex is the free vertex.
+    A witness is a facet F of r_min + 2 vertices and a vertex v in no other
+    facet such that F meets the union of the other facets in exactly
+    F - {v}; equivalently, exactly one vertex of F, the free vertex, lies in
+    no other facet.
     """
     seen = twice = 0
     for f in facets:
@@ -72,26 +74,6 @@ def _free_vertex_witness_masks(facets, r_min: int) -> tuple[int, int] | None:
         return None
     f = min(found, key=lambda m: list(bits(m)))
     return f, (f & once).bit_length() - 1
-
-
-def free_vertex_witness(
-    c: SimplicialComplex, r_min: int
-) -> tuple[frozenset[int], int] | None:
-    """Find a facet F with |F| = r_min + 2 and a vertex v in no other facet
-    such that F meets the union of all other facets in exactly F - {v}.
-
-    Searches facets in canonical order and vertices ascending; the complex
-    must have at least two facets (a simplex holds trivially and is handled
-    by the caller).
-    """
-    if len(c.facets) < 2:
-        raise ContractViolationError("witness search requires at least two facets")
-    masks = _position_masks(c)
-    found = _free_vertex_witness_masks(masks, r_min)
-    if found is None:
-        return None
-    f, v = found
-    return c.facets[masks.index(f)], c.vertices[v]
 
 
 class FormulaRecord(NamedTuple):

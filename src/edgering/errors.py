@@ -26,9 +26,5 @@ class ContractViolationError(EdgeRingError, ValueError):
     """A documented precondition was violated by the caller."""
 
 
-class NotTwoLinearError(ContractViolationError):
-    """A Hilbert numerator did not have the shape of a 2-linear resolution."""
-
-
 class InternalInvariantError(EdgeRingError):
     """An internal consistency check failed; indicates a bug, not bad input."""

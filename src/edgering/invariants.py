@@ -1,4 +1,5 @@
-"""Closed-form ring invariants of a quasi-forest decomposition.
+"""Closed-form ring invariants of a quasi-forest decomposition, as helpers
+on facet and attachment dimensions that `conjecture.formulas` composes.
 
 For an ordered quasi-forest with facet dimensions d_1..d_k and attachment
 dimensions r_2..r_k (r = min r_i):
@@ -11,7 +12,7 @@ The single-facet case is the polynomial ring by convention: pd = 0,
 depth = n, Hilbert series 1/(1-t)^n.
 
 Series are kept un-reduced over (1-t)^n (n = vertex count); this canonical
-form is what Betti extraction reads: the numerator of a 2-linear resolution
+form is what Betti extraction (`_linear_strand`) reads: the numerator of a 2-linear resolution
 is 1 - b_(1,2) t^2 + b_(2,3) t^3 - ... All arithmetic is exact (Python ints).
 The numerator groups facets and attachments by exponent first, so it costs
 one scaled add of a cached (1-t)^e per distinct exponent.
@@ -19,16 +20,10 @@ one scaled add of a cached (1-t)^e per distinct exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING
 
-from .chordal import QuasiForestDecomposition
-from .errors import ContractViolationError, InternalInvariantError, NotTwoLinearError
-
-if TYPE_CHECKING:
-    from .complexes import FVector
+from .errors import ContractViolationError, InternalInvariantError
 
 
 @lru_cache(maxsize=None)
@@ -41,37 +36,6 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-@dataclass(frozen=True)
-class HilbertSeries:
-    """numerator(t) / (1-t)^denom_power with integer coefficients."""
-
-    numerator: tuple[int, ...]
-    denom_power: int
-
-    def __post_init__(self) -> None:
-        if self.denom_power < 0:
-            raise ContractViolationError("negative denominator power")
-        object.__setattr__(self, "numerator", _trim(list(self.numerator)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.numerator) - 1
-
-    def reduced(self) -> tuple[tuple[int, ...], int]:
-        """Cancel (1-t) factors for display; equality stays on the canonical form."""
-        num = list(self.numerator)
-        power = self.denom_power
-        while power > 0 and sum(num) == 0 and any(num):
-            quotient = []
-            carry = 0
-            for c in num[:-1]:
-                carry += c
-                quotient.append(carry)
-            num = quotient or [0]
-            power -= 1
-        return _trim(num), power
 
 
 class BettiTable:
@@ -153,19 +117,6 @@ def _checked_numerator(coeffs, n: int, r_min: int | None) -> tuple[int, ...]:
     return num
 
 
-def hilbert_from_decomposition(qfd: QuasiForestDecomposition) -> HilbertSeries:
-    """Expand the facet/attachment series over (1-t)^n with exact binomials."""
-    coeffs = _numerator(qfd.n, qfd.dims, qfd.attach_dims)
-    return HilbertSeries(_checked_numerator(coeffs, qfd.n, qfd.r_min), qfd.n)
-
-
-def hilbert_from_fvector(fv: "FVector", n: int) -> HilbertSeries:
-    """Standard Stanley-Reisner Hilbert series sum_s f_(s-1) t^s/(1-t)^s over (1-t)^n."""
-    if len(fv.counts) - 1 > n:
-        raise ContractViolationError("f-vector has faces larger than the ground set")
-    return HilbertSeries(tuple(_fvector_numerator(fv.counts, n)), n)
-
-
 def _linear_strand(p) -> dict[tuple[int, int], int]:
     """The nonzero values (-1)^i * p_(i+1) at (i, i+1), i >= 1, ascending in i."""
     entries = {}
@@ -174,20 +125,6 @@ def _linear_strand(p) -> dict[tuple[int, int], int]:
         if value:
             entries[(i, i + 1)] = value
     return entries
-
-
-def betti_from_numerator(h: HilbertSeries) -> BettiTable:
-    """Read b_(i,i+1) = (-1)^i * p_(i+1) off a 2-linear Hilbert numerator."""
-    p = h.numerator
-    if p[0] != 1:
-        raise NotTwoLinearError(f"numerator constant term {p[0]} != 1")
-    if len(p) > 1 and p[1] != 0:
-        raise NotTwoLinearError("numerator has a t^1 term; input is not 2-linear")
-    entries = _linear_strand(p)
-    for (i, j), value in entries.items():
-        if value < 0:
-            raise NotTwoLinearError(f"sign violation at degree {j}; input is not 2-linear")
-    return BettiTable(entries)
 
 
 def _pd_depth(n: int, k: int, r_min: int | None) -> tuple[int, int]:
@@ -208,30 +145,10 @@ def _cm_structural(dims, attach_dims) -> bool:
     return all(di == d for di in dims) and all(r == d - 1 for r in attach_dims)
 
 
-def projective_dimension(qfd: QuasiForestDecomposition) -> int:
-    return _pd_depth(qfd.n, qfd.k, qfd.r_min)[0]
-
-
-def depth(qfd: QuasiForestDecomposition) -> int:
-    return _pd_depth(qfd.n, qfd.k, qfd.r_min)[1]
-
-
-def krull_dim(qfd: QuasiForestDecomposition) -> int:
-    return _krull_dim(qfd.dims)
-
-
-def is_cm(qfd: QuasiForestDecomposition) -> bool:
-    """Cohen-Macaulay test; cross-checked against depth = Krull dimension."""
-    structural = _cm_structural(qfd.dims, qfd.attach_dims)
-    if structural != (depth(qfd) == krull_dim(qfd)):
-        raise InternalInvariantError("CM structural test disagrees with depth = dim")
-    return structural
-
-
-def d_tree_signature(qfd: QuasiForestDecomposition) -> tuple[int, ...] | None:
-    """Nonincreasing facet dimensions iff some quasi-forest ordering attaches
-    every facet after the first along a face of codimension one (each step
-    adds exactly one vertex); None otherwise.
+def _d_tree_exists(n: int, k: int, largest: int) -> bool:
+    """Whether some quasi-forest ordering of k facets on n vertices, the
+    largest of `largest` vertices, attaches every facet after the first
+    along a face of codimension one (each step adds exactly one vertex).
 
     Closed form: such an ordering exists iff the largest facet has
     n - k + 1 vertices.  In any quasi-forest ordering F_1..F_k, each F_i with
@@ -245,12 +162,4 @@ def d_tree_signature(qfd: QuasiForestDecomposition) -> tuple[int, ...] | None:
     when omega = n - k + 1, the preorder rooted at a largest facet adds
     n - omega = k - 1 new vertices in k - 1 steps, one per step.
     """
-    if not _d_tree_exists(qfd.n, qfd.k, max(qfd.dims) + 1):
-        return None
-    return tuple(sorted(qfd.dims, reverse=True))
-
-
-def _d_tree_exists(n: int, k: int, largest: int) -> bool:
-    """The d-tree criterion of `d_tree_signature` on n vertices, k facets and
-    a largest facet of `largest` vertices."""
     return largest == n - k + 1

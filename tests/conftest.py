@@ -128,6 +128,14 @@ def brute_is_quasi_forest(facets) -> bool:
     return any(quasi_forest_attachments(perm) is not None for perm in permutations(facets))
 
 
+def format_fixture(c: SimplicialComplex) -> str:
+    """The complex fixture text of c on the ground set 0..n-1: the vertex
+    count, then one facet per line."""
+    assert c.vertices == tuple(range(c.n))
+    lines = [str(c.n)] + [" ".join(map(str, f)) for f in c.facet_lists()]
+    return "\n".join(lines) + "\n"
+
+
 def skeleton(rng: random.Random, facets) -> Graph:
     """The 1-skeleton of a facet list, its vertices randomly relabelled."""
     n = len(set().union(*facets))

@@ -172,7 +172,7 @@ def test_criterion_08_cm_criterion(formula_sweeps, oracle_sweeps):
     for n in range(1, 7):
         assert oracle_sweeps[n].violations["cm_inconsistent"] == []
         assert oracle_sweeps[n].violations["cm_not_holds"] == []
-    _passline(8, f"is_cm iff depth = dim, and all {cm_total} CM instances hold, n <= 7")
+    _passline(8, f"CM iff depth = dim, and all {cm_total} CM instances hold, n <= 7")
 
 
 def test_criterion_09_d_trees_hold(formula_sweeps):

@@ -20,7 +20,6 @@ from edgering.errors import (
     ContractViolationError,
     InternalInvariantError,
     MalformedInputError,
-    NotTwoLinearError,
     UndefinedInputError,
     UnsupportedSizeError,
 )
@@ -28,6 +27,7 @@ from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, 
 from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
 from edgering.complexes import flag_complex
 from edgering.conjecture import build_family
+from conftest import format_fixture
 
 
 C4_G6 = to_graph6(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
@@ -373,13 +373,12 @@ class TestOracle:
         # decomposition: a graph's complement, and the 1-skeleton of a flag
         # complex, so the flag complex of the complement prints the same bytes
         path = tmp_path / "flag.cx"
-        path.write_text(complexes.format_complex(flag_complex(complement(parse_graph6(g6)))))
+        path.write_text(format_fixture(flag_complex(complement(parse_graph6(g6)))))
 
         def never(*args):
             raise AssertionError("oracle input went through a complex")
 
         monkeypatch.setattr(complexes, "flag_complex", never)
-        monkeypatch.setattr(complexes, "as_quasi_forest", never)
         monkeypatch.setattr(complexes, "_quasi_forest_masks", never)
         monkeypatch.setattr(oracle, "hochster_betti", never)
         assert main(["oracle", "--complex", str(path)]) == 0
@@ -496,9 +495,8 @@ class TestExitCodes:
             (UnsupportedSizeError, 3, "error: "),
             (InternalInvariantError, 5, "internal error: "),
             (ContractViolationError, 5, "internal error: "),
-            (NotTwoLinearError, 5, "internal error: "),
         ],
-        ids=["malformed", "undefined", "size", "internal", "contract", "not-2-linear"],
+        ids=["malformed", "undefined", "size", "internal", "contract"],
     )
     @pytest.mark.parametrize(
         "module, name, argv",

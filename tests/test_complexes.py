@@ -4,11 +4,9 @@ from edgering.complexes import (
     NOT_FLAG,
     SKELETON_NOT_CHORDAL,
     SimplicialComplex,
-    as_quasi_forest,
+    _quasi_forest_masks,
     f_vector,
     flag_complex,
-    format_complex,
-    free_vertices,
     one_skeleton,
     parse_complex,
     reduced_homology_ranks,
@@ -16,7 +14,7 @@ from edgering.complexes import (
 )
 from edgering.errors import ContractViolationError, MalformedInputError, UnsupportedSizeError
 from edgering.graphs import Graph, complement, enumerate_labeled
-from conftest import brute_is_quasi_forest, random_graph, random_quasi_forest_facets
+from conftest import brute_is_quasi_forest, format_fixture, random_graph, random_quasi_forest_facets
 
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -171,45 +169,33 @@ class TestHomology:
             assert faces_sum == ranks_sum
 
 
-class TestFreeVertices:
-    def test_shared_edge(self):
-        assert free_vertices(SimplicialComplex.of(4, [[0, 1, 2], [1, 2, 3]])) == {0, 3}
-
-    def test_simplex_all_free(self):
-        assert free_vertices(SimplicialComplex.of(3, [[0, 1, 2]])) == {0, 1, 2}
-
-    def test_hollow_triangle_none(self):
-        assert free_vertices(HOLLOW_TRIANGLE) == frozenset()
-
-
 class TestAsQuasiForest:
+    """Complex recognition, `_quasi_forest_masks`: facet masks over positions
+    in the ground set, or the reason and chordless cycle that rule it out."""
+
     def test_two_disjoint_edges_complex(self):
-        res = as_quasi_forest(SimplicialComplex.of(4, [[0, 1], [2, 3]]))
-        assert res.decomposition is not None
-        assert res.decomposition.r_min == -1
+        facets, reason, cycle = _quasi_forest_masks(SimplicialComplex.of(4, [[0, 1], [2, 3]]))
+        assert facets == [0b0011, 0b1100] and reason is None and cycle is None
 
     def test_hollow_triangle_not_flag(self):
-        res = as_quasi_forest(HOLLOW_TRIANGLE)
-        assert res.decomposition is None and res.reason == NOT_FLAG
+        assert _quasi_forest_masks(HOLLOW_TRIANGLE) == (None, NOT_FLAG, None)
 
     def test_non_chordal_skeleton(self):
-        res = as_quasi_forest(SimplicialComplex.of(4, [[0, 1], [1, 2], [2, 3], [0, 3]]))
-        assert res.decomposition is None and res.reason == SKELETON_NOT_CHORDAL
-        assert res.chordless_cycle == (0, 1, 2, 3)
+        c = SimplicialComplex.of(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+        assert _quasi_forest_masks(c) == (None, SKELETON_NOT_CHORDAL, (0, 1, 2, 3))
 
     def test_flag_complexes_of_chordal_graphs(self, rng):
+        from edgering.chordal import Chordal, is_chordal
+
         hits = 0
         for _ in range(300):
             g = random_graph(rng, 7)
-            c = flag_complex(g)
-            res = as_quasi_forest(c)
-            from edgering.chordal import Chordal, is_chordal
-
+            facets, reason, _ = _quasi_forest_masks(flag_complex(g))
             if isinstance(is_chordal(g), Chordal):
-                assert res.decomposition is not None
+                assert facets is not None
                 hits += 1
             else:
-                assert res.reason == SKELETON_NOT_CHORDAL
+                assert facets is None and reason == SKELETON_NOT_CHORDAL
         assert hits > 20
 
     def test_against_exhaustive_ordering_search(self, rng):
@@ -229,22 +215,24 @@ class TestAsQuasiForest:
                 continue
             verts = sorted(set().union(*facets))
             c = SimplicialComplex(tuple(verts), tuple(facets))
-            got = as_quasi_forest(c).decomposition is not None
+            got = _quasi_forest_masks(c)[0] is not None
             assert got == brute_is_quasi_forest(facets)
             checked += 1
         assert checked > 250
 
     def test_restricted_labels(self):
+        # masks are over positions in the ground set (0, 1, 2, 4), and a
+        # chordless cycle is reported in its labels
         c = restrict(SimplicialComplex.of(5, [[0, 1, 2], [2, 3], [4]]), [0, 1, 2, 4])
-        res = as_quasi_forest(c)
-        assert res.decomposition is not None
-        assert set(res.decomposition.facets) == {frozenset({0, 1, 2}), frozenset({4})}
+        assert set(_quasi_forest_masks(c)[0]) == {0b0111, 0b1000}
+        gapped = SimplicialComplex.of([0, 2, 4, 6], [[0, 2], [2, 4], [4, 6], [0, 6]])
+        assert _quasi_forest_masks(gapped)[1:] == (SKELETON_NOT_CHORDAL, (0, 2, 4, 6))
 
 
 class TestFixtureFormat:
     def test_round_trip(self):
         c = SimplicialComplex.of(4, [[0, 1, 2], [2, 3]])
-        assert parse_complex(format_complex(c)).facets == c.facets
+        assert parse_complex(format_fixture(c)).facets == c.facets
 
     def test_parse(self):
         c = parse_complex("3\n0 1\n1 2\n0 2\n")

@@ -2,27 +2,19 @@ import pytest
 
 from edgering import conjecture
 from edgering.chordal import decompose
-from edgering.complexes import SimplicialComplex, flag_complex
+from edgering.complexes import flag_complex
 from edgering.conjecture import (
     KRR_GAP_NOTE,
+    _free_vertex_witness_masks,
     build_family,
     classify,
     family_report,
     formulas,
-    free_vertex_witness,
     gap_series,
 )
 from edgering.cli import main
-from edgering.errors import ContractViolationError, InternalInvariantError, UndefinedInputError
+from edgering.errors import InternalInvariantError, UndefinedInputError
 from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
-from edgering.invariants import (
-    d_tree_signature,
-    depth,
-    hilbert_from_decomposition,
-    is_cm,
-    krull_dim,
-    projective_dimension,
-)
 from edgering.oracle import hochster_betti, oracle_pd
 from conftest import chordal_graph, random_graph
 
@@ -93,21 +85,17 @@ class TestClassify:
 
 class TestFormulaRecord:
     def test_consistency(self, rng):
-        """The record agrees with the per-decomposition views, with classify
-        and with itself (Auslander-Buchsbaum, CM iff depth = dim)."""
+        """The record agrees with the decomposition, with classify and with
+        itself (Auslander-Buchsbaum, CM iff depth = dim)."""
         for _ in range(200):
             n = rng.randint(1, 12)
             g = complement(chordal_graph(rng, n, rng.random(), rng.randint(1, min(n, 3))))
             _, qfd = decompose(complement(g))
             rec = formulas(n, [sum(1 << v for v in f) for f in qfd.facets], max_degree(g))
             assert (rec.dims, rec.attach_dims, rec.r_min) == (qfd.dims, qfd.attach_dims, qfd.r_min)
-            series = hilbert_from_decomposition(qfd)
             assert len(rec.numerator) == n + 1
-            assert rec.numerator[: len(series.numerator)] == series.numerator
-            assert (rec.pd, rec.depth, rec.dim) == (projective_dimension(qfd), depth(qfd), krull_dim(qfd))
             assert rec.pd + rec.depth == n
-            assert rec.cm == is_cm(qfd) == (rec.depth == rec.dim)
-            assert rec.d_tree == (d_tree_signature(qfd) is not None)
+            assert rec.cm == (rec.depth == rec.dim)
             assert (rec.r_min is None) == (qfd.k == 1)
             rep = classify(g)
             assert (rec.pd, rec.holds) == (rep.pd, rep.holds)
@@ -135,25 +123,25 @@ class TestFormulaRecord:
 
 class TestFreeVertexWitness:
     def test_c4_complex_none(self):
-        cx = SimplicialComplex.of(4, [[0, 1], [2, 3]])
-        assert free_vertex_witness(cx, -1) is None
+        assert _free_vertex_witness_masks([0b0011, 0b1100], -1) is None
 
     def test_isolated_vertex(self):
-        cx = SimplicialComplex.of(3, [[0], [1, 2]])
-        assert free_vertex_witness(cx, -1) == (frozenset({0}), 0)
+        assert _free_vertex_witness_masks([0b001, 0b110], -1) == (0b001, 0)
 
     def test_two_triangles(self):
-        cx = SimplicialComplex.of(4, [[0, 1, 2], [1, 2, 3]])
-        assert free_vertex_witness(cx, 1) == (frozenset({0, 1, 2}), 0)
+        assert _free_vertex_witness_masks([0b0111, 0b1110], 1) == (0b0111, 0)
 
-    def test_single_facet_rejected(self):
-        with pytest.raises(ContractViolationError):
-            free_vertex_witness(SimplicialComplex.of(3, [[0, 1, 2]]), 1)
+    def test_single_facet_none(self):
+        # a simplex holds trivially, and its record carries no witness
+        rec = formulas(3, [0b111], 0)
+        assert rec.witness is None and rec.holds
 
     def test_search_order_deterministic(self):
-        # both singletons qualify; the first facet in canonical order wins
-        cx = SimplicialComplex.of(3, [[1], [0], [2]])
-        assert free_vertex_witness(cx, -1) == (frozenset({0}), 0)
+        # all three singletons qualify; the first in canonical order wins
+        assert _free_vertex_witness_masks([0b010, 0b001, 0b100], -1) == (0b001, 0)
+        # on the path 1-2-3-0, both end edges qualify; sorted vertex lists
+        # order {0, 3} before {1, 2}, though its mask is the larger
+        assert _free_vertex_witness_masks([0b0110, 0b1001, 0b1100], 0) == (0b1001, 0)
 
 
 class TestFamilies:

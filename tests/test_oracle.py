@@ -9,14 +9,14 @@ from edgering import oracle
 from edgering.complexes import (
     SimplicialComplex,
     _maximal_clique_masks,
-    as_quasi_forest,
+    _quasi_forest_masks,
     flag_complex,
     reduced_homology_ranks,
     restrict,
 )
 from edgering.errors import ContractViolationError, UnsupportedSizeError
-from edgering.graphs import Graph, bits, complement
-from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
+from edgering.conjecture import checked_strand, formulas
+from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
 from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
 from conftest import (
     ACYCLIC_LINK_H,
@@ -90,13 +90,21 @@ class TestTwoLinearDetection:
         assert not oracle_is_2linear(hochster_betti(flag_complex(c5)))
 
 
+def formula_strand(g, cx):
+    """The Betti strand of the formulas on the quasi-forest cx, the flag
+    complex of the complement of g, or None when cx is not one."""
+    facets = _quasi_forest_masks(cx)[0]
+    if facets is None:
+        return None
+    md = max_degree(g)
+    return checked_strand(formulas(g.n, facets, md), g.n, md, to_graph6(g))[1]
+
+
 class TestOracleVsFormula:
     def test_c4_match_both_paths(self):
         cx = flag_complex(complement(C4))
         table = hochster_betti(cx)
-        qfd = as_quasi_forest(cx).decomposition
-        formula = betti_from_numerator(hilbert_from_decomposition(qfd))
-        assert formula.entries == table.entries
+        assert formula_strand(C4, cx) == table.entries
         assert oracle_pd(table) == 3
 
     def test_random_chordal_complements(self, rng):
@@ -104,12 +112,10 @@ class TestOracleVsFormula:
         for _ in range(60):
             g = random_graph(rng, 6)
             cx = flag_complex(complement(g))
-            qf = as_quasi_forest(cx)
-            if qf.decomposition is None:
+            formula = formula_strand(g, cx)
+            if formula is None:
                 continue
-            table = hochster_betti(cx)
-            formula = betti_from_numerator(hilbert_from_decomposition(qf.decomposition))
-            assert formula.entries == table.entries
+            assert formula == hochster_betti(cx).entries
             hits += 1
         assert hits > 10
 

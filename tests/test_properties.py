@@ -20,7 +20,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edgering.chordal import decompose
+from edgering.chordal import _decompose_masks
 from edgering.cli import analyze_record, main
 from edgering.complexes import (
     SimplicialComplex,
@@ -33,10 +33,9 @@ from edgering.complexes import (
     reduced_homology_ranks,
     restrict,
 )
-from edgering.conjecture import classify
+from edgering.conjecture import checked_strand, classify, formulas
 from edgering.errors import ContractViolationError, EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
-from edgering.invariants import betti_from_numerator, hilbert_from_decomposition
 from edgering.oracle import _graph_step, hochster_betti, oracle_is_2linear, oracle_pd
 from conftest import ACYCLIC_LINK_H, chordal_graph, induced, ref_core_key, ref_hochster_masks
 
@@ -206,8 +205,9 @@ def test_oracle_agrees_with_classify(g):
     report = classify(g)
     assert oracle_is_2linear(table) == report.has_2linear
     if report.has_2linear:
-        _, qfd = decompose(complement(g))
-        assert table.entries == betti_from_numerator(hilbert_from_decomposition(qfd)).entries
+        facets = _decompose_masks(complement(g))[1]
+        rec = formulas(g.n, facets, report.max_deg)
+        assert table.entries == checked_strand(rec, g.n, report.max_deg, report.graph6)[1]
         assert oracle_pd(table) == report.pd
 
 
