@@ -29,8 +29,6 @@ frozenset `QuasiForestDecomposition`.  Both forms pass one checker,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Sequence
 
 from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
@@ -241,28 +239,43 @@ def _check_facet_masks(facets: Sequence[int], n: int) -> None:
     """Check a quasi-forest ordering of facet masks over positions 0..n-1:
     at least one facet, none empty, inclusion-free, each attachment inside a
     single earlier facet, each facet adding a vertex, the union all n vertices.
-    inc[v], the mask of the facets that hold v, makes it O(sum |F_i|)."""
+    One pass in O(sum |F_i|) on inc[v], the mask of the facets that hold v,
+    and the union of the earlier facets: F_i is inclusion-free iff its inc
+    masks AND to 1 << i, and its attachment F_i & union lies in one earlier
+    facet iff theirs share a bit below i."""
     if not facets:
         raise ContractViolationError("a quasi-forest has at least one facet")
     inc = [0] * max(map(int.bit_length, facets))
     for i, f in enumerate(facets):
-        for v in bits(f):
-            inc[v] |= 1 << i
+        while f:
+            low = f & -f
+            inc[low.bit_length() - 1] |= 1 << i
+            f ^= low
+    union = 0
     for i, f in enumerate(facets):
         if not f:
             raise ContractViolationError("empty facet")
-        holders = [inc[v] for v in bits(f)]
-        # the facets holding all of F_i: exactly F_i itself
-        if reduce(and_, holders) != 1 << i:
+        common = -1
+        m = f
+        while m:
+            low = m & -m
+            common &= inc[low.bit_length() - 1]
+            m ^= low
+        if common != 1 << i:
             raise ContractViolationError("facets must be inclusion-free")
         if i:
-            # per attachment vertex, the earlier facets that hold it
-            earlier = [e for e in map(((1 << i) - 1).__and__, holders) if e]
-            if len(earlier) == len(holders):
+            att = f & union
+            if att == f:
                 raise InternalInvariantError("facet adds no new vertex")
-            if earlier and not reduce(and_, earlier):
+            common = (1 << i) - 1
+            while att:
+                low = att & -att
+                common &= inc[low.bit_length() - 1]
+                att ^= low
+            if not common:
                 raise ContractViolationError("attachment is not a face of a single earlier facet")
-    if len(inc) != n or not all(inc):
+        union |= f
+    if union != (1 << n) - 1:
         raise InternalInvariantError("vertex count does not match facet union")
 
 

@@ -8,6 +8,11 @@ The graph6 codecs and the symmetry check of `Graph` do their bit work at C
 level on strings of '0'/'1': a row is `format`ted into a string or read back
 with `int(..., 2)`, and column v of an n x n matrix held as one string of n*n
 characters is its stride slice [v::n], so no Python loop runs per bit.
+graph6 packs six bits per byte as base64 does, so `binascii` and a
+`bytes.translate` of the alphabet turn bytes into that string and back.  A
+graph parsed from graph6 with zero padding bits keeps the stripped text, its
+canonical encoding, for `to_graph6` to echo; it is held outside the dataclass
+fields, so equality, hash and repr ignore it.
 
 Supported interchange formats:
   * graph6 (short form only, n <= 62): leading byte n+63, then the upper
@@ -18,6 +23,7 @@ Supported interchange formats:
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,10 +33,11 @@ MAX_VERTICES = 62  # graph6 short form
 
 GRAPH6_HEADER = b">>graph6<<"
 
-# graph6 byte b (63..126) <-> its six bits, most significant first
-_SIX_BITS = ("",) * 63 + tuple(format(i, "06b") for i in range(64))
-_SIX_CHAR = {format(i, "06b"): chr(i + 63) for i in range(64)}
+# graph6 byte 63 + i <-> base64 digit i: both pack six bits per byte
 _GRAPH6_BYTES = bytes(range(63, 127))
+_BASE64_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_BYTES)
+_FROM_BASE64 = bytes.maketrans(_BASE64_BYTES, _GRAPH6_BYTES)
 
 
 @dataclass(frozen=True)
@@ -153,23 +160,35 @@ def parse_graph6(text: str | bytes) -> Graph:
         )
     # column v is the v bits (0,v),(1,v),..,(v-1,v): bit u of row v below the
     # diagonal.  Padded to n and joined into t, the stride slice t[v::n] is
-    # the bits above it, here read from u = n-1 down.
-    s = "".join(map(_SIX_BITS.__getitem__, data[1:]))
+    # the bits above it, here read from u = n-1 down.  The body, zero-padded
+    # to whole base64 quanta of 24 bits, decodes to the bit string s at C level.
+    body = data[1:].translate(_TO_BASE64) + b"A" * (-nbytes % 4)
+    raw = a2b_base64(body)
+    s = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     pad = "0" * n
     cols = [s[v * (v - 1) // 2 : v * (v + 1) // 2] + pad[v:] for v in range(n)]
     t = "".join(cols)
     last = n * n - n
     rows = [int(col[::-1], 2) | int(t[last + v :: -n], 2) for v, col in enumerate(cols)]
-    return Graph(n, tuple(rows))
+    g = Graph(n, tuple(rows))
+    if (data[-1] - 63) & ((1 << 6 * nbytes - nbits) - 1) == 0:
+        # zero padding bits: the canonical encoding of g, which `to_graph6` echoes
+        g.__dict__["_graph6"] = data.decode("ascii")
+    return g
 
 
 def to_graph6(g: Graph) -> str:
     """Canonical short-form graph6 encoding of this labeled graph."""
+    text = g.__dict__.get("_graph6")
+    if text is not None:
+        return text
     if g.n > MAX_VERTICES:
         raise UnsupportedSizeError(f"n={g.n} exceeds graph6 short form")
     s = "".join([format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
-    s += "0" * (-len(s) % 6)
-    return chr(g.n + 63) + "".join([_SIX_CHAR[s[i : i + 6]] for i in range(0, len(s), 6)])
+    nbytes = (len(s) + 5) // 6
+    s += "0" * (-len(s) % 24)
+    body = b2a_base64(int(s or "0", 2).to_bytes(len(s) // 8, "big"), newline=False)
+    return chr(g.n + 63) + body[:nbytes].translate(_FROM_BASE64).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -170,14 +170,18 @@ def chordal_graph(rng: random.Random, n: int, full_p: float, components: int) ->
     return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
-def random_quasi_forest_facets(rng: random.Random, max_n: int = 10) -> list[frozenset[int]]:
-    """Build a quasi-forest facet list by attaching simplices one at a time."""
+def random_quasi_forest_facets(
+    rng: random.Random, max_n: int = 10, stop: float = 0.25
+) -> list[frozenset[int]]:
+    """Build a quasi-forest facet list by attaching simplices one at a time,
+    stopping with probability `stop` before each one or when the next would
+    pass `max_n` vertices."""
     first = rng.randint(1, min(4, max_n))
     facets = [frozenset(range(first))]
     fresh = first
     while True:
         grow = rng.randint(1, 3)
-        if fresh + grow > max_n or rng.random() < 0.25:
+        if fresh + grow > max_n or rng.random() < stop:
             break
         base = facets[rng.randrange(len(facets))]
         attach_size = rng.randint(0, len(base) - 1)

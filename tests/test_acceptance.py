@@ -17,7 +17,7 @@ import pytest
 
 from edgering import verify
 from edgering.cli import analyze_record
-from edgering.complexes import SimplicialComplex, f_vector, flag_complex, reduced_homology_ranks
+from edgering.complexes import f_vector, flag_complex, reduced_homology_ranks
 from edgering.conjecture import build_family, classify, family_report, gap_series
 from edgering.graphs import Graph, complement, parse_graph6, to_graph6
 from edgering.oracle import _hochster_graph, oracle_pd

@@ -13,7 +13,7 @@ from edgering.complexes import (
     restrict,
 )
 from edgering.errors import ContractViolationError, MalformedInputError, UnsupportedSizeError
-from edgering.graphs import Graph, complement, enumerate_labeled
+from edgering.graphs import Graph, complement
 from conftest import brute_is_quasi_forest, format_fixture, random_graph, random_quasi_forest_facets
 
 

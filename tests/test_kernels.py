@@ -1,7 +1,8 @@
 """The hot-path kernels against their reference forms in conftest: bucket
-maximum cardinality search, string-level graph6, the grouped Hilbert
-numerator, and the incidence-mask checks of a quasi-forest decomposition,
-both in its constructor and on facet masks.  Each must agree exactly, down
+maximum cardinality search, string-level graph6 (and the canonical text a
+parsed graph echoes), the grouped Hilbert numerator, and the incidence-mask
+checks of a quasi-forest decomposition, both in its constructor and on
+facet masks, on facet lists up to survey size.  Each must agree exactly, down
 to the exception class and message.  The facet order of `decompose` (MCS
 completion order) is held to the Kruskal clique forest on everything but
 the order within a component.  The Hochster
@@ -92,7 +93,7 @@ def test_mcs_order_matches_linear_scan_exhaustive():
 @settings(max_examples=300, deadline=None)
 @given(graphs(), st.booleans(), st.integers(0, 63))
 def test_graph6_matches_bitwise_codec(g, header, padding):
-    text = to_graph6(g)
+    canonical = text = to_graph6(g)
     assert text == ref_to_graph6(g)
     # set some of the padding bits of the last byte: both decoders ignore them
     spare = -(g.n * (g.n - 1) // 2) % 6
@@ -101,6 +102,20 @@ def test_graph6_matches_bitwise_codec(g, header, padding):
     data = text.encode("ascii")
     assert ref_graph6_rows(data) == list(g.rows)
     assert parse_graph6((GRAPH6_HEADER if header else b"") + data) == g
+    # a parsed graph re-encodes canonically whatever its text was, and its
+    # complement, a new graph, gets its own encoding
+    variants = [canonical, (GRAPH6_HEADER if header else b"") + data,
+                GRAPH6_HEADER.decode() + canonical, f" \t{canonical}\r\n"]
+    if spare:
+        padded = ord(canonical[-1]) | (padding & ((1 << spare) - 1) or 1)
+        variants.append(canonical[:-1] + chr(padded))
+    ref_complement = ref_to_graph6(complement(g))
+    for x in variants:
+        h = parse_graph6(x)
+        assert h == g == Graph(g.n, g.rows) and hash(h) == hash(Graph(g.n, g.rows))
+        assert repr(h) == repr(g)
+        assert to_graph6(h) == canonical
+        assert to_graph6(complement(h)) == ref_complement
 
 
 def test_graph6_every_size():
@@ -214,10 +229,14 @@ def test_decomposition_checks_match_frozenset_form(facets, dim_shift, attach_shi
 
 
 def test_decomposition_checks_on_valid_and_mutated(rng):
+    # 400 small draws, then 200 of up to 62 vertices and a median of 28
+    # facets: the chordal complements of survey_mixed have 24 on average
     accepted = rejected = 0
-    for _ in range(400):
-        facets = [sorted(f) for f in random_quasi_forest_facets(rng, max_n=12)]
-        label = rng.sample(range(-5, 30), 12)  # negative and gapped labels
+    sizes = []
+    for max_n, stop in [(12, 0.25)] * 400 + [(62, 0.02)] * 200:
+        facets = [sorted(f) for f in random_quasi_forest_facets(rng, max_n=max_n, stop=stop)]
+        sizes.append(len(facets))
+        label = rng.sample(range(-5, 2 * max_n + 6), max_n)  # negative and gapped labels
         facets = [[label[v] for v in f] for f in facets]
         mutation = rng.randrange(5)
         if mutation == 1:
@@ -235,7 +254,8 @@ def test_decomposition_checks_on_valid_and_mutated(rng):
         assert new == ref == mask
         accepted += new is None
         rejected += new is not None
-    assert accepted > 100 and rejected > 50
+    assert accepted > 150 and rejected > 75
+    assert sum(k >= 24 for k in sizes[400:]) > 100
 
 
 @st.composite
