@@ -169,8 +169,10 @@ def parse_graph6(text: str | bytes) -> Graph:
     cols = [s[v * (v - 1) // 2 : v * (v + 1) // 2] + pad[v:] for v in range(n)]
     t = "".join(cols)
     last = n * n - n
+    # row v is col v below the diagonal and the bits (v, u), u > v, above
+    # it, so the rows are symmetric, loop-free and in range by construction
     rows = [int(col[::-1], 2) | int(t[last + v :: -n], 2) for v, col in enumerate(cols)]
-    g = Graph(n, tuple(rows))
+    g = _valid_graph(n, tuple(rows))
     if (data[-1] - 63) & ((1 << 6 * nbytes - nbits) - 1) == 0:
         # zero padding bits: the canonical encoding of g, which `to_graph6` echoes
         g.__dict__["_graph6"] = data.decode("ascii")
@@ -218,10 +220,16 @@ def complement(g: Graph) -> Graph:
     construction, so the checks of `Graph.__post_init__` are not re-run.
     """
     full = (1 << g.n) - 1
-    out = object.__new__(Graph)
-    object.__setattr__(out, "n", g.n)
-    object.__setattr__(out, "rows", tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
-    return out
+    return _valid_graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
+
+
+def _valid_graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """Graph(n, rows) without the checks of `Graph.__post_init__`, for rows
+    that are valid by construction; the tests hold each caller to that."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
 
 
 def max_degree(g: Graph) -> int:

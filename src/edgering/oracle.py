@@ -8,11 +8,22 @@ sum instead of being special-cased.
 Ground truth for everything the closed formulas claim; no quasi-forest
 assumptions are made here.  The loop visits the subsets W grouped by their
 lowest vertex, from the highest group down, so every proper subset of W
-comes before W.  It keeps what each W gave: its nonzero reduced homology
-ranks, or None when the restriction to W is Q-acyclic; the empty set, rank
-1 in dimension -1, is set before it starts.  A W whose ranks follow from
-those of its proper subsets takes them from there.  Only a W that no such
-rule settles runs exact homology; the kernel keeps no state between calls.
+comes before W.  It keeps what each W gave as one int that packs its
+reduced homology ranks, 32 bits per dimension: field d + 1, bits
+32(d + 1) to 32(d + 1) + 31, holds rank H~_d.  So 0 means that the
+restriction to W is Q-acyclic, and the empty set, rank 1 in dimension -1,
+is 1, set before the loop starts.  A W whose ranks follow from those of
+its proper subsets takes them from there.  Only a W that no such rule
+settles runs exact homology; the kernel keeps no state between calls.
+After the loop, one sum of the packed ints per subset size j gives every
+entry of degree j at once: field d + 1 of the sum is beta_(j-1-d, j).
+
+The fields never carry into each other below the cap.  rank H~_d(W) is at
+most the number of d-faces of W, so the field d + 1 of the sum over the
+subsets of size j is at most C(n, j) C(j, d + 1), the number of pairs
+F within W with |W| = j and |F| = d + 1; all such pairs together number
+3^n, as each vertex is in F, in W - F or outside W.  3^18 < 2^31, so every
+field, of one subset or of a sum, stays below 2^31, and its top bit is 0.
 
 The kernel runs on flag complexes, which is every complex the paper's
 rings have: k[G] is the Stanley-Reisner ring of the flag complex of the
@@ -27,9 +38,10 @@ That map is zero in every degree where either side is zero, which gives
 one rule, one lookup per vertex: when no degree holds homology in both the
 link and W - v, W has the ranks of W - v plus those of the link one
 dimension up.  The complexes are augmented, so the empty link of an
-isolated v has rank 1 in dimension -1 and adds one in dimension 0.  The
-loop tries the rule's cheapest case, a nonempty Q-acyclic link (its result
-is None), where W has the ranks of W - v, at every vertex of W, lowest
+isolated v has rank 1 in dimension -1 and adds one in dimension 0.
+Packed, W gets the int of W - v plus the link's int shifted up one field.
+The loop tries the rule's cheapest case, a nonempty Q-acyclic link (its
+result is 0), where W has the ranks of W - v, at every vertex of W, lowest
 first, without a call: it covers every dominated vertex, whose link is a
 cone, and settles 47,785 of the 49,152 subsets of the n = 12 benchmark
 graphs.  The step runs the rule in general on the other 1,367 (2.8 %).
@@ -41,6 +53,7 @@ UnsupportedSizeError (CLI exit 3).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from .complexes import (
@@ -55,6 +68,8 @@ from .graphs import Graph, bits
 from .invariants import BettiTable
 
 VERTEX_CAP = 18
+# 0x7FFFFFFF in each of the VERTEX_CAP + 1 fields of a packed int of ranks
+_LOW = sum(0x7FFFFFFF << 32 * f for f in range(VERTEX_CAP + 1))
 
 
 class OracleBettiTable(BettiTable):
@@ -100,48 +115,51 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
     their lowest vertex k for k = n-1 down to 0, each group in increasing
     order, so that every proper subset of w comes before w.
 
-    The empty restriction has rank 1 in dimension -1, so it is never None.
-    For a nonempty w, the link of each vertex u of w is the flag complex of
-    the subset rows[u] & w, tried from k up: at the first u whose result is
-    None (nonempty and Q-acyclic), w takes the result for w - u.  Failing
-    that at every u, `_graph_step` gives the nonzero reduced homology ranks
-    of H[w], or None iff it is Q-acyclic, from the result of every proper
-    subset of w in `at_subset`.
+    `at_subset[w]` packs the reduced homology ranks of H[w], rank H~_d in
+    bits 32(d + 1) to 32(d + 1) + 31, and is 0 iff H[w] is Q-acyclic.  The
+    empty restriction has rank 1 in dimension -1, so it is 1, never 0.  For
+    a nonempty w, the link of each vertex u of w is the flag complex of the
+    subset rows[u] & w, tried from k up: at the first u whose result is 0
+    (nonempty and Q-acyclic), w takes the result for w - u.  Failing that
+    at every u, `_graph_step` gives the packed ranks of H[w] from the result
+    of every proper subset of w in `at_subset`.  The module docstring shows
+    that no field of a subset, or of a sum over the subsets of one size,
+    reaches 2^31.
     """
     closed = {1 << v: r | 1 << v for v, r in enumerate(rows)}  # by vertex bit
     step = _graph_step
     top = 1 << n
-    at_subset: list[dict[int, int] | None] = [None] * top
-    at_subset[0] = {-1: 1}
+    at_subset = [0] * top
+    at_subset[0] = 1
     for k in range(n - 1, -1, -1):
         v = 1 << k
         row = rows[k]
         for w in range(v, top, v << 1):
             # the lowest vertex first and apart: its row needs no lookup
-            if at_subset[row & w] is None:
+            if not at_subset[row & w]:
                 at_subset[w] = at_subset[w ^ v]
                 continue
             m = w ^ v
             while m:
                 u = m & -m
-                if at_subset[closed[u] & w ^ u] is None:
+                if not at_subset[closed[u] & w ^ u]:
                     at_subset[w] = at_subset[w ^ u]
                     break
                 m ^= u
             else:
                 at_subset[w] = step(closed, w, at_subset)
-    # beta_(i,j) sits at flat[i * (n + 1) + j], with i = j - 1 - dim
-    width = n + 1
-    flat = [0] * (width * width)
-    for j, ranks in zip(map(int.bit_count, range(top)), at_subset):
-        if ranks is not None:
-            for dim, h in ranks.items():
-                flat[(j - 1 - dim) * width + j] += h
-    return OracleBettiTable({divmod(at, width): h for at, h in enumerate(flat) if h}, n, top)
+    # sums[j] packs the ranks summed over the subsets of size j; its field
+    # f = d + 1 is beta_(j-1-d, j) = beta_(j-f, j), read up to the highest
+    sums = [0] * (n + 1)
+    for w in compress(range(top), at_subset):
+        sums[w.bit_count()] += at_subset[w]
+    entries = {(j - f, j): h for j, packed in enumerate(sums)
+               for f in range(packed.bit_length() + 31 >> 5) if (h := packed >> 32 * f & 0xFFFFFFFF)}
+    return OracleBettiTable(entries, n, top)
 
 
-def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | None:
-    """Ranks of the flag complex of H[w]: None for a point.  Otherwise the
+def _graph_step(closed: dict[int, int], w: int, at_subset: list[int]) -> int:
+    """Packed ranks of the flag complex of H[w], 0 for a point.  Otherwise the
     link of v in it is the flag complex of its neighbourhood in w, a proper
     subset: at the first v where no degree holds homology in both the link
     and w - v, w has the ranks of w - v plus those of the link one
@@ -154,29 +172,32 @@ def _graph_step(closed: dict[int, int], w: int, at_subset) -> dict[int, int] | N
     H~_d(link) -> H~_d(w - v) plus the kernel of that map in degree d - 1.
     The map is zero where either side is.  The complexes are augmented, so
     the empty link has rank 1 in dimension -1 and an isolated v adds one in
-    dimension 0.  A Q-acyclic side (None) has no homology, so the rule fits
-    at its v and w takes the other side's ranks; the loop settles every w
-    with a nonempty Q-acyclic link before it calls the step."""
+    dimension 0.  A Q-acyclic side (0) has no homology, so the rule fits at
+    its v and w takes the other side's ranks; the loop settles every w with
+    a nonempty Q-acyclic link before it calls the step.
+
+    Packed, the rule fits when no field is nonzero in both sides, and w
+    gets rest + (link << 32).  Every field is below 2^31, so adding
+    0x7FFFFFFF to it sets its top bit iff it is nonzero, without a carry
+    into the next field: adding `_LOW`, that value in every field, tests
+    all fields at once."""
     if w.bit_count() == 1:
-        return None  # a point
+        return 0  # a point
     m = w
     while m:
         v = m & -m
         m ^= v
-        rest = at_subset[w ^ v] or {}
-        link = at_subset[closed[v] & w ^ v] or {}
-        if rest.keys().isdisjoint(link):
-            ranks = dict(rest)
-            for dim, h in link.items():
-                ranks[dim + 1] = ranks.get(dim + 1, 0) + h
-            return ranks or None
+        rest = at_subset[w ^ v]
+        link = at_subset[closed[v] & w ^ v]
+        if not (rest + _LOW) & (link + _LOW) & ~_LOW:
+            return rest + (link << 32)
     # vertices outside w keep empty rows, and `w.__and__` drops their
     # one-vertex cliques; a comprehension would make `closed` and `w` cells
     rows = [0] * len(closed)
     for u in bits(w):
         rows[u] = closed[1 << u] & w ^ 1 << u
     ranks = _homology_ranks(list(filter(w.__and__, _maximal_clique_masks(len(rows), rows))))
-    return {dim: h for dim, h in ranks.items() if h} or None
+    return sum(h << 32 * (dim + 1) for dim, h in ranks.items())
 
 
 def oracle_pd(table: OracleBettiTable) -> int:

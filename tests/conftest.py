@@ -521,6 +521,14 @@ def ref_core_key(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(_compress(f, support) for f in facets))
 
 
+def packed_ranks(ranks: dict[int, int]) -> int:
+    """Reduced homology ranks in the packed form of the oracle's graph
+    kernel, built here from its definition: rank H~_d times 2^(32(d + 1)),
+    summed, so 0 for a Q-acyclic complex and 1 for the empty one."""
+    assert all(0 <= h < 2**31 for h in ranks.values())
+    return sum(h * 2 ** (32 * (d + 1)) for d, h in ranks.items())
+
+
 def restriction_sum(c: SimplicialComplex) -> dict[tuple[int, int], int]:
     """Hochster's formula summed over `restrict` and `reduced_homology_ranks`."""
     entries: dict[tuple[int, int], int] = {}

@@ -118,6 +118,22 @@ def test_graph6_matches_bitwise_codec(g, header, padding):
         assert to_graph6(complement(h)) == ref_complement
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, MAX_VERTICES).flatmap(
+    lambda n: st.lists(st.integers(63, 126), min_size=(n * (n - 1) // 2 + 5) // 6,
+                       max_size=(n * (n - 1) // 2 + 5) // 6).map(lambda body: bytes([n + 63, *body]))
+))
+def test_graph6_decodes_to_valid_rows(data):
+    """`parse_graph6` builds its graph without the checks of `Graph`, whose
+    rows its decoder makes valid by construction.  Any graph6 text, padding
+    bits and all, decodes to the rows of the bitwise decoder, which `Graph`
+    accepts into an equal graph with the same hash and repr."""
+    g = parse_graph6(data)
+    checked = Graph(g.n, g.rows)
+    assert list(g.rows) == ref_graph6_rows(data)
+    assert type(g) is Graph and g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
+
+
 def test_graph6_every_size():
     rng = random.Random(62)
     for n in range(MAX_VERTICES + 1):

@@ -22,6 +22,7 @@ from conftest import (
     ACYCLIC_LINK_H,
     assert_exact_calls_hold_cores,
     induced,
+    packed_ranks,
     random_graph,
     ref_hochster_masks,
     restriction_sum,
@@ -216,16 +217,37 @@ class TestMemoization:
             hochster_betti(SimplicialComplex.of(15, hollow + [[v] for v in range(3, 15)]))
 
 
+class TestPackedFields:
+    def test_field_width_bounds_every_sum(self):
+        # the graph kernel packs rank H~_d into a 32-bit field.  A field of
+        # the sum over the subsets of size j is at most C(n, j) C(j, d + 1),
+        # the pairs of a face within a subset, and all such pairs number
+        # 3^n, so below the cap no field reaches 2^31: none carries into the
+        # next, and the top bit that the step's overlap test sets stays clear
+        assert 3 ** oracle.VERTEX_CAP < 1 << 31
+
+    def test_complement_of_k16(self):
+        # G = K_16: H has no edges, its flag complex is 16 points, and j of
+        # them have rank H~_0 = j - 1, so beta_(i, i+1) = i C(16, i + 1).
+        # beta_(8, 9) = 91,520 exceeds 2^16: a 16-bit field would carry it
+        # into the next dimension
+        k16 = complement(Graph(16, (0,) * 16))
+        expected = {(i, i + 1): i * comb(16, i + 1) for i in range(1, 16)}
+        assert max(expected.values()) == 91_520 > 1 << 16
+        assert oracle._hochster_graph(16, complement(k16).rows).entries == expected
+
+
 def checked_step(monkeypatch, name: str, c: SimplicialComplex) -> set[int]:
     """Patch the kernel step `name` to hold the subset loop to its contract
     on the complex c: the step is called at most once per nonempty w, and
     every proper subset u of w has its result in `at_subset` by then (the
-    nonzero ranks of the restriction to u, or None when it is Q-acyclic).
-    Returns the set of w the step was called for."""
+    reduced homology ranks of the restriction to u, packed by
+    `packed_ranks`, so 0 when it is Q-acyclic).  Returns the set of w the
+    step was called for."""
     expected = []
     for w in range(1 << c.n):
         ranks = reduced_homology_ranks(restrict(c, [v for i, v in enumerate(c.vertices) if w >> i & 1]))
-        expected.append({dim: h for dim, h in ranks.items() if h} or None)
+        expected.append(packed_ranks(ranks))
     step = getattr(oracle, name)
     called = set()
 
@@ -264,13 +286,14 @@ class TestLoopContract:
 
     def test_step_sees_no_acyclic_link(self, monkeypatch):
         # the loop tries the link rule at every vertex of W before it calls
-        # the step, so every link the step sees is empty or has homology
+        # the step, so every link the step sees is empty or has homology:
+        # its packed ranks are nonzero
         step = oracle._graph_step
         called = []
 
         def checked(closed, w, at_subset):
             for u in bits(w):
-                assert at_subset[closed[1 << u] & w ^ 1 << u] is not None, f"link of {u} in {w:b} is acyclic"
+                assert at_subset[closed[1 << u] & w ^ 1 << u] != 0, f"link of {u} in {w:b} is acyclic"
             called.append(w)
             return step(closed, w, at_subset)
 
@@ -284,9 +307,9 @@ class TestLoopContract:
     def test_graph_kernel_sums_link_and_rest(self, monkeypatch, exact_calls):
         # the graphs above reach the Mayer-Vietoris rule where its special
         # cases fit at no vertex: every link nonempty and not Q-acyclic and
-        # no W - v Q-acyclic.  A result there that no exact-homology call
-        # made is a sum, so the contract above checks sums of the ranks of
-        # W - v and the shifted link ranks
+        # no W - v Q-acyclic, every packed result nonzero.  A result there
+        # that no exact-homology call made is a sum, so the contract above
+        # checks sums of the ranks of W - v and the shifted link ranks
         step = oracle._graph_step
         summed = []
 
@@ -294,10 +317,10 @@ class TestLoopContract:
             ranks = step(closed, w, at_subset)
             pairs = [(at_subset[w ^ 1 << u], closed[1 << u] & w ^ 1 << u) for u in bits(w)]
             if (
-                ranks is not None
+                ranks != 0
                 and w not in {u for u, _ in exact_calls}
                 and len(pairs) > 1
-                and all(rest is not None and link and at_subset[link] is not None for rest, link in pairs)
+                and all(rest != 0 and link and at_subset[link] != 0 for rest, link in pairs)
             ):
                 summed.append(w)
             return ranks
@@ -314,7 +337,7 @@ class TestLoopContract:
         "h, reaches", WHOLE_SET_STEP_GRAPHS, ids=["edgeless", "point-and-square", "point-and-paths"]
     )
     def test_whole_set_reaches_step(self, monkeypatch, h, reaches):
-        # vertex 0 is isolated, so its link is empty, never None, and the
+        # vertex 0 is isolated, so its link is empty, never 0, and the
         # loop passes the whole vertex set to the step unless the link of
         # another vertex is Q-acyclic: in the two paths the link of vertex 1
         # is the point 2, and the whole set takes the result for W - 1
@@ -329,7 +352,7 @@ class TestLoopContract:
     def test_superset_first_loop_fails(self, monkeypatch):
         # reversed ranges turn the loop into lowest vertex 0 first, each group
         # in decreasing order, so supersets come before their subsets.  A
-        # result not yet set reads as None, a Q-acyclic link, so the loop
+        # result not yet set reads as 0, a Q-acyclic link, so the loop
         # settles the first five sets, the whole set among them, wrongly and
         # without a call; the first call, for {0, 2, 4}, finds the two points
         # {2, 4} unset

@@ -37,7 +37,7 @@ from edgering.conjecture import checked_strand, classify, formulas
 from edgering.errors import ContractViolationError, EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.oracle import _graph_step, hochster_betti, oracle_is_2linear, oracle_pd
-from conftest import ACYCLIC_LINK_H, chordal_graph, induced, ref_core_key, ref_hochster_masks
+from conftest import ACYCLIC_LINK_H, chordal_graph, induced, packed_ranks, ref_core_key, ref_hochster_masks
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -143,9 +143,9 @@ def test_acyclic_link_keeps_the_homology(h):
 @given(graphs(max_n=7))
 def test_graph_step_on_the_whole_vertex_set(h):
     """Given the result of every proper subset, the graph kernel's step on
-    all of H is the nonzero ranks of the flag complex of H, or None iff it
-    is Q-acyclic."""
-    at_subset = [nonzero(reduced_homology_ranks(flag_complex(induced(h, list(bits(w)))))) or None
+    all of H is the packed ranks of the flag complex of H, 0 iff it is
+    Q-acyclic."""
+    at_subset = [packed_ranks(reduced_homology_ranks(flag_complex(induced(h, list(bits(w))))))
                  for w in range(1 << h.n)]
     closed = {1 << v: row | 1 << v for v, row in enumerate(h.rows)}
     full = (1 << h.n) - 1
