@@ -154,6 +154,28 @@ def _maximal_clique_masks(n: int, rows: Sequence[int]) -> list[int]:
     return out
 
 
+def _clique_counts(n: int, rows: Sequence[int]) -> list[int]:
+    """Cliques of the graph on 0..n-1 with these rows by vertex count, the
+    empty clique at index 0 and n + 1 entries: the f-vector of its flag
+    complex.  A depth-first search grows each clique by the common
+    neighbours above its highest vertex, so it counts every clique once and
+    lists none."""
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    # (the vertices p that extend some clique to s vertices, s)
+    stack = [((1 << n) - 1, 1)] if n else []
+    while stack:
+        p, s = stack.pop()
+        counts[s] += p.bit_count()
+        while p:
+            low = p & -p
+            p ^= low
+            q = p & rows[low.bit_length() - 1]
+            if q:
+                stack.append((q, s + 1))
+    return counts
+
+
 def one_skeleton(c: SimplicialComplex) -> Graph:
     """Graph with an edge wherever two vertices share a facet.
 

@@ -17,7 +17,11 @@ compares the fields of its record with references computed apart from it:
 brute-force induced cycles, the numerator of the f-vector series and, in
 the oracle variant, the Hochster Betti table, which the oracle's graph
 kernel computes straight from the complement's adjacency rows and which is
-compared with the Betti numbers read off the record's numerator.  Every
+compared with the Betti numbers read off the record's numerator.  The
+f-vector comes from those rows too: `_clique_counts` counts the cliques of
+the complement by size without listing them, so it shares no facet with
+the record.  Bron-Kerbosch runs only in the oracle variant, on the chordal
+masks, to hold the PEO's facets to the maximal cliques.  Every
 failed comparison is recorded as a violation, not raised.  Chunks of the
 edge-mask range can be processed by a worker pool; results merge
 deterministically in mask order, so the outcome is identical for every
@@ -32,7 +36,7 @@ from itertools import combinations, permutations
 
 from . import conjecture
 from .chordal import _clique_masks_from_peo, _is_peo, _mcs_order
-from .complexes import _faces_by_size, _maximal_clique_masks
+from .complexes import _clique_counts, _maximal_clique_masks
 from .errors import ContractViolationError
 from .graphs import Graph, mask_count, rows_from_edge_mask, to_graph6
 from .invariants import _fvector_numerator, _linear_strand
@@ -145,22 +149,20 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         if chordal_flag == has_long_induced_cycle(n, h_mask):
             vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
         if with_oracle:
-            complex_facets = _maximal_clique_masks(n, crow)
             table = _hochster_graph(n, crow)
             if oracle_is_2linear(table) != chordal_flag:
                 vio["twolinear_vs_chordal"].append(_to_g6(n, mask))
         if not chordal_flag:
             if with_oracle:
-                fvec = [len(g) for g in _faces_by_size(complex_facets)]
-                _check_knum(n, table, _fvector_numerator(fvec, n), vio, mask)
+                _check_knum(n, table, _fvector_numerator(_clique_counts(n, crow), n), vio, mask)
             continue
         counts["twolinear"] += 1
         facets = _clique_masks_from_peo(n, crow, elim)
-        if with_oracle and set(facets) != set(complex_facets):
+        if with_oracle and set(facets) != set(_maximal_clique_masks(n, crow)):
             vio["clique_paths_disagree"].append(_to_g6(n, mask))
         f = formulas(n, facets, n - 1 - min(r.bit_count() for r in crow))
         num = f.numerator
-        fnum = _fvector_numerator([len(g) for g in _faces_by_size(facets)], n)
+        fnum = _fvector_numerator(_clique_counts(n, crow), n)
         if num != tuple(fnum):
             vio["hilbert_mismatch"].append(_to_g6(n, mask))
         deg = n

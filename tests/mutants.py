@@ -29,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "tests/test_oracle.py"
+SWEEPS_CLEAN = "tests/test_verify.py::TestSweepMachinery::test_small_sweeps_clean"
 
 # (what the mutant breaks, file under src/edgering, [(old, new), ...], tests)
 MUTANTS = [
@@ -58,9 +59,40 @@ MUTANTS = [
             ("packed >> 32 * f & 0xFFFFFFFF", "packed >> 16 * f & 0xFFFF"),
             ("sum(0x7FFFFFFF << 32 * f for", "sum(0x7FFF << 16 * f for"),
             ("return rest + (link << 32)", "return rest + (link << 16)"),
+            ("at_subset[w ^ v] + (1 << 32)", "at_subset[w ^ v] + (1 << 16)"),
             ("sum(h << 32 * (dim + 1)", "sum(h << 16 * (dim + 1)"),
         ],
         [f"{ORACLE}::TestPackedFields::test_complement_of_k16"],
+    ),
+    (
+        "the loop's isolated rule adds the empty link's rank in dimension -1, not 0",
+        "oracle.py",
+        [("at_subset[w ^ v] + (1 << 32)", "at_subset[w ^ v] + (1 << 0)")],
+        [f"{ORACLE}::TestLoopContract::test_no_point_or_isolated_lowest_vertex_reaches_step", SWEEPS_CLEAN],
+    ),
+    (
+        "the clique counter files each grown clique at the size of the one it grows",
+        "complexes.py",
+        [("stack.append((q, s + 1))", "stack.append((q, s))")],
+        ["tests/test_kernels.py::test_clique_counts_match_faces_and_networkx", SWEEPS_CLEAN],
+    ),
+    (
+        "the PEO test never finds two later neighbours that are not adjacent",
+        "chordal.py",
+        [("if lm & ~rows[low.bit_length() - 1] & ~low:", "if False:")],
+        ["tests/test_chordal.py::TestIsChordal::test_c4_certificate", SWEEPS_CLEAN],
+    ),
+    (
+        "the witness facet has r_min + 3 vertices",
+        "conjecture.py",
+        [("target = r_min + 2", "target = r_min + 3")],
+        ["tests/test_conjecture.py::TestFreeVertexWitness::test_two_triangles", SWEEPS_CLEAN],
+    ),
+    (
+        "the numerator adds the attachments' terms instead of subtracting them",
+        "invariants.py",
+        [("mult[n - r - 1] -= 1", "mult[n - r - 1] += 1")],
+        ["tests/test_kernels.py::test_numerator_on_decompositions", SWEEPS_CLEAN],
     ),
     (
         "the tally files each subset one size too low",

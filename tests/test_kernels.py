@@ -10,18 +10,22 @@ kernel is held to the earlier facet kernel, which keys every subset and
 folds a missed key to its core, on random graphs and on graphs whose
 restrictions reach exact homology, and that reference, on complexes that
 are not flag, to a sum over `restrict`.  Sparse exact rank is held to dense Bareiss elimination, on
-random integer matrices and on boundary maps."""
+random integer matrices and on boundary maps.  The clique counter that
+gives the sweep its f-vector is held to the faces of the maximal cliques
+and to networkx."""
 
 import random
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgering import intlinalg, oracle
 from edgering.chordal import QuasiForestDecomposition, _check_facet_masks, _mcs_order, decompose
 from edgering.complexes import (
     SimplicialComplex,
     _boundary,
+    _clique_counts,
     _faces_by_size,
     _maximal_clique_masks,
     _maximal_masks,
@@ -320,6 +324,29 @@ def test_graph_kernel_matches_reference(g):
         assert oracle._hochster_graph(g.n, g.rows).entries == expected
     assert_exact_calls_hold_cores(g, calls)
     assert oracle.hochster_betti(flag_complex(g)).entries == expected
+
+
+@settings(max_examples=300, deadline=None)
+@example(Graph(0, ()))
+@example(Graph(1, (0,)))
+@example(Graph(12, (0,) * 12))
+@example(complement(Graph(12, (0,) * 12)))
+@given(graphs(max_n=12))
+def test_clique_counts_match_faces_and_networkx(g):
+    """The f-vector the sweep reads from the rows, by a search that lists no
+    clique, against the faces of the maximal cliques and networkx's list of
+    every clique; all three count the empty clique at size 0."""
+    counts = _clique_counts(g.n, g.rows)
+    assert len(counts) == g.n + 1
+    faces = [len(grouped) for grouped in _faces_by_size(_maximal_clique_masks(g.n, g.rows))]
+    assert counts == faces + [0] * (g.n + 1 - len(faces))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    listed = [1] + [0] * g.n
+    for clique in nx.enumerate_all_cliques(nxg):
+        listed[len(clique)] += 1
+    assert counts == listed
 
 
 @st.composite

@@ -265,12 +265,12 @@ def checked_step(monkeypatch, name: str, c: SimplicialComplex) -> set[int]:
 
 
 LOOP_CONTRACT_SIZES = range(1, 11)
-# graphs on 0..4 in which vertex 0 is isolated, each with whether the whole
+# graphs on 0..4 in which vertex 4 is isolated, each with whether the whole
 # vertex set reaches the step
 WHOLE_SET_STEP_GRAPHS = [
-    (Graph(5, (0,) * 5), True),
-    (Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (1, 4)]), True),
-    (Graph.from_edges(5, [(1, 2), (3, 4)]), False),
+    (Graph(5, (0,) * 5), False),
+    (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), True),
+    (Graph.from_edges(5, [(0, 1), (2, 3)]), False),
 ]
 LOOP_CONTRACT_DENSITIES = [0.25, 0.5, 0.75]
 
@@ -337,27 +337,52 @@ class TestLoopContract:
         "h, reaches", WHOLE_SET_STEP_GRAPHS, ids=["edgeless", "point-and-square", "point-and-paths"]
     )
     def test_whole_set_reaches_step(self, monkeypatch, h, reaches):
-        # vertex 0 is isolated, so its link is empty, never 0, and the
-        # loop passes the whole vertex set to the step unless the link of
-        # another vertex is Q-acyclic: in the two paths the link of vertex 1
-        # is the point 2, and the whole set takes the result for W - 1
+        # vertex 4 is isolated, so its link is empty, never 0, but it is the
+        # lowest vertex of no W but {4}: the loop passes the whole vertex set
+        # to the step unless the link of another vertex is Q-acyclic.  In
+        # the square every link is two points; in the two paths the link of
+        # vertex 0 is the point 1, and the whole set takes the result for
+        # W - 0
         called = checked_step(monkeypatch, "_graph_step", flag_complex(h))
         table = oracle._hochster_graph(h.n, h.rows)
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
         assert ((1 << h.n) - 1 in called) == reaches
         if not any(h.rows):
-            # every link is empty, so every nonempty subset takes the step
-            assert called == set(range(1, 1 << h.n))
+            # every lowest vertex is isolated, so no subset takes the step
+            assert not called
+
+    def test_no_point_or_isolated_lowest_vertex_reaches_step(self, monkeypatch):
+        # a point keeps the 0 it starts with, and a W whose lowest vertex k
+        # is isolated takes the result for W - k plus one in dimension 0,
+        # both inside the loop: the step sees neither
+        step = oracle._graph_step
+        called = []
+
+        def checked(closed, w, at_subset):
+            low = w & -w
+            assert w != low, f"the point {w:b} reaches the step"
+            assert closed[low] & w != low, f"the lowest vertex of {w:b} is isolated"
+            called.append(w)
+            return step(closed, w, at_subset)
+
+        monkeypatch.setattr(oracle, "_graph_step", checked)
+        for n in LOOP_CONTRACT_SIZES:
+            for p in LOOP_CONTRACT_DENSITIES:
+                h = seeded_gnp(f"loop contract {n} {p}", n, p)
+                table = oracle._hochster_graph(n, h.rows)
+                assert table.entries == ref_hochster_masks(n, _maximal_clique_masks(n, h.rows))
+        assert called
 
     def test_superset_first_loop_fails(self, monkeypatch):
         # reversed ranges turn the loop into lowest vertex 0 first, each group
         # in decreasing order, so supersets come before their subsets.  A
         # result not yet set reads as 0, a Q-acyclic link, so the loop
-        # settles the first five sets, the whole set among them, wrongly and
-        # without a call; the first call, for {0, 2, 4}, finds the two points
-        # {2, 4} unset
+        # settles every set without a call, the whole set first, and most of
+        # them wrongly: the step's check never runs, and the table differs
+        # from the sum
         h = WHOLE_SET_STEP_GRAPHS[1][0]
-        checked_step(monkeypatch, "_graph_step", flag_complex(h))
+        called = checked_step(monkeypatch, "_graph_step", flag_complex(h))
         monkeypatch.setattr(oracle, "range", lambda *a: reversed(builtins.range(*a)), raising=False)
-        with pytest.raises(AssertionError, match="^10100 not settled before 10101\n"):
-            oracle._hochster_graph(h.n, h.rows)
+        table = oracle._hochster_graph(h.n, h.rows)
+        assert not called
+        assert table.entries != ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))

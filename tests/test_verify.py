@@ -87,6 +87,22 @@ class TestSweepMachinery:
         assert serial.counts == parallel.counts
         assert serial.violations == parallel.violations
 
+    def test_fvector_reference_is_checked(self, monkeypatch):
+        # one clique too many at size 2 shifts the f-vector numerator by
+        # t^2 (1-t)^(n-2): every 2-linear record's numerator and every
+        # oracle table's alternating sums then disagree with it
+        count = verify._clique_counts
+
+        def one_off(n, rows):
+            counts = count(n, rows)
+            counts[2] += 1
+            return counts
+
+        monkeypatch.setattr(verify, "_clique_counts", one_off)
+        res = verify.sweep_chunk(5, 0, 1 << 10, True)
+        assert len(res.violations["hilbert_mismatch"]) == res.counts["twolinear"] > 0
+        assert len(res.violations["knum_mismatch"]) == res.counts["total"] == 1 << 10
+
     def test_jobs_get_several_chunks(self, monkeypatch):
         # n = 6 with four jobs: the 2^15 masks are cut into chunks that tile
         # the range in order, at least one per job, not one chunk for one worker
