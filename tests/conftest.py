@@ -521,6 +521,22 @@ def ref_core_key(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(_compress(f, support) for f in facets))
 
 
+def ref_dominated_pairs(g: Graph, most: int) -> list[tuple[int, int]]:
+    """Greedy vertex-disjoint pairs (v, u) with the closed neighbourhood of u
+    a subset of that of v, set-based: for u = 0, 1, ... not yet in a pair,
+    the lowest such v not yet in one, until there are `most` pairs."""
+    closed = [set(g.neighbors(x)) | {x} for x in range(g.n)]
+    used: set[int] = set()
+    pairs = []
+    for u in range(g.n):
+        if len(pairs) < most and u not in used:
+            v = min((v for v in range(g.n) if v != u and v not in used and closed[u] <= closed[v]), default=None)
+            if v is not None:
+                used |= {u, v}
+                pairs.append((v, u))
+    return pairs
+
+
 def packed_ranks(ranks: dict[int, int]) -> int:
     """Reduced homology ranks in the packed form of the oracle's graph
     kernel, built here from its definition: rank H~_d times 2^(32(d + 1)),
@@ -594,21 +610,36 @@ def exact_calls():
         yield calls
 
 
+def kernel_labels(h: Graph) -> tuple[list[int], int]:
+    """The vertex of H that each label of the oracle's graph kernel stands
+    for, and the number k of pairs.  From `oracle.PAIRED_FROM` vertices on,
+    the k dominated pairs (v, u) of `oracle._dominated_pairs` take the
+    labels 2i and 2i + 1 in their order, and the other vertices follow in
+    theirs; below, k = 0 and every vertex keeps its own label."""
+    from edgering import oracle
+
+    pairs = oracle._dominated_pairs(h.n, h.rows) if h.n >= oracle.PAIRED_FROM else []
+    order = [x for pair in pairs for x in pair]
+    return order + [x for x in range(h.n) if x not in order], len(pairs)
+
+
 def assert_exact_calls_hold_cores(h: Graph, calls) -> None:
-    """Every subset W that reached exact homology on the flag complex of H
-    has k != 1 vertices and got the nonzero reduced homology ranks of the
-    flag complex of H[W], and the Mayer-Vietoris rule fits at none of its
-    vertices: none is dominated, and for every v some degree holds homology
-    in both its link (the flag complex of its neighbourhood, the empty one
-    with rank 1 in dimension -1) and the restriction to W - v.  So no link
-    is empty or Q-acyclic, and no deletion leaves a Q-acyclic restriction."""
+    """Every subset W that reached exact homology on the flag complex of H,
+    mapped back from the kernel's labels by `kernel_labels`, has k != 1
+    vertices and got the nonzero reduced homology ranks of the flag complex
+    of H[W], and the Mayer-Vietoris rule fits at none of its vertices: none
+    is dominated, and for every v some degree holds homology in both its
+    link (the flag complex of its neighbourhood, the empty one with rank 1
+    in dimension -1) and the restriction to W - v.  So no link is empty or
+    Q-acyclic, and no deletion leaves a Q-acyclic restriction."""
     from edgering.complexes import flag_complex
 
     def nonzero(g: Graph) -> dict[int, int]:
         return {d: h for d, h in reduced_homology_ranks(flag_complex(g)).items() if h}
 
+    labels = kernel_labels(h)[0]
     for w, ranks in calls:
-        core = induced(h, list(bits(w)))
+        core = induced(h, [labels[a] for a in bits(w)])
         k = core.n
         assert k != 1
         closed = [row | 1 << v for v, row in enumerate(core.rows)]

@@ -101,6 +101,38 @@ MUTANTS = [
         [f"{ORACLE}::TestHochsterKnownTables::test_c4_stanley_reisner"],
     ),
     (
+        "the tally's Horner pass adds each lower power of (1 + x) without the step that multiplies by it",
+        "oracle.py",
+        [("[c + s + lower for c, s, lower in zip(by_count[m], sums, [0] + sums)]",
+          "[c + s for c, s in zip(by_count[m], sums)]")],
+        [f"{ORACLE}::TestPackedFields::test_complement_of_k99"],
+    ),
+    (
+        "the domination AND leaves out the lowest neighbour of u",
+        "oracle.py",
+        [("m = rows[u]\n", "m = rows[u] & rows[u] - 1\n")],
+        ["tests/test_kernels.py::test_dominated_pairs_match_setwise_greedy",
+         f"{ORACLE}::TestLoopContract::test_graph_kernel"],
+    ),
+    (
+        "a pattern of the pair vertices may hold a whole pair",
+        "oracle.py",
+        [("for b in (0, 1 << 2 * i, 2 << 2 * i)", "for b in (0, 1 << 2 * i, 2 << 2 * i, 3 << 2 * i)")],
+        [f"{ORACLE}::TestLoopContract::test_graph_kernel"],
+    ),
+    (
+        "maximum cardinality search breaks ties toward the highest vertex",
+        "chordal.py",
+        [("low = buckets[top] & -buckets[top]", "low = 1 << buckets[top].bit_length() - 1")],
+        ["tests/test_kernels.py::test_mcs_order_matches_linear_scan_exhaustive"],
+    ),
+    (
+        "the induced-cycle table holds the paths through each subset, not the cycles",
+        "verify.py",
+        [("cycles.add(edges(zip(ring, ring[1:] + ring[:1])))", "cycles.add(edges(zip(ring, ring[1:])))")],
+        ["tests/test_verify.py::TestBruteCycleChecker::test_exhaustive_against_subset_walk", SWEEPS_CLEAN],
+    ),
+    (
         "the graph6 decoder drops the bits above the diagonal, so its rows are not symmetric",
         "graphs.py",
         [("rows = [int(col[::-1], 2) | int(t[last + v :: -n], 2) for v, col in enumerate(cols)]",

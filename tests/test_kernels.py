@@ -8,8 +8,10 @@ completion order) is held to the Kruskal clique forest on everything but
 the order within a component.  The Hochster
 kernel is held to the earlier facet kernel, which keys every subset and
 folds a missed key to its core, on random graphs and on graphs whose
-restrictions reach exact homology, and that reference, on complexes that
-are not flag, to a sum over `restrict`.  Sparse exact rank is held to dense Bareiss elimination, on
+restrictions reach exact homology or that hold planted dominated
+vertices, and that reference, on complexes that are not flag, to a sum
+over `restrict`; its dominated pairs are held to a set-based greedy
+search.  Sparse exact rank is held to dense Bareiss elimination, on
 random integer matrices and on boundary maps.  The clique counter that
 gives the sweep its f-vector is held to the faces of the maximal cliques
 and to networkx."""
@@ -53,6 +55,7 @@ from conftest import (
     recording_exact_calls,
     ref_bareiss_rank,
     ref_check_decomposition,
+    ref_dominated_pairs,
     ref_hochster_masks,
     ref_mcs_order,
     ref_graph6_rows,
@@ -324,6 +327,50 @@ def test_graph_kernel_matches_reference(g):
         assert oracle._hochster_graph(g.n, g.rows).entries == expected
     assert_exact_calls_hold_cores(g, calls)
     assert oracle.hochster_betti(flag_complex(g)).entries == expected
+
+
+@st.composite
+def dominated_graphs(draw, max_n=12):
+    """A graph H on oracle.PAIRED_FROM to max_n vertices with dominated
+    vertices planted: G(c, p) on the first c < n vertices, then each later
+    vertex u joined to a drawn earlier vertex v and to some or all of v's
+    neighbours, so that N[u] lies within N[v] until a later vertex joins u
+    alone (u and v are twins when u takes all of them), relabelled at
+    random.  The last vertex stays dominated."""
+    n = draw(st.integers(oracle.PAIRED_FROM, max_n))
+    c = draw(st.integers(1, n - 1))
+    rows = list(rows_from_edge_mask(c, draw(st.integers(0, (1 << c * (c - 1) // 2) - 1))))
+    for u in range(c, n):
+        v = draw(st.integers(0, u - 1))
+        part = rows[v] if draw(st.booleans()) else rows[v] & draw(st.integers(0, (1 << u) - 1))
+        rows.append(part | 1 << v)
+        for x in bits(part | 1 << v):
+            rows[x] |= 1 << u
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u in range(n) for v in bits(rows[u]) if u < v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(max_n=oracle.VERTEX_CAP), dominated_graphs()))
+def test_dominated_pairs_match_setwise_greedy(g):
+    """The pairs the kernel drops subsets by, found by one AND per vertex of
+    N[u], are those of the set-based greedy search, which compares closed
+    neighbourhoods; it leaves oracle.UNPAIRED_MIN vertices out."""
+    most = max(0, (g.n - oracle.UNPAIRED_MIN) // 2)
+    assert oracle._dominated_pairs(g.n, g.rows) == ref_dominated_pairs(g, most)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dominated_graphs())
+def test_graph_kernel_skips_whole_pairs(g):
+    """The kernel finds dominated pairs in every graph drawn here, visits
+    only the subsets that hold no whole pair, and still gets the table of
+    the reference, which sums over every subset."""
+    assert oracle._dominated_pairs(g.n, g.rows)
+    expected = ref_hochster_masks(g.n, _maximal_clique_masks(g.n, g.rows))
+    with recording_exact_calls() as calls:
+        assert oracle._hochster_graph(g.n, g.rows).entries == expected
+    assert_exact_calls_hold_cores(g, calls)
 
 
 @settings(max_examples=300, deadline=None)

@@ -22,6 +22,7 @@ from conftest import (
     ACYCLIC_LINK_H,
     assert_exact_calls_hold_cores,
     induced,
+    kernel_labels,
     packed_ranks,
     random_graph,
     ref_hochster_masks,
@@ -236,35 +237,90 @@ class TestPackedFields:
         assert max(expected.values()) == 91_520 > 1 << 16
         assert oracle._hochster_graph(16, complement(k16).rows).entries == expected
 
+    def test_complement_of_k99(self):
+        # G = K_{9,9}: H is two disjoint 9-cliques.  H[W] is a simplex when
+        # W lies in one clique and two disjoint simplices, with rank
+        # H~_0 = 1, when W meets both, so beta_(j-1, j) = C(18, j) - 2 C(9, j).
+        # Each clique holds four pairs of twins; the kernel takes seven,
+        # which leaves four vertices out, and the tally weights the pair-free
+        # subsets by (1 + x)^m up to m = 7, at the vertex cap
+        h = complement(Graph.from_edges(18, [(u, v) for u in range(9) for v in range(9, 18)]))
+        assert len(oracle._dominated_pairs(18, h.rows)) == 7
+        expected = {(j - 1, j): comb(18, j) - 2 * comb(9, j) for j in range(2, 19)}
+        assert oracle._hochster_graph(18, h.rows).entries == expected
 
-def checked_step(monkeypatch, name: str, c: SimplicialComplex) -> set[int]:
+
+class Unread:
+    """What `CheckedStep` puts in the result list at each subset that holds a
+    whole dominated pair: the kernel must never read or write such a
+    subset, and any use of this value raises."""
+
+    def read(self, *args):
+        raise AssertionError("a subset that holds a whole pair was read")
+
+    __bool__ = __eq__ = __add__ = __radd__ = __and__ = __rand__ = __lshift__ = __rshift__ = read
+
+
+UNREAD = Unread()
+
+
+class CheckedStep:
     """Patch the kernel step `name` to hold the subset loop to its contract
-    on the complex c: the step is called at most once per nonempty w, and
-    every proper subset u of w has its result in `at_subset` by then (the
-    reduced homology ranks of the restriction to u, packed by
-    `packed_ranks`, so 0 when it is Q-acyclic).  Returns the set of w the
-    step was called for."""
-    expected = []
-    for w in range(1 << c.n):
-        ranks = reduced_homology_ranks(restrict(c, [v for i, v in enumerate(c.vertices) if w >> i & 1]))
-        expected.append(packed_ranks(ranks))
-    step = getattr(oracle, name)
-    called = set()
+    on the flag complex of H, in the kernel's labels: `closed` must encode
+    H relabelled by `kernel_labels`, in which vertex 2i dominates 2i + 1
+    for each of the k pairs.  The step is called at most once per nonempty
+    w, each w holds no whole pair, and every proper subset u of w has its
+    result in `at_subset` by then: the reduced homology ranks of the
+    restriction to u, packed by `packed_ranks`, so 0 when it is Q-acyclic.
 
-    def checked(data, w, at_subset):
-        assert w and w not in called, f"step called again for {w:b}"
-        called.add(w)
-        u = w
-        while u:
-            u = (u - 1) & w  # the proper subsets of w, down to the empty set
-            assert at_subset[u] == expected[u], f"{u:b} not settled before {w:b}"
-        return step(data, w, at_subset)
+    A subset that holds a whole pair reads 0 until it is written, and 0
+    means Q-acyclic, so a wrong read would be silent.  At the first call
+    every such subset must still hold 0; the check then puts an `Unread`
+    there, which raises on any read, and every later call and `done`
+    require each to still hold it, so that none is written."""
 
-    monkeypatch.setattr(oracle, name, checked)
-    return called
+    def __init__(self, monkeypatch, name: str, h: Graph):
+        labels, k = kernel_labels(h)
+        label = {x: a for a, x in enumerate(labels)}
+        relabelled = Graph.from_edges(h.n, [(label[u], label[v]) for u, v in h.edges()])
+        closed = {1 << a: row | 1 << a for a, row in enumerate(relabelled.rows)}
+        assert all(closed[2 << 2 * i] & ~closed[1 << 2 * i] == 0 for i in range(k)), "a pair is not dominated"
+        self.whole = [w for w in range(1 << h.n) if any(w >> 2 * i & 3 == 3 for i in range(k))]
+        c = flag_complex(relabelled)
+        self.expected = {
+            w: packed_ranks(reduced_homology_ranks(restrict(c, list(bits(w)))))
+            for w in set(range(1 << h.n)).difference(self.whole)
+        }
+        self.called: set[int] = set()
+        self.at_subset = None
+        step = getattr(oracle, name)
+
+        def checked(data, w, at_subset):
+            assert data == closed, "closed is not H in the kernel's labels"
+            assert w in self.expected, f"the step got {w:b}, which holds a whole pair"
+            assert w and w not in self.called, f"step called again for {w:b}"
+            self.called.add(w)
+            if self.at_subset is None:
+                self.at_subset = at_subset
+                assert not any(at_subset[u] for u in self.whole), "a subset that holds a whole pair was written"
+                for u in self.whole:
+                    at_subset[u] = UNREAD
+            self.done()
+            u = w
+            while u:
+                u = (u - 1) & w  # the proper subsets of w, down to the empty set
+                assert at_subset[u] == self.expected[u], f"{u:b} not settled before {w:b}"
+            return step(data, w, at_subset)
+
+        monkeypatch.setattr(oracle, name, checked)
+
+    def done(self) -> None:
+        """No subset that holds a whole pair has been written since the first call."""
+        if self.at_subset is not None:
+            assert all(self.at_subset[u] is UNREAD for u in self.whole), "a subset that holds a whole pair was written"
 
 
-LOOP_CONTRACT_SIZES = range(1, 11)
+LOOP_CONTRACT_SIZES = range(1, 14)
 # graphs on 0..4 in which vertex 4 is isolated, each with whether the whole
 # vertex set reaches the step
 WHOLE_SET_STEP_GRAPHS = [
@@ -280,8 +336,9 @@ class TestLoopContract:
     @pytest.mark.parametrize("p", LOOP_CONTRACT_DENSITIES)
     def test_graph_kernel(self, monkeypatch, n, p):
         h = seeded_gnp(f"loop contract {n} {p}", n, p)
-        checked_step(monkeypatch, "_graph_step", flag_complex(h))
+        check = CheckedStep(monkeypatch, "_graph_step", h)
         table = oracle._hochster_graph(n, h.rows)
+        check.done()
         assert table.entries == ref_hochster_masks(n, _maximal_clique_masks(n, h.rows))
 
     def test_step_sees_no_acyclic_link(self, monkeypatch):
@@ -343,7 +400,7 @@ class TestLoopContract:
         # the square every link is two points; in the two paths the link of
         # vertex 0 is the point 1, and the whole set takes the result for
         # W - 0
-        called = checked_step(monkeypatch, "_graph_step", flag_complex(h))
+        called = CheckedStep(monkeypatch, "_graph_step", h).called
         table = oracle._hochster_graph(h.n, h.rows)
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
         assert ((1 << h.n) - 1 in called) == reaches
@@ -381,7 +438,7 @@ class TestLoopContract:
         # them wrongly: the step's check never runs, and the table differs
         # from the sum
         h = WHOLE_SET_STEP_GRAPHS[1][0]
-        called = checked_step(monkeypatch, "_graph_step", flag_complex(h))
+        called = CheckedStep(monkeypatch, "_graph_step", h).called
         monkeypatch.setattr(oracle, "range", lambda *a: reversed(builtins.range(*a)), raising=False)
         table = oracle._hochster_graph(h.n, h.rows)
         assert not called
