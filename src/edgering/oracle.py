@@ -56,10 +56,10 @@ for vertex-disjoint pairs (v_i, u_i) every W has the ranks of the
 pair-free R that W leaves when it drops u_i from each whole pair it holds.
 A pair-free R stands for the R + T with T any set of the u_i whose v_i is
 in R, so with h(R) its packed ranks and m(R) the number of v_i in it,
-the sum is that of h(R) x^|R| (1 + x)^m(R) over the pair-free R alone.  From PAIRED_FROM =
-11 vertices on, the kernel picks pairs greedily, leaving UNPAIRED_MIN = 4
-vertices out, and visits only the pair-free subsets: 3^k 2^(n - 2k) of
-them with k pairs.  The tally packs one sum per m and size and multiplies
+the sum is that of h(R) x^|R| (1 + x)^m(R) over the pair-free R alone.
+From PAIRED_FROM = 11 vertices on, the kernel picks pairs greedily,
+leaving UNPAIRED_MIN = 4 vertices out, and visits only the pair-free
+subsets: 3^k 2^(n - 2k) of them with k pairs.  The tally packs one sum per m and size and multiplies
 by (1 + x) in a Horner pass.  Every field of those sums, and of each step
 of the pass, is at most the same field of the final per-size sum, which is
 the sum over all 2^n subsets, so the bound above holds as it stands.
