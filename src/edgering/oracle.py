@@ -59,10 +59,11 @@ in R, so with h(R) its packed ranks and m(R) the number of v_i in it,
 the sum is that of h(R) x^|R| (1 + x)^m(R) over the pair-free R alone.
 From PAIRED_FROM = 11 vertices on, the kernel picks pairs greedily,
 leaving UNPAIRED_MIN = 4 vertices out, and visits only the pair-free
-subsets: 3^k 2^(n - 2k) of them with k pairs.  The tally packs one sum per m and size and multiplies
-by (1 + x) in a Horner pass.  Every field of those sums, and of each step
-of the pass, is at most the same field of the final per-size sum, which is
-the sum over all 2^n subsets, so the bound above holds as it stands.
+subsets: 3^k 2^(n - 2k) of them with k pairs.  The tally packs one sum
+per m and size and multiplies by (1 + x) in a Horner pass.  Every field
+of those sums, and of each step of the pass, is at most the same field of
+the final per-size sum, which is the sum over all 2^n subsets, so the
+bound above holds as it stands.
 On the twelve n = 12 benchmark graphs of seed 3 the kernel takes 0 to 4
 pairs a graph, 31 in all, and the loop visits 25,172 subsets where it
 visited 48,996 without them: 23,491 it settles by a Q-acyclic link and
