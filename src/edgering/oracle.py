@@ -24,6 +24,9 @@ subsets of size j is at most C(n, j) C(j, d + 1), the number of pairs
 F within W with |W| = j and |F| = d + 1; all such pairs together number
 3^n, as each vertex is in F, in W - F or outside W.  3^18 < 2^31, so every
 field, of one subset or of a sum, stays below 2^31, and its top bit is 0.
+So the table is read off the sums once, in (i, j) order, with none of the
+checks `OracleBettiTable` runs on entries it is given: each field is a
+count below 2^31 at a position 0 <= f <= j <= n.
 
 The kernel runs on flag complexes, which is every complex the paper's
 rings have: k[G] is the Stanley-Reisner ring of the flag complex of the
@@ -116,15 +119,17 @@ _LOW = sum(0x7FFFFFFF << 32 * f for f in range(VERTEX_CAP + 1))
 
 
 class OracleBettiTable(BettiTable):
-    """Betti table plus the ground-set size and the number of subsets examined."""
+    """Betti table plus the ground-set size, the number of subsets examined
+    and whether every nonzero beta_(i,j) with i >= 1 sits at j = i + 1."""
 
     def __init__(self, entries: dict[tuple[int, int], int], n: int, subsets_examined: int):
         super().__init__(entries)
         self.n = n
         self.subsets_examined = subsets_examined
-        for (i, j), v in self.entries.items():
+        for i, j in self.entries:
             if j < i or j > n:
                 raise InternalInvariantError(f"impossible Betti position {(i, j)}")
+        self.two_linear = all(j == i + 1 for i, j in self.entries if i >= 1)
 
 
 def check_vertex_cap(n: int) -> None:
@@ -249,9 +254,19 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
         sums = [0] * (n + 1)
         for w in compress(range(top), at_subset):
             sums[w.bit_count()] += at_subset[w]
-    entries = {(j - f, j): h for j, packed in enumerate(sums)
-               for f in range(packed.bit_length() + 31 >> 5) if (h := packed >> 32 * f & 0xFFFFFFFF)}
-    return OracleBettiTable(entries, n, top)
+    # read once, with no check (module docstring): beta_(0,0), field 0 of
+    # sums[0], is implicit and the only entry at i = 0 or f = 0; a field
+    # above 1 is off the linear strand, and the largest sum has one iff
+    # some sum does
+    entries = {}
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            if h := sums[j] >> 32 * (j - i) & 0xFFFFFFFF:
+                entries[i, j] = h
+    table = object.__new__(OracleBettiTable)
+    table.entries, table.n, table.subsets_examined = entries, n, top
+    table.two_linear = not max(sums) >> 64
+    return table
 
 
 def _paired_layout(
@@ -358,7 +373,7 @@ def oracle_pd(table: OracleBettiTable) -> int:
 
 def oracle_is_2linear(table: OracleBettiTable) -> bool:
     """True iff every nonzero beta_(i,j) with i >= 1 sits at j = i + 1."""
-    return all(j == i + 1 for i, j in table.entries if i >= 1)
+    return table.two_linear
 
 
 def clear_memo() -> None:

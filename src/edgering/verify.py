@@ -9,6 +9,9 @@ of size >= 4 up in a table of the edge sets of all chordless cycles on
 Hochster Betti table of the flag complex of the complement and compares it
 entry by entry.
 
+A chunk decodes the rows of its first complement; each later mask differs
+from the one before it in the bits of its carry, about two on average,
+and the rows are updated in place by flipping those edges at both ends.
 The per-graph worker operates on edge masks and bitmask rows throughout
 and computes no formula of its own: it takes the facets of `chordal` (the
 maximal cliques in MCS order) and hands them to `conjecture.formulas`, the
@@ -126,6 +129,13 @@ def has_long_induced_cycle(n: int, h_mask: int) -> bool:
     return not cycles.isdisjoint(map(h_mask.__and__, pair_masks))
 
 
+@cache
+def _edge_flips(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(u, 1 << v, v, 1 << u) for the pair u < v at bit v(v-1)/2 + u of an
+    edge mask, in bit order."""
+    return tuple((u, 1 << v, v, 1 << u) for v in range(n) for u in range(v))
+
+
 def _to_g6(n: int, mask: int) -> str:
     return to_graph6(Graph.from_edge_mask(n, mask))
 
@@ -141,9 +151,15 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
     counts = res.counts
     vio = res.violations
     counts["total"] = stop - start
+    crow = rows_from_edge_mask(n, all_pairs ^ start)
+    flips = _edge_flips(n)
     for mask in range(start, stop):
+        if mask > start:
+            # the carry from mask - 1 flips edges 0..t, t the trailing zeros of mask
+            for u, v_bit, v, u_bit in flips[:(mask ^ mask - 1).bit_length()]:
+                crow[u] ^= v_bit
+                crow[v] ^= u_bit
         h_mask = all_pairs ^ mask
-        crow = rows_from_edge_mask(n, h_mask)
         elim = _mcs_order(n, crow)[::-1]
         chordal_flag = _is_peo(n, crow, elim)
         if chordal_flag == has_long_induced_cycle(n, h_mask):
@@ -160,7 +176,7 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
         facets = _clique_masks_from_peo(n, crow, elim)
         if with_oracle and set(facets) != set(_maximal_clique_masks(n, crow)):
             vio["clique_paths_disagree"].append(_to_g6(n, mask))
-        f = formulas(n, facets, n - 1 - min(r.bit_count() for r in crow))
+        f = formulas(n, facets, n - 1 - min(map(int.bit_count, crow)))
         num = f.numerator
         fnum = _fvector_numerator(_clique_counts(n, crow), n)
         if num != tuple(fnum):
@@ -210,7 +226,7 @@ def _check_knum(n, table, fnum, vio, mask) -> None:
     sums = [0] * (n + 1)
     sums[0] = 1
     for (i, j), v in table.entries.items():
-        sums[j] += (-1) ** i * v
+        sums[j] += -v if i & 1 else v
     if sums != fnum:
         vio["knum_mismatch"].append(_to_g6(n, mask))
 

@@ -55,8 +55,8 @@ MUTANTS = [
         "16-bit fields, which carry at beta_(8, 9) of the complement of K_16",
         "oracle.py",
         [
-            ("range(packed.bit_length() + 31 >> 5)", "range(packed.bit_length() + 15 >> 4)"),
-            ("packed >> 32 * f & 0xFFFFFFFF", "packed >> 16 * f & 0xFFFF"),
+            ("sums[j] >> 32 * (j - i) & 0xFFFFFFFF", "sums[j] >> 16 * (j - i) & 0xFFFF"),
+            ("not max(sums) >> 64", "not max(sums) >> 32"),
             ("sum(0x7FFFFFFF << 32 * f for", "sum(0x7FFF << 16 * f for"),
             ("return rest + (link << 32)", "return rest + (link << 16)"),
             ("at_subset[w ^ v] + (1 << 32)", "at_subset[w ^ v] + (1 << 16)"),
@@ -131,6 +131,44 @@ MUTANTS = [
         "verify.py",
         [("cycles.add(edges(zip(ring, ring[1:] + ring[:1])))", "cycles.add(edges(zip(ring, ring[1:])))")],
         ["tests/test_verify.py::TestBruteCycleChecker::test_exhaustive_against_subset_walk", SWEEPS_CLEAN],
+    ),
+    (
+        "the table's 2-linear flag calls field 1 off the linear strand",
+        "oracle.py",
+        [("not max(sums) >> 64", "not max(sums) >> 32")],
+        [f"{ORACLE}::TestTwoLinearDetection::test_c4_complex_is_2linear",
+         f"{ORACLE}::TestTableRead::test_seeded_graphs"],
+    ),
+    (
+        "the sweep's in-place update flips an edge in one endpoint's row only",
+        "verify.py",
+        [("crow[v] ^= u_bit", "u_bit")],
+        ["tests/test_verify.py::test_chunk_is_the_merge_of_one_mask_chunks"],
+    ),
+    (
+        "the attachment of a facet meets only the facet before it, not the union of all earlier ones",
+        "chordal.py",
+        [("dims.append((f & union).bit_count() - 1)\n        union |= f",
+          "dims.append((f & union).bit_count() - 1)\n        union = f")],
+        ["tests/test_kernels.py::test_facet_order_agrees_with_spanning_forest"],
+    ),
+    (
+        "the d-tree criterion asks for a largest facet one vertex short of n - k + 1",
+        "invariants.py",
+        [("return largest == n - k + 1", "return largest == n - k")],
+        ["tests/test_invariants.py::TestDTreeSignature"],
+    ),
+    (
+        "a graph6 line with padding bits set echoes its own text, not the canonical one",
+        "graphs.py",
+        [("if (data[-1] - 63) & ((1 << 6 * nbytes - nbits) - 1) == 0:", "if True:")],
+        ["tests/test_kernels.py::test_graph6_matches_bitwise_codec"],
+    ),
+    (
+        "the CLI maps an internal invariant failure to the exit code of a malformed input",
+        "cli.py",
+        [("return EXIT_INTERNAL", "return EXIT_MALFORMED")],
+        ["tests/test_cli.py::TestSurvey::test_internal_error_is_not_a_skipped_line"],
     ),
     (
         "the graph6 decoder drops the bits above the diagonal, so its rows are not symmetric",

@@ -1,5 +1,6 @@
 import builtins
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -14,7 +15,7 @@ from edgering.complexes import (
     reduced_homology_ranks,
     restrict,
 )
-from edgering.errors import ContractViolationError, UnsupportedSizeError
+from edgering.errors import ContractViolationError, InternalInvariantError, UnsupportedSizeError
 from edgering.conjecture import checked_strand, formulas
 from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
 from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
@@ -248,6 +249,38 @@ class TestPackedFields:
         assert len(oracle._dominated_pairs(18, h.rows)) == 7
         expected = {(j - 1, j): comb(18, j) - 2 * comb(9, j) for j in range(2, 19)}
         assert oracle._hochster_graph(18, h.rows).entries == expected
+
+
+def assert_checked_table(table) -> None:
+    """The kernel reads its table off the packed sums with no check; the
+    public constructor, which checks and sorts, builds the same one from
+    the same entries: the same items in the same order, and the same flag."""
+    checked = oracle.OracleBettiTable(dict(table.entries), table.n, table.subsets_examined)
+    assert list(table.items()) == list(checked.items())
+    assert table.two_linear is checked.two_linear
+    assert (table.n, table.subsets_examined) == (checked.n, checked.subsets_examined)
+
+
+class TestTableRead:
+    @pytest.mark.parametrize("n", range(15))
+    def test_seeded_graphs(self, n):
+        # from n = 11 on, the kernel runs the paired layout and its tally
+        for p in (0.2, 0.5, 0.8):
+            assert_checked_table(oracle._hochster_graph(n, seeded_gnp(f"table read {n} {p}", n, p).rows))
+
+    def test_complement_of_k99(self):
+        h = complement(Graph.from_edges(18, [(u, v) for u in range(9) for v in range(9, 18)]))
+        table = oracle._hochster_graph(18, h.rows)
+        assert_checked_table(table)
+        assert table.two_linear
+
+    def test_checking_constructor_errors(self):
+        with pytest.raises(ContractViolationError, match=r"^negative Betti number at \(1, 2\)$"):
+            oracle.OracleBettiTable({(1, 2): -1}, 4, 16)
+        for position in ((3, 2), (1, 5)):
+            message = re.escape(f"impossible Betti position {position}")
+            with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+                oracle.OracleBettiTable({(1, 2): 4, position: 1}, 4, 16)
 
 
 class Unread:

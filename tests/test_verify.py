@@ -5,6 +5,7 @@ import multiprocessing
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from edgering import verify
 from edgering.cli import analyze_record
@@ -128,6 +129,35 @@ class TestSweepMachinery:
         assert [lo for _, lo, _, _ in ranges] == [0] + [hi for _, _, hi, _ in ranges[:-1]]
         assert ranges[-1][2] == 1 << 15
         assert all(n == 6 and with_oracle for n, _, _, with_oracle in ranges)
+
+
+@st.composite
+def chunk_ranges(draw):
+    """(n, start, stop, with_oracle) with n = 4..7, the oracle only at n <= 6,
+    and a range of up to 80 masks about a carry boundary: 0, 2^k - 1, 2^k
+    or the top of the mask range."""
+    n = draw(st.integers(4, 7))
+    pairs = n * (n - 1) // 2
+    k = draw(st.integers(1, pairs - 1))
+    near = draw(st.sampled_from([0, (1 << k) - 1, 1 << k, 1 << pairs]))
+    start = draw(st.integers(max(0, near - 40), near))
+    stop = draw(st.integers(near, min(1 << pairs, near + 40)))
+    return n, start, stop, n <= 6 and draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@example((5, 0, 1 << 10, True))
+@example((7, (1 << 21) - 33, 1 << 21, False))
+@given(chunk_ranges())
+def test_chunk_is_the_merge_of_one_mask_chunks(args):
+    # a chunk decodes its first complement's rows and updates them in place
+    # from mask to mask; a one-mask chunk only decodes, so the two paths
+    # agree on every count and every violation, in the same order
+    n, start, stop, with_oracle = args
+    merged = verify.SweepResult(n)
+    for mask in range(start, stop):
+        merged.merge(verify.sweep_chunk(n, mask, mask + 1, with_oracle))
+    assert vars(verify.sweep_chunk(n, start, stop, with_oracle)) == vars(merged)
 
 
 class TestSweepInputs:
