@@ -13,10 +13,12 @@ before all output was written), 2 malformed input, 3 size cap exceeded,
 4 not a quasi-forest (for `oracle`, a complex that is not flag), 5 internal
 error (a failed consistency check or a broken internal contract, that is a
 bug, reported as `internal error: ...`).
-The commands compute, print and raise; `main` alone maps an exception to its
-exit code.  All JSON is emitted with sorted keys and stable list orders, so
-identical inputs and flags produce byte-identical output for every --jobs
-value.
+The commands compose no answer of their own: `analyze`, `survey` and the
+`match` flag of `oracle` read `conjecture.analyze_record`, imported here
+with `ANALYZE_KEYS`.  The commands compute, print and raise; `main` alone
+maps an exception to its exit code.  All JSON is emitted with sorted keys
+and stable list orders, so identical inputs and flags produce
+byte-identical output for every --jobs value.
 `survey` streams stdin: with --jobs 1 each record is written before the next
 line is read; with --jobs > 1 the pool's `imap` still reads ahead.  A closed
 stdout ends a survey at its next write, and its workers are terminated.
@@ -32,7 +34,8 @@ import os
 import sys
 from functools import cache
 
-from . import chordal, complexes, conjecture, oracle
+from . import chordal, complexes, oracle
+from .conjecture import ANALYZE_KEYS, analyze_record
 from .errors import (
     ContractViolationError,
     InternalInvariantError,
@@ -42,14 +45,14 @@ from .errors import (
 )
 from .graphs import (
     ENUMERATION_CAP,
+    MAX_VERTICES,
     Graph,
+    _pool_size,
     bits,
     complement,
     mask_count,
-    max_degree,
     parse_edge_list,
     parse_graph6,
-    to_graph6,
 )
 
 EXIT_OK = 0
@@ -59,51 +62,14 @@ EXIT_SIZE_CAP = 3
 EXIT_NOT_QUASI_FOREST = 4
 EXIT_INTERNAL = 5
 
-ANALYZE_KEYS = (
-    "input", "n", "complement_chordal", "chordless_cycle", "facets", "d", "r",
-    "r_min", "hilbert_numerator", "betti", "pd", "depth", "dim", "cm", "d_tree",
-    "max_deg", "conjecture_holds", "gap", "witness", "notes",
-)
-
-
-def analyze_record(g: Graph) -> dict:
-    """The full analyze document; formula fields are null when the complement
-    is not chordal."""
-    if g.n < 1:
-        raise UndefinedInputError("analysis needs at least one vertex")
-    rec: dict = {key: None for key in ANALYZE_KEYS}
-    rec["n"] = g.n
-    rec["max_deg"] = max_degree(g)
-    rec["notes"] = []
-    rec["input"] = to_graph6(g)
-    res, facets = chordal._decompose_masks(complement(g))
-    if facets is None:
-        rec["complement_chordal"] = False
-        rec["chordless_cycle"] = list(res.cycle)
-        return rec
-    f = conjecture.formulas(g.n, facets, rec["max_deg"])
-    num, betti = conjecture.checked_strand(f, g.n, rec["max_deg"], rec["input"])
-    rec.update(
-        complement_chordal=True, facets=[list(bits(m)) for m in facets], d=list(f.dims),
-        r=list(f.attach_dims), r_min=f.r_min, hilbert_numerator=list(num),
-        betti=[[i, j, v] for (i, j), v in betti.items()], pd=f.pd, depth=f.depth, dim=f.dim, cm=f.cm,
-        d_tree=sorted(f.dims, reverse=True) if f.d_tree else None, conjecture_holds=f.holds,
-        gap=f.pd - rec["max_deg"],
-    )
-    if f.witness is not None:
-        facet, vertex = f.witness
-        rec["witness"] = {"facet": list(bits(facet)), "vertex": vertex}
-    return rec
-
 
 def survey_record(g: Graph) -> dict:
     """Abbreviated per-line record for surveys."""
     full = analyze_record(g)
     keys = ("input", "n", "complement_chordal", "r_min", "pd", "max_deg",
-            "cm", "d_tree", "witness")
+            "cm", "d_tree", "witness", "gap")
     rec = {k: full[k] for k in keys}
     rec["holds"] = full["conjecture_holds"]
-    rec["gap"] = full["gap"]
     return rec
 
 
@@ -174,9 +140,7 @@ def cmd_survey(args) -> int:
     else:
         lines = ((i, raw.strip()) for i, raw in enumerate(sys.stdin, 1))
         items = (("g6", i, ln) for i, ln in lines if ln)
-    # a pool larger than the CPUs this process may run on only costs memory
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = max(1, min(args.jobs, cpus))
+    jobs = _pool_size(args.jobs)
     skipped = total = emitted_2linear = emitted_holds = 0
     counterexamples: list[str] = []
     if jobs > 1:
@@ -246,6 +210,7 @@ def cmd_oracle(args) -> int:
         if h is None:
             _print_json({"error": complexes.NOT_FLAG, "chordless_cycle": None})
             return EXIT_NOT_QUASI_FOREST
+        g = complement(h)
     else:
         g = parse_graph6(args.graph6)
         _check_oracle_size(g.n)
@@ -253,19 +218,15 @@ def cmd_oracle(args) -> int:
     # the kernel runs on the rows of H, so the flag complex of a graph's
     # complement, which can have exponentially many facets, is never built
     table = oracle._hochster_graph(h.n, h.rows)
-    facets = chordal._decompose_masks(h)[1]
-    match = None
-    if facets is not None:
-        max_deg = h.n - 1 - min(map(int.bit_count, h.rows))  # of G, the complement of H
-        f = conjecture.formulas(h.n, facets, max_deg)
-        match = conjecture.checked_strand(f, h.n, max_deg, to_graph6(complement(h)))[1] == table.entries
+    strand = [[i, j, v] for (i, j), v in table.items()]
+    betti = analyze_record(g)["betti"]
     rec = {
         "n": table.n,
         "subsets_examined": table.subsets_examined,
-        "betti": [[0, 0, 1]] + [[i, j, v] for (i, j), v in table.items()],
+        "betti": [[0, 0, 1]] + strand,
         "pd": oracle.oracle_pd(table),
         "two_linear": oracle.oracle_is_2linear(table),
-        "match": match,
+        "match": None if betti is None else betti == strand,
     }
     _print_json(rec)
     return EXIT_OK
@@ -274,10 +235,12 @@ def cmd_oracle(args) -> int:
 def cmd_decompose(args) -> int:
     _check_graph_or_complex(args)
     if args.complex is not None:
+        n, facet_lists = complexes.parse_fixture(_read_fixture(args.complex))
+        # before the complex is built, as for `oracle`; the 1-skeleton has the same cap
+        if n > MAX_VERTICES:
+            raise UnsupportedSizeError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         # a fixture's ground set is 0..n-1, so its positions are its labels
-        cx = complexes.parse_complex(_read_fixture(args.complex))
-        n = cx.n
-        facets, reason, cycle = complexes._quasi_forest_masks(cx)
+        facets, reason, cycle = complexes._quasi_forest_masks(complexes.SimplicialComplex.of(n, facet_lists))
     else:
         h = complement(parse_graph6(args.graph6))
         n = h.n

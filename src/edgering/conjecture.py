@@ -6,12 +6,17 @@ edge ring is then the Stanley-Reisner ring of the quasi-forest built from
 the complement's maximal cliques, and pd comes from the closed formula.
 
 `formulas` computes every closed formula for one graph on facet masks and
-returns one `FormulaRecord`; `classify`, `edgering analyze`, `oracle` and
-the sweeps all read it, all but the sweeps through `checked_strand`.  The
-verdict is always the direct comparison pd == max_deg.  The structural
-witness (a free vertex in a facet of size r_min + 2 attached to the rest
-along all of its other vertices) is computed independently; witness
-implies holds is checked, and the converse exercised by the sweeps.
+returns one `FormulaRecord`, and `checked_strand` checks it.
+`analyze_record` is the one composition of a graph's answer: the facets of
+`chordal._decompose_masks` on the complement, `formulas` on them and
+`checked_strand` on the record, as one document.  `classify`, `edgering
+analyze`, `survey` and the `match` flag of `edgering oracle` all read that
+document; the sweeps call `formulas` alone and check the record against
+their own references.  The verdict is always the direct comparison
+pd == max_deg.  The structural witness (a free vertex in a facet of size
+r_min + 2 attached to the rest along all of its other vertices) is computed
+independently; witness implies holds is checked, and the converse exercised
+by the sweeps.
 """
 
 from __future__ import annotations
@@ -134,19 +139,54 @@ def checked_strand(
     return num, betti
 
 
-def classify(g: Graph) -> ConjectureReport:
-    """Full pipeline: complement, chordality, decomposition, formula pd, verdict."""
-    facets = chordal._decompose_masks(complement(g))[1]
+ANALYZE_KEYS = (
+    "input", "n", "complement_chordal", "chordless_cycle", "facets", "d", "r",
+    "r_min", "hilbert_numerator", "betti", "pd", "depth", "dim", "cm", "d_tree",
+    "max_deg", "conjecture_holds", "gap", "witness", "notes",
+)
+
+
+def analyze_record(g: Graph) -> dict:
+    """The full analyze document; formula fields are null when the complement
+    is not chordal."""
+    if g.n < 1:
+        raise UndefinedInputError("analysis needs at least one vertex")
+    rec: dict = {key: None for key in ANALYZE_KEYS}
+    rec["n"] = g.n
+    rec["max_deg"] = max_degree(g)
+    rec["notes"] = []
+    rec["input"] = to_graph6(g)
+    res, facets = chordal._decompose_masks(complement(g))
     if facets is None:
-        return ConjectureReport(graph6=to_graph6(g), has_2linear=False)
-    md = max_degree(g)
-    g6 = to_graph6(g)
-    rec = formulas(g.n, facets, md)
-    checked_strand(rec, g.n, md, g6)
+        rec["complement_chordal"] = False
+        rec["chordless_cycle"] = list(res.cycle)
+        return rec
+    f = formulas(g.n, facets, rec["max_deg"])
+    num, betti = checked_strand(f, g.n, rec["max_deg"], rec["input"])
+    rec.update(
+        complement_chordal=True, facets=[list(bits(m)) for m in facets], d=list(f.dims),
+        r=list(f.attach_dims), r_min=f.r_min, hilbert_numerator=list(num),
+        betti=[[i, j, v] for (i, j), v in betti.items()], pd=f.pd, depth=f.depth, dim=f.dim, cm=f.cm,
+        d_tree=sorted(f.dims, reverse=True) if f.d_tree else None, conjecture_holds=f.holds,
+        gap=f.pd - rec["max_deg"],
+    )
+    if f.witness is not None:
+        facet, vertex = f.witness
+        rec["witness"] = {"facet": list(bits(facet)), "vertex": vertex}
+    return rec
+
+
+def classify(g: Graph) -> ConjectureReport:
+    """The verdict of `analyze_record(g)`: pd, maximum degree, gap and witness
+    when the complement of g is chordal."""
+    rec = analyze_record(g)
+    if not rec["complement_chordal"]:
+        return ConjectureReport(graph6=rec["input"], has_2linear=False)
+    witness = rec["witness"]
     return ConjectureReport(
-        graph6=g6, has_2linear=True, single_facet=len(facets) == 1,
-        r_min=rec.r_min, pd=rec.pd, max_deg=md, holds=rec.holds, gap=rec.pd - md,
-        witness=rec.witness and (frozenset(bits(rec.witness[0])), rec.witness[1]),
+        graph6=rec["input"], has_2linear=True, single_facet=len(rec["facets"]) == 1,
+        r_min=rec["r_min"], pd=rec["pd"], max_deg=rec["max_deg"], holds=rec["conjecture_holds"],
+        gap=rec["gap"], witness=witness and (frozenset(witness["facet"]), witness["vertex"]),
     )
 
 
@@ -177,8 +217,7 @@ def gap_series(family: str, r: int) -> int:
 
 def family_report(family: str, r: int) -> dict:
     """Classification of a family member plus any applicable discrepancy notes."""
-    g = build_family(family, r)
-    report = classify(g)
+    report = classify(build_family(family, r))
     notes = [KRR_GAP_NOTE] if family == "complete-bipartite" else []
     return {
         "family": family,

@@ -23,6 +23,7 @@ Supported interchange formats:
 
 from __future__ import annotations
 
+import os
 from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -251,6 +252,14 @@ def mask_count(n: int) -> int:
             f"sweeps and surveys of all labeled graphs support 1..{ENUMERATION_CAP} vertices"
         )
     return 1 << (n * (n - 1) // 2)
+
+
+def _pool_size(jobs: int) -> int:
+    """The worker count of a survey or sweep asked for `jobs`: at least one
+    and at most the CPUs this process may run on, as a larger pool only
+    costs memory."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(jobs, cpus))
 
 
 def enumerate_labeled(n: int) -> Iterator[Graph]:

@@ -377,4 +377,5 @@ def oracle_is_2linear(table: OracleBettiTable) -> bool:
 
 
 def clear_memo() -> None:
-    """A no-op: the oracle keeps no state between calls, and no memo to clear."""
+    """A no-op: the oracle keeps no state between calls.  Kept for the
+    benchmark harness, which calls it before each cold oracle call."""

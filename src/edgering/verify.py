@@ -15,7 +15,7 @@ and the rows are updated in place by flipping those edges at both ends.
 The per-graph worker operates on edge masks and bitmask rows throughout
 and computes no formula of its own: it takes the facets of `chordal` (the
 maximal cliques in MCS order) and hands them to `conjecture.formulas`, the
-one function that `analyze`, `survey` and `classify` also call, and
+one function that `conjecture.analyze_record` also calls, and
 compares the fields of its record with references computed apart from it:
 brute-force induced cycles, the numerator of the f-vector series and, in
 the oracle variant, the Hochster Betti table, which the oracle's graph
@@ -41,7 +41,7 @@ from . import conjecture
 from .chordal import _clique_masks_from_peo, _is_peo, _mcs_order
 from .complexes import _clique_counts, _maximal_clique_masks
 from .errors import ContractViolationError
-from .graphs import Graph, mask_count, rows_from_edge_mask, to_graph6
+from .graphs import Graph, _pool_size, mask_count, rows_from_edge_mask, to_graph6
 from .invariants import _fvector_numerator, _linear_strand
 from .oracle import _hochster_graph, oracle_is_2linear, oracle_pd
 
@@ -238,10 +238,12 @@ def _chunk_worker(args: tuple[int, int, int, bool]) -> SweepResult:
 def run_sweep(n: int, *, jobs: int = 1, with_oracle: bool = False) -> SweepResult:
     """Sweep all 2^(n(n-1)/2) labeled graphs; deterministic for every job count.
 
-    With several jobs the mask range is cut into about four chunks per job,
-    so every worker gets work and a slow chunk holds up little."""
+    The pool has at most as many workers as the CPUs this process may run
+    on.  With several, the mask range is cut into about four chunks per
+    worker, so every worker gets work and a slow chunk holds up little."""
     total = mask_count(n)
     result = SweepResult(n)
+    jobs = _pool_size(jobs)
     if jobs <= 1:
         result.merge(sweep_chunk(n, 0, total, with_oracle))
         return result

@@ -37,7 +37,7 @@ MUTANTS = [
         "the step's overlap test never sees a degree with homology on both sides",
         "oracle.py",
         [("if not (rest + _LOW) & (link + _LOW) & ~_LOW:", "if not False:")],
-        [f"{ORACLE}::TestMemoization::test_disjoint_cycles_are_keyed", "tests/test_oracle_golden.py"],
+        [f"{ORACLE}::TestExactHomologyCalls::test_disjoint_cycles_run_exact_homology_once", "tests/test_oracle_golden.py"],
     ),
     (
         "the loop's inline link rule reads the closed neighbourhood, a cone, as the link",
@@ -163,6 +163,19 @@ MUTANTS = [
         "graphs.py",
         [("if (data[-1] - 63) & ((1 << 6 * nbytes - nbits) - 1) == 0:", "if True:")],
         ["tests/test_kernels.py::test_graph6_matches_bitwise_codec"],
+    ),
+    (
+        "the oracle's match flag is true wherever the formulas apply, whatever the table",
+        "cli.py",
+        [('"match": None if betti is None else betti == strand,', '"match": betti is not None,')],
+        ["tests/test_cli.py::TestOracle::test_mismatched_table_is_match_false"],
+    ),
+    (
+        "classify drops the free-vertex witness of the analyze record",
+        "conjecture.py",
+        [('gap=rec["gap"], witness=witness and (frozenset(witness["facet"]), witness["vertex"]),',
+          'gap=rec["gap"],')],
+        ["tests/test_conjecture.py::TestFormulaRecord::test_consistency"],
     ),
     (
         "the CLI maps an internal invariant failure to the exit code of a malformed input",

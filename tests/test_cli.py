@@ -79,7 +79,6 @@ class TestAnalyze:
             calls.append(g)
             return to_graph6(g)
 
-        monkeypatch.setattr(cli, "to_graph6", counting)
         monkeypatch.setattr(conjecture, "to_graph6", counting)
         assert cli.analyze_record(parse_graph6(g6))["input"] == g6
         assert len(calls) == 1
@@ -447,6 +446,26 @@ class TestOracle:
     def test_missing_input(self, capsys):
         assert main(["oracle"]) == 2
 
+    @pytest.mark.parametrize("source", ["graph", "complex"])
+    def test_mismatched_table_is_match_false(self, monkeypatch, capsys, source):
+        # one entry of the kernel's table for the complement of C4, whose
+        # complement is chordal, off by one: the formulas disagree with it
+        real = oracle._hochster_graph
+
+        def off_by_one(n, rows):
+            table = real(n, rows)
+            entries = dict(table.entries)
+            entries[1, 2] += 1
+            return oracle.OracleBettiTable(entries, table.n, table.subsets_examined)
+
+        monkeypatch.setattr(oracle, "_hochster_graph", off_by_one)
+        argv = [C4_G6] if source == "graph" else ["--complex", str(CL_COMPLEMENT_CX)]
+        assert main(["oracle", *argv]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        jsonschema.validate(rec, schema("oracle"))
+        assert rec["betti"] == [[0, 0, 1], [1, 2, 5], [2, 3, 4], [3, 4, 1]]
+        assert rec["match"] is False
+
 
 class TestOneProcess:
     """`main` reuses one parser for every call in a process, and importing
@@ -633,6 +652,20 @@ class TestDecompose:
         rec = json.loads(capsys.readouterr().out)
         jsonschema.validate(rec, schema("decompose"))
         assert rec == {"chordless_cycle": None, "error": "not-flag"}
+
+    def test_complex_cap_before_canonical_facets(self, monkeypatch, tmp_path, capsys):
+        # the 1-skeleton of a complex is a graph, capped at 62 vertices
+        for n in (62, 63):
+            (tmp_path / f"simplex{n}.cx").write_text(f"{n}\n" + " ".join(map(str, range(n))) + "\n")
+        assert main(["decompose", "--complex", str(tmp_path / "simplex62.cx")]) == 0
+        assert json.loads(capsys.readouterr().out)["facets"] == [list(range(62))]
+
+        def never(*args):
+            raise AssertionError("complex canonicalized above the graph cap")
+
+        monkeypatch.setattr(complexes.SimplicialComplex, "of", never)
+        assert main(["decompose", "--complex", str(tmp_path / "simplex63.cx")]) == 3
+        assert capsys.readouterr() == ("", "error: vertex count 63 outside 0..62\n")
 
     def test_not_chordal_exit_4(self, capsys):
         g6 = to_graph6(complement(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])))

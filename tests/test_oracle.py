@@ -123,12 +123,11 @@ class TestOracleVsFormula:
         assert hits > 10
 
 
-class TestMemoization:
-    """Which subsets reach the exact-homology fallback of the graph kernel,
-    the path that once went through a memo keyed by the relabelled
-    restriction; the kernel now keeps no state between calls."""
+class TestExactHomologyCalls:
+    """Which subsets reach the exact-homology fallback of the graph kernel;
+    the kernel keeps no state between calls."""
 
-    def test_relabelled_complex_hits_memo(self, exact_calls):
+    def test_relabelled_complex_runs_the_same_exact_call(self, exact_calls):
         # a copy of the complex on gapped labels gets the same table; the
         # flag complex of two disjoint 4-cycles runs exact homology on its
         # whole vertex set and nothing else, in either labelling
@@ -144,7 +143,7 @@ class TestMemoization:
         "facets",
         [[[0, 1]], [[0, 1], [1, 2]], [[0, 1], [2, 3]], [[0, 1, 2], [2, 3], [3, 4, 5], [5, 0]]],
     )
-    def test_core_keys_mutually_dominating(self, exact_calls, facets):
+    def test_mutually_dominating_pair_cores(self, exact_calls, facets):
         # 0 and 1 lie in the same facets and dominate each other: deleting both
         # at once would turn the edge [[0, 1]] into the empty complex (rank
         # H~_-1 = 1) and the two edges [[0, 1], [2, 3]] into one edge (H~_0 = 0)
@@ -167,13 +166,13 @@ class TestMemoization:
         ],
         ids=["cross-polytope", "chordal"],
     )
-    def test_no_subset_is_keyed(self, exact_calls, h):
+    def test_no_subset_runs_exact_homology(self, exact_calls, h):
         # the loop seeds the empty subset, so no step runs exact homology on it
         table = oracle._hochster_graph(h.n, h.rows)
         assert not exact_calls
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
 
-    def test_disjoint_cycles_are_keyed(self, exact_calls):
+    def test_disjoint_cycles_run_exact_homology_once(self, exact_calls):
         # H = two disjoint 4-cycles: every link is two points and every W - v
         # is a path and a 4-cycle, both with homology in dimension 0, so the
         # Mayer-Vietoris rule fits at no vertex and the whole set takes the
@@ -184,7 +183,7 @@ class TestMemoization:
         assert_exact_calls_hold_cores(h, exact_calls)
         assert table.entries == ref_hochster_masks(h.n, _maximal_clique_masks(h.n, h.rows))
 
-    def test_seeded_n12_graphs_build_no_key(self, exact_calls):
+    def test_seeded_n12_graphs_run_no_exact_homology(self, exact_calls):
         # two seeded G(12, p) at each density of the n = 12 benchmark graphs;
         # with only the link rule, the acyclic W - v and the isolated v, the
         # eight cold calls once built 119 memo keys for exact homology
@@ -195,7 +194,7 @@ class TestMemoization:
                 assert not exact_calls
                 assert table.entries == ref_hochster_masks(12, _maximal_clique_masks(12, h.rows))
 
-    def test_acyclic_link_without_domination_is_not_keyed(self, exact_calls):
+    def test_acyclic_link_without_domination_runs_no_exact_homology(self, exact_calls):
         # no vertex of H is dominated, so a domination search leaves all of
         # 0..6 to exact homology; the link of vertex 4 is acyclic, so the
         # link rule reuses the result for W - 4 instead, and no subset at all

@@ -2,6 +2,7 @@
 agree with `cli.analyze_record` graph by graph."""
 
 import multiprocessing
+import os
 from math import comb
 
 import pytest
@@ -123,12 +124,38 @@ class TestSweepMachinery:
                 ranges.extend(args)
                 return iter(())
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         verify.run_sweep(6, with_oracle=True, jobs=4)
         assert len(ranges) >= 4
         assert [lo for _, lo, _, _ in ranges] == [0] + [hi for _, _, hi, _ in ranges[:-1]]
         assert ranges[-1][2] == 1 << 15
         assert all(n == 6 and with_oracle for n, _, _, with_oracle in ranges)
+
+    @pytest.mark.parametrize("jobs, size", [(100000, 3), (2, 2), (1, None)])
+    def test_pool_clamped_to_available_cpus(self, monkeypatch, jobs, size):
+        sizes = []
+
+        class RecordingPool:
+            """Records the size it is asked for and runs the work in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, args):
+                return map(func, args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        res = verify.run_sweep(4, with_oracle=True, jobs=jobs)
+        assert sizes == ([] if size is None else [size])
+        assert vars(res) == vars(verify.run_sweep(4, with_oracle=True))
 
 
 @st.composite
