@@ -47,6 +47,7 @@ from .graphs import (
     ENUMERATION_CAP,
     MAX_VERTICES,
     Graph,
+    _decimal,
     _pool_size,
     bits,
     complement,
@@ -276,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("survey", help="classify a stream of graphs")
-    p.add_argument("--all-labeled", type=int, default=None, metavar="N",
+    p.add_argument("--all-labeled", type=_decimal, default=None, metavar="N",
                    help=f"all labeled graphs on N vertices (1 <= N <= {ENUMERATION_CAP})")
     p.add_argument("--only-2linear", action="store_true",
                    help="emit lines only for graphs with a 2-linear resolution")
-    p.add_argument("--jobs", type=int, default=1, metavar="J", help="worker processes")
+    p.add_argument("--jobs", type=_decimal, default=1, metavar="J", help="worker processes")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("oracle", help="brute-force Betti table")

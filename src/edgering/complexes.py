@@ -28,7 +28,7 @@ from .errors import (
     MalformedInputError,
     UnsupportedSizeError,
 )
-from .graphs import Graph, bits
+from .graphs import Graph, _decimal, bits
 
 FACE_GUARD_VERTICES = 25
 
@@ -312,7 +312,7 @@ def parse_fixture(text: str) -> tuple[int, list[list[int]]]:
     if not lines:
         raise MalformedInputError("empty complex fixture")
     try:
-        n = int(lines[0])
+        n = _decimal(lines[0])
     except ValueError:
         raise MalformedInputError(f"first line must be the vertex count, got {lines[0]!r}") from None
     if n < 0:
@@ -320,7 +320,7 @@ def parse_fixture(text: str) -> tuple[int, list[list[int]]]:
     facets = []
     for ln in lines[1:]:
         try:
-            facet = [int(t) for t in ln.split()]
+            facet = [_decimal(t) for t in ln.split()]
         except ValueError:
             raise MalformedInputError(f"non-integer vertex in facet line {ln!r}") from None
         for v in facet:

@@ -194,13 +194,23 @@ def to_graph6(g: Graph) -> str:
     return chr(g.n + 63) + body[:nbytes].translate(_FROM_BASE64).decode("ascii")
 
 
+def _decimal(token: str | bytes) -> int:
+    """The integer of ASCII decimal digits with an optional leading '-', as
+    text or bytes; ValueError for any other token, such as the other Unicode
+    digits, '+' and '_' separators that int() also takes."""
+    digits = token[1:] if token[:1] in ("-", b"-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "n u1 v1 u2 v2 ..." into a graph; duplicate edges collapse."""
     tokens = text.split()
     if not tokens:
         raise MalformedInputError("empty edge list")
     try:
-        values = [int(t) for t in tokens]
+        values = [_decimal(t) for t in tokens]
     except ValueError as exc:
         raise MalformedInputError(f"non-integer token in edge list: {exc}") from None
     n = values[0]

@@ -12,23 +12,27 @@ entry by entry.
 A chunk decodes the rows of its first complement; each later mask differs
 from the one before it in the bits of its carry, about two on average,
 and the rows are updated in place by flipping those edges at both ends.
-The per-graph worker operates on edge masks and bitmask rows throughout
-and computes no formula of its own: it takes the facets of `chordal` (the
-maximal cliques in MCS order) and hands them to `conjecture.formulas`, the
-one function that `conjecture.analyze_record` also calls, and
-compares the fields of its record with references computed apart from it:
-brute-force induced cycles, the numerator of the f-vector series and, in
-the oracle variant, the Hochster Betti table, which the oracle's graph
-kernel computes straight from the complement's adjacency rows and which is
-compared with the Betti numbers read off the record's numerator.  The
-f-vector comes from those rows too: `_clique_counts` counts the cliques of
-the complement by size without listing them, so it shares no facet with
-the record.  Bron-Kerbosch runs only in the oracle variant, on the chordal
-masks, to hold the PEO's facets to the maximal cliques.  Every
-failed comparison is recorded as a violation, not raised.  Chunks of the
-edge-mask range can be processed by a worker pool; results merge
-deterministically in mask order, so the outcome is identical for every
-worker count.
+Per mask the sweep runs MCS and the PEO test on those rows and makes two
+calls.  `_references` computes what the graph is held to, each apart from
+its record and unchanged by relabelling: the brute-force induced-cycle
+flag, the numerator of the f-vector series where a check reads it (on the
+chordal masks, and on every mask with the oracle) and, in the oracle
+variant, the Hochster Betti table, which the oracle's graph kernel computes
+straight from the complement's adjacency rows.  The f-vector comes from
+those rows too: `_clique_counts` counts the cliques of the complement by
+size without listing them, so it shares no facet with the record.
+`_check` works on the labeled complement: it takes the facets of `chordal`
+(the maximal cliques in MCS order) and hands them to `conjecture.formulas`,
+the one function that `conjecture.analyze_record` also calls, so it
+computes no formula of its own; it compares the record's fields with the
+references, with the Betti numbers read off the record's numerator held
+to the oracle's table, and returns the violated kinds, adding a 2-linear
+graph's counts in place.  Bron-Kerbosch runs only in the oracle variant,
+on the chordal masks, to hold the PEO's facets to the maximal cliques.
+Every failed comparison is recorded as a violation, not raised, under the
+mask's graph6.  Chunks of the edge-mask range can be processed by a worker
+pool; results merge deterministically in mask order, so the outcome is
+identical for every worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .chordal import _clique_masks_from_peo, _is_peo, _mcs_order
 from .complexes import _clique_counts, _maximal_clique_masks
 from .errors import ContractViolationError
 from .graphs import Graph, _pool_size, mask_count, rows_from_edge_mask, to_graph6
-from .invariants import _fvector_numerator, _linear_strand
+from .invariants import _fvector_numerator, _linear_strand, _trim
 from .oracle import _hochster_graph, oracle_is_2linear, oracle_pd
 
 VIOLATION_KINDS = (
@@ -136,99 +140,110 @@ def _edge_flips(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((u, 1 << v, v, 1 << u) for v in range(n) for u in range(v))
 
 
-def _to_g6(n: int, mask: int) -> str:
-    return to_graph6(Graph.from_edge_mask(n, mask))
-
-
 def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult:
     """Process edge masks start..stop-1, where 0 <= start <= stop <=
     2^(n(n-1)/2); pure function of its arguments."""
-    formulas = conjecture.formulas  # the record analyze and classify build, bound once per chunk
     all_pairs = mask_count(n) - 1
     if not 0 <= start <= stop <= all_pairs + 1:
         raise ContractViolationError(f"mask range {start}..{stop} outside 0..{all_pairs + 1} for n={n}")
     res = SweepResult(n)
     counts = res.counts
-    vio = res.violations
     counts["total"] = stop - start
     crow = rows_from_edge_mask(n, all_pairs ^ start)
     flips = _edge_flips(n)
+    references, check = _references, _check  # bound once per chunk: both run per mask
     for mask in range(start, stop):
         if mask > start:
             # the carry from mask - 1 flips edges 0..t, t the trailing zeros of mask
             for u, v_bit, v, u_bit in flips[:(mask ^ mask - 1).bit_length()]:
                 crow[u] ^= v_bit
                 crow[v] ^= u_bit
-        h_mask = all_pairs ^ mask
         elim = _mcs_order(n, crow)[::-1]
-        chordal_flag = _is_peo(n, crow, elim)
-        if chordal_flag == has_long_induced_cycle(n, h_mask):
-            vio["chordal_vs_bruteforce"].append(_to_g6(n, mask))
-        if with_oracle:
-            table = _hochster_graph(n, crow)
-            if oracle_is_2linear(table) != chordal_flag:
-                vio["twolinear_vs_chordal"].append(_to_g6(n, mask))
-        if not chordal_flag:
-            if with_oracle:
-                _check_knum(n, table, _fvector_numerator(_clique_counts(n, crow), n), vio, mask)
-            continue
-        counts["twolinear"] += 1
-        facets = _clique_masks_from_peo(n, crow, elim)
-        if with_oracle and set(facets) != set(_maximal_clique_masks(n, crow)):
-            vio["clique_paths_disagree"].append(_to_g6(n, mask))
-        f = formulas(n, facets, n - 1 - min(map(int.bit_count, crow)))
-        num = f.numerator
-        fnum = _fvector_numerator(_clique_counts(n, crow), n)
-        if num != tuple(fnum):
-            vio["hilbert_mismatch"].append(_to_g6(n, mask))
-        deg = n
-        while deg > 0 and num[deg] == 0:
-            deg -= 1
-        k = len(facets)
-        if k >= 2 and deg != n - f.r_min - 1:
-            vio["numerator_degree"].append(_to_g6(n, mask))
-        holds = f.holds
-        counts["holds"] += holds
-        counts["fails"] += not holds
-        if k == 1:
-            counts["single_facet"] += 1
-        if f.cm != (f.depth == f.dim):
-            vio["cm_inconsistent"].append(_to_g6(n, mask))
-        if f.cm:
-            counts["cm"] += 1
-            if not holds:
-                vio["cm_not_holds"].append(_to_g6(n, mask))
-        if k >= 2:
-            witness = f.witness is not None
-            counts["witness"] += witness
-            if witness != holds:
-                vio["witness_equivalence"].append(_to_g6(n, mask))
-        if 0 in f.dims:
-            counts["isolated"] += 1
-            if not holds:
-                vio["isolated_not_holds"].append(_to_g6(n, mask))
-        if f.d_tree:
-            counts["dtree"] += 1
-            if not holds:
-                vio["dtree_not_holds"].append(_to_g6(n, mask))
-        if with_oracle:
-            if _linear_strand(num) != table.entries:
-                vio["betti_mismatch"].append(_to_g6(n, mask))
-            if f.depth + oracle_pd(table) != n:
-                vio["ab_identity"].append(_to_g6(n, mask))
-            _check_knum(n, table, fnum, vio, mask)
+        chordal = _is_peo(n, crow, elim)
+        refs = references(n, crow, all_pairs ^ mask, chordal, with_oracle)
+        kinds = check(n, crow, elim, chordal, refs, counts)
+        if kinds:
+            g6 = to_graph6(Graph.from_edge_mask(n, mask))
+            for kind in kinds:
+                res.violations[kind].append(g6)
     return res
 
 
-def _check_knum(n, table, fnum, vio, mask) -> None:
-    """The f-vector numerator's coefficients must equal the alternating Betti
-    sums per degree."""
-    sums = [0] * (n + 1)
-    sums[0] = 1
+def _references(n: int, crow: list[int], h_mask: int, chordal: bool, with_oracle: bool) -> tuple:
+    """What the graph whose complement has rows `crow` and edge mask `h_mask`
+    is held to, each computed apart from its record and unchanged by
+    relabelling: whether brute force finds an induced cycle of at least four
+    vertices in the complement, the f-vector numerator where a check reads
+    it (the complement is chordal, or the oracle is on), else None, and the
+    oracle's table, or None without the oracle."""
+    fnum = _fvector_numerator(_clique_counts(n, crow), n) if chordal or with_oracle else None
+    return has_long_induced_cycle(n, h_mask), fnum, _hochster_graph(n, crow) if with_oracle else None
+
+
+def _check(n, crow, elim, chordal, refs, counts) -> list[str]:
+    """The violation kinds of the graph whose complement has rows `crow`, an
+    elimination order `elim` and chordality `chordal`, against its
+    references; a 2-linear graph's counts are added to `counts` in place."""
+    cyclic, fnum, table = refs
+    kinds = []
+    if chordal == cyclic:
+        kinds.append("chordal_vs_bruteforce")
+    if table is not None:
+        if oracle_is_2linear(table) != chordal:
+            kinds.append("twolinear_vs_chordal")
+        if not _knum_matches(n, table, fnum):
+            kinds.append("knum_mismatch")
+    if not chordal:
+        return kinds
+    counts["twolinear"] += 1
+    facets = _clique_masks_from_peo(n, crow, elim)
+    if table is not None and set(facets) != set(_maximal_clique_masks(n, crow)):
+        kinds.append("clique_paths_disagree")
+    f = conjecture.formulas(n, facets, n - 1 - min(map(int.bit_count, crow)))
+    num = f.numerator
+    if num != tuple(fnum):
+        kinds.append("hilbert_mismatch")
+    k = len(facets)
+    if k >= 2 and len(_trim(list(num))) - 1 != n - f.r_min - 1:
+        kinds.append("numerator_degree")
+    holds = f.holds
+    counts["holds"] += holds
+    counts["fails"] += not holds
+    counts["single_facet"] += k == 1
+    if f.cm != (f.depth == f.dim):
+        kinds.append("cm_inconsistent")
+    if f.cm:
+        counts["cm"] += 1
+        if not holds:
+            kinds.append("cm_not_holds")
+    if k >= 2:
+        witness = f.witness is not None
+        counts["witness"] += witness
+        if witness != holds:
+            kinds.append("witness_equivalence")
+    if 0 in f.dims:
+        counts["isolated"] += 1
+        if not holds:
+            kinds.append("isolated_not_holds")
+    if f.d_tree:
+        counts["dtree"] += 1
+        if not holds:
+            kinds.append("dtree_not_holds")
+    if table is not None:
+        if _linear_strand(num) != table.entries:
+            kinds.append("betti_mismatch")
+        if f.depth + oracle_pd(table) != n:
+            kinds.append("ab_identity")
+    return kinds
+
+
+def _knum_matches(n, table, fnum) -> bool:
+    """Whether the f-vector numerator's coefficients equal the alternating
+    Betti sums per degree."""
+    sums = [1] + [0] * n
     for (i, j), v in table.entries.items():
         sums[j] += -v if i & 1 else v
-    if sums != fnum:
-        vio["knum_mismatch"].append(_to_g6(n, mask))
+    return sums == fnum
 
 
 def _chunk_worker(args: tuple[int, int, int, bool]) -> SweepResult:

@@ -146,6 +146,24 @@ MUTANTS = [
         ["tests/test_verify.py::test_chunk_is_the_merge_of_one_mask_chunks"],
     ),
     (
+        "the sweep's references hold the f-vector numerator of chordal complements only, also with the oracle on",
+        "verify.py",
+        [("if chordal or with_oracle else None", "if chordal else None")],
+        ["tests/test_verify.py::TestSweepMachinery::test_fvector_reference_is_checked"],
+    ),
+    (
+        "the sweep records only the first kind that a mask violates",
+        "verify.py",
+        [("for kind in kinds:", "for kind in kinds[:1]:")],
+        ["tests/test_verify.py::TestSweepMachinery::test_fvector_reference_is_checked"],
+    ),
+    (
+        "the sweep's check drops the Auslander-Buchsbaum comparison of depth and the oracle's pd",
+        "verify.py",
+        [("if f.depth + oracle_pd(table) != n:", "if False:")],
+        ["tests/test_verify.py::test_fault_is_recorded[ab_identity]"],
+    ),
+    (
         "the attachment of a facet meets only the facet before it, not the union of all earlier ones",
         "chordal.py",
         [("dims.append((f & union).bit_count() - 1)\n        union |= f",

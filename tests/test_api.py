@@ -14,7 +14,8 @@ README = ROOT / "README.md"
 
 def readme_command_lines() -> list[tuple[str, str]]:
     """Each `$ edgering ...` line of the README's `## Command line` section
-    that is followed by a JSON line, with that line."""
+    that is followed by a JSON line, with that line.  CI's installed-package
+    step runs the same cases through the installed `edgering` script."""
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     lines = section.split("\n## Library\n", 1)[0].splitlines()
     cases = []

@@ -588,6 +588,21 @@ class TestBadInputExit2:
         expected = "error: exactly one input source required: positional graph6 or --complex FILE\n"
         assert capsys.readouterr() == ("", expected)
 
+    def test_non_decimal_edge_list(self, capsys):
+        # a fullwidth 4 is a digit to int(), not to the edge-list parser
+        assert main(["analyze", "--edges", "\uff14 0 1 1 2 2 3 3 0"]) == 2
+        assert capsys.readouterr() == ("", "error: non-integer token in edge list: "
+                                           "invalid literal for int() with base 10: '\uff14'\n")
+
+    @pytest.mark.parametrize("option, value", [("--all-labeled", "\uff103"), ("--all-labeled", "\u0663"),
+                                               ("--all-labeled", "0_3"), ("--jobs", "\uff12")])
+    def test_non_decimal_survey_option(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["survey", option, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {option}: invalid _decimal value: {value!r}" in err
+
     def test_non_ascii_graph6(self, capsys):
         assert main(["analyze", "\u00e9"]) == 2
         assert capsys.readouterr().err.startswith("error: ")

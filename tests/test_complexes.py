@@ -246,6 +246,21 @@ class TestFixtureFormat:
         with pytest.raises(MalformedInputError):
             parse_complex("x\n0 1\n")
 
+    # int() alone takes other Unicode digits, '+' and '_' separators too
+    @pytest.mark.parametrize("header", ["\uff12", "\u0662", "0_2", "+2"])
+    def test_non_decimal_header(self, header):
+        with pytest.raises(MalformedInputError, match="^first line must be the vertex count"):
+            parse_complex(f"{header}\n0 1\n")
+
+    @pytest.mark.parametrize("token", ["x", "\uff11", "\u0661", "0_1", "+1"])
+    def test_non_decimal_vertex(self, token):
+        with pytest.raises(MalformedInputError, match="^non-integer vertex in facet line"):
+            parse_complex(f"2\n0 {token}\n")
+
+    def test_negative_count(self):
+        with pytest.raises(MalformedInputError, match="^negative vertex count -2$"):
+            parse_complex("-2\n0 1\n")
+
     def test_uncovered(self):
         with pytest.raises(MalformedInputError):
             parse_complex("3\n0 1\n")

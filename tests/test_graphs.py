@@ -114,6 +114,16 @@ class TestEdgeList:
         with pytest.raises(MalformedInputError):
             parse_edge_list("3 0 x")
 
+    # int() alone takes other Unicode digits, '+' and '_' separators too
+    @pytest.mark.parametrize("text", ["\uff14 0 1 1 2 2 3 3 0", "3 \u0660 1", "3 0_0 1", "+3 0 1", "3 0 -", "3 0 --1"])
+    def test_non_decimal_token(self, text):
+        with pytest.raises(MalformedInputError, match="^non-integer token in edge list: "):
+            parse_edge_list(text)
+
+    def test_negative_count(self):
+        with pytest.raises(MalformedInputError, match="^negative vertex count -3$"):
+            parse_edge_list("-3 0 1")
+
     def test_odd_tokens(self):
         with pytest.raises(MalformedInputError):
             parse_edge_list("3 0")

@@ -3,15 +3,17 @@ agree with `cli.analyze_record` graph by graph."""
 
 import multiprocessing
 import os
+from functools import cache
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edgering import verify
+from edgering import conjecture, verify
 from edgering.cli import analyze_record
 from edgering.errors import ContractViolationError, UndefinedInputError, UnsupportedSizeError
-from edgering.graphs import Graph, rows_from_edge_mask
+from edgering.graphs import Graph, rows_from_edge_mask, to_graph6
+from edgering.oracle import OracleBettiTable
 from conftest import brute_is_chordal, ref_has_long_induced_cycle
 
 
@@ -92,7 +94,9 @@ class TestSweepMachinery:
     def test_fvector_reference_is_checked(self, monkeypatch):
         # one clique too many at size 2 shifts the f-vector numerator by
         # t^2 (1-t)^(n-2): every 2-linear record's numerator and every
-        # oracle table's alternating sums then disagree with it
+        # oracle table's alternating sums then disagree with it; unpatched,
+        # the same chunk is clean, so every mask is checked against it
+        assert verify.sweep_chunk(5, 0, 1 << 10, True).all_clean()
         count = verify._clique_counts
 
         def one_off(n, rows):
@@ -156,6 +160,125 @@ class TestSweepMachinery:
         res = verify.run_sweep(4, with_oracle=True, jobs=jobs)
         assert sizes == ([] if size is None else [size])
         assert vars(res) == vars(verify.run_sweep(4, with_oracle=True))
+
+
+@cache
+def n5_flags() -> tuple[dict[str, int], ...]:
+    """The counts of each one-mask chunk of the clean n = 5 oracle sweep,
+    indexed by mask: what a corruption of one reference can reach."""
+    return tuple(verify.sweep_chunk(5, mask, mask + 1, True).counts for mask in range(1 << 10))
+
+
+def corrupt_formulas(change):
+    def patch(monkeypatch):
+        formulas = conjecture.formulas
+        monkeypatch.setattr(conjecture, "formulas", lambda *args: change(formulas(*args)))
+    return patch
+
+
+def corrupt_table(change):
+    def patch(monkeypatch):
+        hochster = verify._hochster_graph
+
+        def changed(n, rows):
+            table = hochster(n, rows)
+            change(table)
+            return table
+
+        monkeypatch.setattr(verify, "_hochster_graph", changed)
+    return patch
+
+
+def negate_cycles(monkeypatch):
+    cycles = verify.has_long_induced_cycle
+    monkeypatch.setattr(verify, "has_long_induced_cycle", lambda n, h_mask: not cycles(n, h_mask))
+
+
+def drop_a_clique(monkeypatch):
+    cliques = verify._maximal_clique_masks
+    monkeypatch.setattr(verify, "_maximal_clique_masks", lambda n, rows: cliques(n, rows)[1:])
+
+
+def top_coefficient_zeroed(f):
+    """The record with its numerator's highest nonzero coefficient set to 0,
+    a numerator of lower degree."""
+    num = list(f.numerator)
+    num[max(i for i, c in enumerate(num) if c)] = 0
+    return f._replace(numerator=tuple(num))
+
+
+def flip_two_linear(table):
+    table.two_linear = not table.two_linear
+
+
+def raise_beta_12(table):
+    table.entries[1, 2] = table.entries.get((1, 2), 0) + 1
+
+
+NOT_HOLDS = corrupt_formulas(lambda f: f._replace(holds=False))
+
+# kind: (a corruption of one input of the check, on the clean counts of a
+# mask: whether the corruption reaches it)
+FAULTS = {
+    "chordal_vs_bruteforce": (negate_cycles, lambda c: True),
+    "hilbert_mismatch": (corrupt_formulas(top_coefficient_zeroed), lambda c: c["twolinear"]),
+    "numerator_degree": (corrupt_formulas(top_coefficient_zeroed), lambda c: c["twolinear"] and not c["single_facet"]),
+    "witness_equivalence": (NOT_HOLDS, lambda c: c["witness"]),
+    "dtree_not_holds": (NOT_HOLDS, lambda c: c["dtree"]),
+    "isolated_not_holds": (NOT_HOLDS, lambda c: c["isolated"]),
+    "cm_inconsistent": (corrupt_formulas(lambda f: f._replace(cm=not f.cm)), lambda c: c["twolinear"]),
+    "cm_not_holds": (NOT_HOLDS, lambda c: c["cm"]),
+    "clique_paths_disagree": (drop_a_clique, lambda c: c["twolinear"]),
+    "twolinear_vs_chordal": (corrupt_table(flip_two_linear), lambda c: True),
+    "betti_mismatch": (corrupt_table(raise_beta_12), lambda c: c["twolinear"]),
+    "ab_identity": (corrupt_formulas(lambda f: f._replace(depth=f.depth + 1)), lambda c: c["twolinear"]),
+    "knum_mismatch": (corrupt_table(raise_beta_12), lambda c: True),
+}
+
+
+@pytest.mark.parametrize("kind", verify.VIOLATION_KINDS)
+def test_fault_is_recorded(monkeypatch, kind):
+    # each check of the sweep, fed one corrupted input, records exactly the
+    # masks that the corruption reaches, in mask order
+    corrupt, reached = FAULTS[kind]
+    expected = [to_graph6(Graph.from_edge_mask(5, mask)) for mask, c in enumerate(n5_flags()) if reached(c)]
+    assert expected
+    corrupt(monkeypatch)
+    assert verify.sweep_chunk(5, 0, 1 << 10, True).violations[kind] == expected
+
+
+def relabelled_edge_mask(n: int, mask: int, perm: list[int]) -> int:
+    """The edge mask of the graph with edge mask `mask` after vertex v becomes
+    perm[v]: the pair u < v sits at bit v(v-1)/2 + u."""
+    pairs = [sorted((perm[u], perm[v])) for u, v in Graph.from_edge_mask(n, mask).edges()]
+    return sum(1 << v * (v - 1) // 2 + u for u, v in pairs)
+
+
+def comparable(refs) -> tuple:
+    return tuple((r.entries, r.two_linear) if isinstance(r, OracleBettiTable) else r for r in refs)
+
+
+@st.composite
+def relabellings(draw):
+    n = draw(st.integers(4, 7))
+    return n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@example((4, 0b100001, [1, 2, 3, 0]))  # 2K2, whose complement is C4
+@given(relabellings())
+def test_references_do_not_change_under_relabelling(case):
+    # what a graph is held to is a function of its isomorphism class, so an
+    # orbit's references can be computed once for all its labellings
+    n, mask, perm = case
+    all_pairs = (1 << n * (n - 1) // 2) - 1
+    views = []
+    for m in (mask, relabelled_edge_mask(n, mask, perm)):
+        crow = rows_from_edge_mask(n, all_pairs ^ m)
+        chordal = verify._is_peo(n, crow, verify._mcs_order(n, crow)[::-1])
+        views.append([comparable(verify._references(n, crow, all_pairs ^ m, chordal, with_oracle))
+                      for with_oracle in (False, True)])
+    assert views[0] == views[1]
 
 
 @st.composite
