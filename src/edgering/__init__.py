@@ -24,7 +24,6 @@ from .chordal import (
     is_chordal,
 )
 from .complexes import (
-    FVector,
     SimplicialComplex,
     f_vector,
     flag_complex,
@@ -59,19 +58,16 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .invariants import BettiTable
-from .oracle import OracleBettiTable, hochster_betti, oracle_is_2linear, oracle_pd
+from .oracle import OracleBettiTable, hochster_betti
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiTable",
     "Chordal",
     "ChordalityResult",
     "ConjectureReport",
     "ContractViolationError",
     "EdgeRingError",
-    "FVector",
     "FormulaRecord",
     "Graph",
     "InternalInvariantError",
@@ -96,8 +92,6 @@ __all__ = [
     "is_chordal",
     "max_degree",
     "one_skeleton",
-    "oracle_is_2linear",
-    "oracle_pd",
     "parse_complex",
     "parse_edge_list",
     "parse_graph6",

@@ -225,8 +225,8 @@ def cmd_oracle(args) -> int:
         "n": table.n,
         "subsets_examined": table.subsets_examined,
         "betti": [[0, 0, 1]] + strand,
-        "pd": oracle.oracle_pd(table),
-        "two_linear": oracle.oracle_is_2linear(table),
+        "pd": table.projective_dimension,
+        "two_linear": table.two_linear,
         "match": None if betti is None else betti == strand,
     }
     _print_json(rec)
@@ -259,6 +259,15 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _int_option(text: str) -> int:
+    """argparse's `type=` for an integer option: `_decimal`, with the
+    message argparse gives for `type=int`."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; `parse_args` gives each call a fresh
@@ -277,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("survey", help="classify a stream of graphs")
-    p.add_argument("--all-labeled", type=_decimal, default=None, metavar="N",
+    p.add_argument("--all-labeled", type=_int_option, default=None, metavar="N",
                    help=f"all labeled graphs on N vertices (1 <= N <= {ENUMERATION_CAP})")
     p.add_argument("--only-2linear", action="store_true",
                    help="emit lines only for graphs with a 2-linear resolution")
-    p.add_argument("--jobs", type=_decimal, default=1, metavar="J", help="worker processes")
+    p.add_argument("--jobs", type=_int_option, default=1, metavar="J", help="worker processes")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("oracle", help="brute-force Betti table")

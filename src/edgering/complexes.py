@@ -6,13 +6,14 @@ isolated vertex is represented by a 0-dimensional facet.  The complex with
 empty ground set is the complex whose only face is the empty face.
 
 Face enumeration (capped at FACE_GUARD_VERTICES) and reduced homology run
-once, on facet bitmasks over positions 0..n-1: `f_vector` and
-`reduced_homology_ranks` are views, and the Hochster oracle calls the mask
-level directly.  Reduced homology is computed over the rationals from exact
-integer boundary ranks: each boundary map goes to `intlinalg.rank` as sparse
-rows built straight from the face masks, one row {face ^ v: ±1} per face,
-with no dense matrix.  No floating point is used anywhere in this module.
-Ranks in positive characteristic may differ in general and are out of scope.
+once, on facet bitmasks over positions 0..n-1: `f_vector`, which returns
+the tuple of face counts by size, and `reduced_homology_ranks` are views,
+and the Hochster oracle calls the mask level directly.  Reduced homology is
+computed over the rationals from exact integer boundary ranks: each
+boundary map goes to `intlinalg.rank` as sparse rows built straight from
+the face masks, one row {face ^ v: ±1} per face, with no dense matrix.  No
+floating point is used anywhere in this module.  Ranks in positive
+characteristic may differ in general and are out of scope.
 """
 
 from __future__ import annotations
@@ -100,17 +101,6 @@ class SimplicialComplex:
 
     def facet_lists(self) -> list[list[int]]:
         return [sorted(f) for f in self.facets]
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts by size: counts[k] = number of faces with k vertices (dim k-1)."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.counts or self.counts[0] != 1:
-            raise InternalInvariantError("f-vector must start with the empty face count 1")
 
 
 def flag_complex(g: Graph) -> SimplicialComplex:
@@ -228,14 +218,15 @@ def _faces_by_size(facets: Sequence[int]) -> list[list[int]]:
     return grouped
 
 
-def f_vector(c: SimplicialComplex) -> FVector:
-    """Exact face counts; counts[0] = 1 for the empty face."""
+def f_vector(c: SimplicialComplex) -> tuple[int, ...]:
+    """Exact face counts by size: counts[k] is the number of faces with k
+    vertices (dimension k - 1), and counts[0] = 1 for the empty face."""
     grouped = _faces_by_size(_position_masks(c))
     counts = tuple(len(g) for g in grouped)
     for k, ct in enumerate(counts):
         if ct > comb(c.n, k):
             raise InternalInvariantError("face count exceeds binomial bound")
-    return FVector(counts)
+    return counts
 
 
 def _boundary(face: int) -> dict[int, int]:

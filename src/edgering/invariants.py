@@ -15,7 +15,10 @@ Series are kept un-reduced over (1-t)^n (n = vertex count); this canonical
 form is what Betti extraction (`_linear_strand`) reads: the numerator of a 2-linear resolution
 is 1 - b_(1,2) t^2 + b_(2,3) t^3 - ... All arithmetic is exact (Python ints).
 The numerator groups facets and attachments by exponent first, so it costs
-one scaled add of a cached (1-t)^e per distinct exponent.
+one scaled add of a cached (1-t)^e per distinct exponent, and `_degree`
+reads its degree in place.  The Betti strand is a dict of (i, i + 1) ->
+value; the package's one Betti table type is the oracle's
+`OracleBettiTable`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import ContractViolationError, InternalInvariantError
+from .errors import InternalInvariantError
 
 
 @lru_cache(maxsize=None)
@@ -32,45 +35,12 @@ def one_minus_t_pow(k: int) -> tuple[int, ...]:
     return tuple((-1) ** i * comb(k, i) for i in range(k + 1))
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-class BettiTable:
-    """Graded Betti numbers as a map (i, j) -> positive value; (0,0) is implicit 1."""
-
-    def __init__(self, entries: dict[tuple[int, int], int]):
-        clean = {}
-        for (i, j), v in entries.items():
-            if v < 0:
-                raise ContractViolationError(f"negative Betti number at {(i, j)}")
-            if v:
-                if (i, j) == (0, 0):
-                    if v != 1:
-                        raise ContractViolationError("beta_(0,0) must be 1")
-                    continue
-                clean[(i, j)] = v
-        self.entries = dict(sorted(clean.items()))
-
-    def beta(self, i: int, j: int) -> int:
-        if (i, j) == (0, 0):
-            return 1
-        return self.entries.get((i, j), 0)
-
-    @property
-    def projective_dimension(self) -> int:
-        return max((i for i, _ in self.entries), default=0)
-
-    def items(self):
-        return self.entries.items()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BettiTable) and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"BettiTable({self.entries})"
+def _degree(coeffs) -> int:
+    """The index of the last nonzero coefficient; 0 if there is none."""
+    d = len(coeffs) - 1
+    while d > 0 and not coeffs[d]:
+        d -= 1
+    return d
 
 
 def _numerator(n: int, dims, attach_dims) -> list[int]:
@@ -108,13 +78,13 @@ def _fvector_numerator(counts, n: int) -> list[int]:
 def _checked_numerator(coeffs, n: int, r_min: int | None) -> tuple[int, ...]:
     """The trimmed numerator of a quasi-forest's series, checked to start
     1 + 0t and to have degree n - r_min - 1, or 0 for a single facet."""
-    num = _trim(list(coeffs))
-    if num[0] != 1 or coeffs[1]:
+    d = _degree(coeffs)
+    if coeffs[0] != 1 or coeffs[1]:
         raise InternalInvariantError("Hilbert numerator must start 1 + 0t")
     expected = 0 if r_min is None else n - r_min - 1
-    if len(num) - 1 != expected:
-        raise InternalInvariantError(f"numerator degree {len(num) - 1} != n - r_min - 1 = {expected}")
-    return num
+    if d != expected:
+        raise InternalInvariantError(f"numerator degree {d} != n - r_min - 1 = {expected}")
+    return tuple(coeffs[:d + 1])
 
 
 def _linear_strand(p) -> dict[tuple[int, int], int]:

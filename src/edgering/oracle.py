@@ -89,6 +89,11 @@ each range.
 `hochster_betti` raises ContractViolationError on a complex that is not
 flag.  The ground set is capped at n <= 18; a larger one raises
 UnsupportedSizeError (CLI exit 3).
+
+`OracleBettiTable(entries, n)` is the package's one Betti table type; the
+formulas give their linear strand as a dict instead.  Its readers take pd
+from `projective_dimension` and the shape of the resolution from
+`two_linear`, and `subsets_examined` is 2^n, worked out from n.
 """
 
 from __future__ import annotations
@@ -106,7 +111,6 @@ from .complexes import (
 )
 from .errors import ContractViolationError, InternalInvariantError, UnsupportedSizeError
 from .graphs import Graph, bits
-from .invariants import BettiTable
 
 VERTEX_CAP = 18
 # From PAIRED_FROM vertices on, the graph kernel visits only the subsets
@@ -118,18 +122,49 @@ UNPAIRED_MIN = 4
 _LOW = sum(0x7FFFFFFF << 32 * f for f in range(VERTEX_CAP + 1))
 
 
-class OracleBettiTable(BettiTable):
-    """Betti table plus the ground-set size, the number of subsets examined
-    and whether every nonzero beta_(i,j) with i >= 1 sits at j = i + 1."""
+class OracleBettiTable:
+    """Graded Betti numbers beta_(i,j) of a ring on n variables, as a map
+    (i, j) -> positive value sorted by position; beta_(0,0) = 1 is implicit.
+    `two_linear` is whether every nonzero beta_(i,j) with i >= 1 sits at
+    j = i + 1, and `subsets_examined`, 2^n, the number of subsets in
+    Hochster's sum."""
 
-    def __init__(self, entries: dict[tuple[int, int], int], n: int, subsets_examined: int):
-        super().__init__(entries)
+    def __init__(self, entries: dict[tuple[int, int], int], n: int):
+        clean = {}
+        for (i, j), v in entries.items():
+            if v < 0:
+                raise ContractViolationError(f"negative Betti number at {(i, j)}")
+            if v:
+                if (i, j) == (0, 0):
+                    if v != 1:
+                        raise ContractViolationError("beta_(0,0) must be 1")
+                    continue
+                clean[(i, j)] = v
+        self.entries = dict(sorted(clean.items()))
         self.n = n
-        self.subsets_examined = subsets_examined
         for i, j in self.entries:
-            if j < i or j > n:
+            if not 0 <= i <= j <= n:
                 raise InternalInvariantError(f"impossible Betti position {(i, j)}")
         self.two_linear = all(j == i + 1 for i, j in self.entries if i >= 1)
+
+    @property
+    def subsets_examined(self) -> int:
+        return 1 << self.n
+
+    def beta(self, i: int, j: int) -> int:
+        if (i, j) == (0, 0):
+            return 1
+        return self.entries.get((i, j), 0)
+
+    @property
+    def projective_dimension(self) -> int:
+        return max((i for i, _ in self.entries), default=0)
+
+    def items(self):
+        return self.entries.items()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, OracleBettiTable) and self.entries == other.entries
 
 
 def check_vertex_cap(n: int) -> None:
@@ -264,8 +299,7 @@ def _hochster_graph(n: int, rows: Sequence[int]) -> OracleBettiTable:
             if h := sums[j] >> 32 * (j - i) & 0xFFFFFFFF:
                 entries[i, j] = h
     table = object.__new__(OracleBettiTable)
-    table.entries, table.n, table.subsets_examined = entries, n, top
-    table.two_linear = not max(sums) >> 64
+    table.entries, table.n, table.two_linear = entries, n, not max(sums) >> 64
     return table
 
 
@@ -364,16 +398,6 @@ def _graph_step(closed: dict[int, int], w: int, at_subset: list[int]) -> int:
         rows[u] = closed[1 << u] & w ^ 1 << u
     ranks = _homology_ranks(list(filter(w.__and__, _maximal_clique_masks(len(rows), rows))))
     return sum(h << 32 * (dim + 1) for dim, h in ranks.items())
-
-
-def oracle_pd(table: OracleBettiTable) -> int:
-    """Largest homological index with a nonzero entry; 0 for the polynomial ring."""
-    return table.projective_dimension
-
-
-def oracle_is_2linear(table: OracleBettiTable) -> bool:
-    """True iff every nonzero beta_(i,j) with i >= 1 sits at j = i + 1."""
-    return table.two_linear
 
 
 def clear_memo() -> None:

@@ -46,8 +46,8 @@ from .chordal import _clique_masks_from_peo, _is_peo, _mcs_order
 from .complexes import _clique_counts, _maximal_clique_masks
 from .errors import ContractViolationError
 from .graphs import Graph, _pool_size, mask_count, rows_from_edge_mask, to_graph6
-from .invariants import _fvector_numerator, _linear_strand, _trim
-from .oracle import _hochster_graph, oracle_is_2linear, oracle_pd
+from .invariants import _degree, _fvector_numerator, _linear_strand
+from .oracle import _hochster_graph
 
 VIOLATION_KINDS = (
     "chordal_vs_bruteforce",
@@ -189,7 +189,7 @@ def _check(n, crow, elim, chordal, refs, counts) -> list[str]:
     if chordal == cyclic:
         kinds.append("chordal_vs_bruteforce")
     if table is not None:
-        if oracle_is_2linear(table) != chordal:
+        if table.two_linear != chordal:
             kinds.append("twolinear_vs_chordal")
         if not _knum_matches(n, table, fnum):
             kinds.append("knum_mismatch")
@@ -204,7 +204,7 @@ def _check(n, crow, elim, chordal, refs, counts) -> list[str]:
     if num != tuple(fnum):
         kinds.append("hilbert_mismatch")
     k = len(facets)
-    if k >= 2 and len(_trim(list(num))) - 1 != n - f.r_min - 1:
+    if k >= 2 and _degree(num) != n - f.r_min - 1:
         kinds.append("numerator_degree")
     holds = f.holds
     counts["holds"] += holds
@@ -232,7 +232,7 @@ def _check(n, crow, elim, chordal, refs, counts) -> list[str]:
     if table is not None:
         if _linear_strand(num) != table.entries:
             kinds.append("betti_mismatch")
-        if f.depth + oracle_pd(table) != n:
+        if f.depth + table.projective_dimension != n:
             kinds.append("ab_identity")
     return kinds
 

@@ -160,8 +160,32 @@ MUTANTS = [
     (
         "the sweep's check drops the Auslander-Buchsbaum comparison of depth and the oracle's pd",
         "verify.py",
-        [("if f.depth + oracle_pd(table) != n:", "if False:")],
+        [("if f.depth + table.projective_dimension != n:", "if False:")],
         ["tests/test_verify.py::test_fault_is_recorded[ab_identity]"],
+    ),
+    (
+        "a Betti table counts half of the 2^n subsets of Hochster's sum",
+        "oracle.py",
+        [("return 1 << self.n", "return 1 << self.n - 1")],
+        [f"{ORACLE}::TestTableRead::test_constructor_contract"],
+    ),
+    (
+        "the Betti table constructor accepts a beta_(0,0) other than 1",
+        "oracle.py",
+        [("if v != 1:", "if False:")],
+        [f"{ORACLE}::TestTableRead::test_constructor_contract"],
+    ),
+    (
+        "the Betti table constructor accepts a position beyond j = n",
+        "oracle.py",
+        [("if not 0 <= i <= j <= n:", "if not 0 <= i <= j:")],
+        [f"{ORACLE}::TestTableRead::test_checking_constructor_errors"],
+    ),
+    (
+        "the numerator degree stops at 1, so a single facet's numerator reads degree 1",
+        "invariants.py",
+        [("while d > 0 and not coeffs[d]:", "while d > 1 and not coeffs[d]:")],
+        ["tests/test_invariants.py::TestHilbertFromDecomposition::test_single_simplex"],
     ),
     (
         "the attachment of a facet meets only the facet before it, not the union of all earlier ones",

@@ -24,7 +24,7 @@ from edgering.errors import (
     UnsupportedSizeError,
 )
 from edgering.graphs import Graph, complement, enumerate_labeled, parse_graph6, to_graph6
-from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import hochster_betti
 from edgering.complexes import flag_complex
 from edgering.conjecture import build_family
 from conftest import format_fixture
@@ -177,9 +177,9 @@ class TestSurvey:
         expected_2linear = 0
         for g in enumerate_labeled(4):
             table = hochster_betti(flag_complex(complement(g)))
-            if oracle_is_2linear(table):
+            if table.two_linear:
                 expected_2linear += 1
-                if oracle_pd(table) != max(g.degree(v) for v in range(4)):
+                if table.projective_dimension != max(g.degree(v) for v in range(4)):
                     expected_counterexamples.append(to_graph6(g))
         assert summary["2linear"] == expected_2linear == 61
         assert summary["fails"] == len(expected_counterexamples) == 3
@@ -456,7 +456,7 @@ class TestOracle:
             table = real(n, rows)
             entries = dict(table.entries)
             entries[1, 2] += 1
-            return oracle.OracleBettiTable(entries, table.n, table.subsets_examined)
+            return oracle.OracleBettiTable(entries, table.n)
 
         monkeypatch.setattr(oracle, "_hochster_graph", off_by_one)
         argv = [C4_G6] if source == "graph" else ["--complex", str(CL_COMPLEMENT_CX)]
@@ -601,7 +601,8 @@ class TestBadInputExit2:
             main(["survey", option, value])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == "" and f"argument {option}: invalid _decimal value: {value!r}" in err
+        assert out == "" and "_decimal" not in err
+        assert err.splitlines()[-1] == f"edgering survey: error: argument {option}: invalid int value: {value!r}"
 
     def test_non_ascii_graph6(self, capsys):
         assert main(["analyze", "\u00e9"]) == 2

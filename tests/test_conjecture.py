@@ -15,7 +15,7 @@ from edgering.conjecture import (
 from edgering.cli import main
 from edgering.errors import InternalInvariantError, UndefinedInputError
 from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
-from edgering.oracle import hochster_betti, oracle_pd
+from edgering.oracle import hochster_betti
 from conftest import chordal_graph, random_graph
 
 
@@ -43,7 +43,7 @@ class TestClassify:
 
     def test_k4_oracle_cross_check(self):
         table = hochster_betti(flag_complex(complement(kgraph(4))))
-        assert oracle_pd(table) == classify(kgraph(4)).pd
+        assert table.projective_dimension == classify(kgraph(4)).pd
 
     def test_full_vertex_holds(self, rng):
         # a vertex adjacent to all others is an isolated vertex of the complement
@@ -157,7 +157,7 @@ class TestFamilies:
         for r in (2, 3, 4):
             g = build_family("complete-bipartite", r)
             table = hochster_betti(flag_complex(complement(g)))
-            assert oracle_pd(table) == 2 * r - 1
+            assert table.projective_dimension == 2 * r - 1
 
     def test_barbell_gap_value(self):
         for r in (3, 4, 5):

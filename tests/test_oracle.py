@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from edgering import oracle
 from edgering.complexes import (
@@ -18,7 +19,7 @@ from edgering.complexes import (
 from edgering.errors import ContractViolationError, InternalInvariantError, UnsupportedSizeError
 from edgering.conjecture import checked_strand, formulas
 from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
-from edgering.oracle import hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import hochster_betti
 from conftest import (
     ACYCLIC_LINK_H,
     assert_exact_calls_hold_cores,
@@ -47,13 +48,13 @@ class TestHochsterKnownTables:
     def test_c4_stanley_reisner(self):
         table = hochster_betti(SimplicialComplex.of(4, [[0, 1], [2, 3]]))
         assert table.entries == {(1, 2): 4, (2, 3): 4, (3, 4): 1}
-        assert oracle_pd(table) == 3
+        assert table.projective_dimension == 3
         assert table.subsets_examined == 16
 
     def test_full_simplex(self):
         table = hochster_betti(SimplicialComplex.of(4, [[0, 1, 2, 3]]))
         assert table.entries == {}
-        assert oracle_pd(table) == 0
+        assert table.projective_dimension == 0
         assert table.beta(0, 0) == 1
 
     def test_one_missing_edge(self):
@@ -70,7 +71,7 @@ class TestHochsterKnownTables:
 
     def test_empty_complex(self):
         table = hochster_betti(SimplicialComplex.of(0, []))
-        assert table.entries == {} and oracle_pd(table) == 0
+        assert table.entries == {} and table.projective_dimension == 0
 
     @pytest.mark.parametrize("n, k", [(5, 2), (6, 3), (7, 3), (8, 4), (9, 4), (10, 4), (10, 5)])
     def test_all_k_subsets(self, n, k):
@@ -86,11 +87,11 @@ class TestHochsterKnownTables:
 
 class TestTwoLinearDetection:
     def test_c4_complex_is_2linear(self):
-        assert oracle_is_2linear(hochster_betti(SimplicialComplex.of(4, [[0, 1], [2, 3]])))
+        assert hochster_betti(SimplicialComplex.of(4, [[0, 1], [2, 3]])).two_linear
 
     def test_flag_c5_not_2linear(self):
         c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert not oracle_is_2linear(hochster_betti(flag_complex(c5)))
+        assert not hochster_betti(flag_complex(c5)).two_linear
 
 
 def formula_strand(g, cx):
@@ -108,7 +109,7 @@ class TestOracleVsFormula:
         cx = flag_complex(complement(C4))
         table = hochster_betti(cx)
         assert formula_strand(C4, cx) == table.entries
-        assert oracle_pd(table) == 3
+        assert table.projective_dimension == 3
 
     def test_random_chordal_complements(self, rng):
         hits = 0
@@ -250,11 +251,39 @@ class TestPackedFields:
         assert oracle._hochster_graph(18, h.rows).entries == expected
 
 
+@st.composite
+def betti_entries(draw):
+    """(entries, n) for n = 0..VERTEX_CAP: positions inside and outside
+    0 <= i <= j <= n, (0, 0) among them, with zero, negative and positive
+    values."""
+    n = draw(st.integers(0, oracle.VERTEX_CAP))
+    inside = st.integers(0, n).flatmap(lambda i: st.tuples(st.just(i), st.integers(i, n)))
+    anywhere = st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2))
+    positions = st.one_of(st.just((0, 0)), inside, anywhere)
+    return draw(st.dictionaries(positions, st.integers(-1, 4), max_size=6)), n
+
+
+def constructor_error(entries, n):
+    """The exception class and message that OracleBettiTable(entries, n)
+    must raise, or None: in the given order, a negative value or a nonzero
+    beta_(0,0) other than 1; then, in sorted order, the first nonzero
+    position other than (0, 0) outside 0 <= i <= j <= n."""
+    for position, v in entries.items():
+        if v < 0:
+            return ContractViolationError, f"negative Betti number at {position}"
+        if position == (0, 0) and v not in (0, 1):
+            return ContractViolationError, "beta_(0,0) must be 1"
+    for i, j in sorted(p for p, v in entries.items() if v and p != (0, 0)):
+        if not (0 <= i and i <= j and j <= n):
+            return InternalInvariantError, f"impossible Betti position {(i, j)}"
+    return None
+
+
 def assert_checked_table(table) -> None:
     """The kernel reads its table off the packed sums with no check; the
     public constructor, which checks and sorts, builds the same one from
     the same entries: the same items in the same order, and the same flag."""
-    checked = oracle.OracleBettiTable(dict(table.entries), table.n, table.subsets_examined)
+    checked = oracle.OracleBettiTable(dict(table.entries), table.n)
     assert list(table.items()) == list(checked.items())
     assert table.two_linear is checked.two_linear
     assert (table.n, table.subsets_examined) == (checked.n, checked.subsets_examined)
@@ -273,13 +302,38 @@ class TestTableRead:
         assert_checked_table(table)
         assert table.two_linear
 
+    @settings(max_examples=400, deadline=None)
+    @given(betti_entries())
+    @example(({(0, 0): 2, (1, 2): 3}, 2))
+    @example(({(0, 0): 1, (1, 2): 0, (1, 3): 2, (-1, 1): 1}, 3))
+    def test_constructor_contract(self, drawn):
+        entries, n = drawn
+        error = constructor_error(entries, n)
+        if error is not None:
+            cls, message = error
+            with pytest.raises(cls, match=f"^{re.escape(message)}$"):
+                oracle.OracleBettiTable(entries, n)
+            return
+        table = oracle.OracleBettiTable(entries, n)
+        nonzero = {p: v for p, v in entries.items() if v and p != (0, 0)}
+        assert list(table.entries.items()) == sorted(nonzero.items())
+        assert list(table.items()) == list(table.entries.items())
+        assert table.beta(0, 0) == 1
+        for i, j in entries:
+            if (i, j) != (0, 0):
+                assert table.beta(i, j) == entries[i, j]
+        assert table.projective_dimension == max([i for i, _ in nonzero] + [0])
+        assert table.two_linear == all(j == i + 1 for i, j in nonzero if i >= 1)
+        assert table.subsets_examined == 2 ** n
+        assert table == oracle.OracleBettiTable(dict(reversed(nonzero.items())), n)
+
     def test_checking_constructor_errors(self):
         with pytest.raises(ContractViolationError, match=r"^negative Betti number at \(1, 2\)$"):
-            oracle.OracleBettiTable({(1, 2): -1}, 4, 16)
+            oracle.OracleBettiTable({(1, 2): -1}, 4)
         for position in ((3, 2), (1, 5)):
             message = re.escape(f"impossible Betti position {position}")
             with pytest.raises(InternalInvariantError, match=f"^{message}$"):
-                oracle.OracleBettiTable({(1, 2): 4, position: 1}, 4, 16)
+                oracle.OracleBettiTable({(1, 2): 4, position: 1}, 4)
 
 
 class Unread:

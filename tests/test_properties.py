@@ -36,7 +36,7 @@ from edgering.complexes import (
 from edgering.conjecture import checked_strand, classify, formulas
 from edgering.errors import ContractViolationError, EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
-from edgering.oracle import _graph_step, hochster_betti, oracle_is_2linear, oracle_pd
+from edgering.oracle import _graph_step, hochster_betti
 from conftest import ACYCLIC_LINK_H, chordal_graph, induced, packed_ranks, ref_core_key, ref_hochster_masks
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
@@ -203,12 +203,12 @@ def test_hochster_sum_equals_restriction_homology(c):
 def test_oracle_agrees_with_classify(g):
     table = hochster_betti(flag_complex(complement(g)))
     report = classify(g)
-    assert oracle_is_2linear(table) == report.has_2linear
+    assert table.two_linear == report.has_2linear
     if report.has_2linear:
         facets = _decompose_masks(complement(g))[1]
         rec = formulas(g.n, facets, report.max_deg)
         assert table.entries == checked_strand(rec, g.n, report.max_deg, report.graph6)[1]
-        assert oracle_pd(table) == report.pd
+        assert table.projective_dimension == report.pd
 
 
 @settings(max_examples=5, deadline=None)
