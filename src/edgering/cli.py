@@ -13,9 +13,11 @@ before all output was written), 2 malformed input, 3 size cap exceeded,
 4 not a quasi-forest (for `oracle`, a complex that is not flag), 5 internal
 error (a failed consistency check or a broken internal contract, that is a
 bug, reported as `internal error: ...`).
-The commands compose no answer of their own: `analyze`, `survey` and the
-`match` flag of `oracle` read `conjecture.analyze_record`, imported here
-with `ANALYZE_KEYS`.  The commands compute, print and raise; `main` alone
+The commands compose no answer of their own: each reads the one
+composition, `conjecture._answer`.  `analyze` prints its document,
+`conjecture.analyze_record`; a `survey` line is the thin view
+`survey_record`; and the `match` flag of `oracle` compares its Betti strand
+with the table.  The commands compute, print and raise; `main` alone
 maps an exception to its exit code.  All JSON is emitted with sorted keys
 and stable list orders, so identical inputs and flags produce
 byte-identical output for every --jobs value.
@@ -35,7 +37,7 @@ import sys
 from functools import cache
 
 from . import chordal, complexes, oracle
-from .conjecture import ANALYZE_KEYS, analyze_record
+from .conjecture import ANALYZE_KEYS, _answer, _witness, analyze_record
 from .errors import (
     ContractViolationError,
     InternalInvariantError,
@@ -65,13 +67,16 @@ EXIT_INTERNAL = 5
 
 
 def survey_record(g: Graph) -> dict:
-    """Abbreviated per-line record for surveys."""
-    full = analyze_record(g)
-    keys = ("input", "n", "complement_chordal", "r_min", "pd", "max_deg",
-            "cm", "d_tree", "witness", "gap")
-    rec = {k: full[k] for k in keys}
-    rec["holds"] = full["conjecture_holds"]
-    return rec
+    """The per-line record of a survey, read off `_answer(g)`."""
+    a = _answer(g)
+    f = a.record
+    if f is None:
+        return {"input": a.graph6, "n": g.n, "complement_chordal": False, "r_min": None, "pd": None,
+                "max_deg": a.max_deg, "cm": None, "d_tree": None, "witness": None, "gap": None,
+                "holds": None}
+    return {"input": a.graph6, "n": g.n, "complement_chordal": True, "r_min": f.r_min, "pd": f.pd,
+            "max_deg": a.max_deg, "cm": f.cm, "d_tree": sorted(f.dims, reverse=True) if f.d_tree else None,
+            "witness": _witness(f), "gap": f.pd - a.max_deg, "holds": f.holds}
 
 
 def _print_json(obj) -> None:
@@ -219,15 +224,14 @@ def cmd_oracle(args) -> int:
     # the kernel runs on the rows of H, so the flag complex of a graph's
     # complement, which can have exponentially many facets, is never built
     table = oracle._hochster_graph(h.n, h.rows)
-    strand = [[i, j, v] for (i, j), v in table.items()]
-    betti = analyze_record(g)["betti"]
+    strand = _answer(g).strand
     rec = {
         "n": table.n,
         "subsets_examined": table.subsets_examined,
-        "betti": [[0, 0, 1]] + strand,
+        "betti": [[0, 0, 1]] + [[i, j, v] for (i, j), v in table.items()],
         "pd": table.projective_dimension,
         "two_linear": table.two_linear,
-        "match": None if betti is None else betti == strand,
+        "match": None if strand is None else strand == table.entries,
     }
     _print_json(rec)
     return EXIT_OK

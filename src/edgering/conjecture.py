@@ -6,17 +6,18 @@ edge ring is then the Stanley-Reisner ring of the quasi-forest built from
 the complement's maximal cliques, and pd comes from the closed formula.
 
 `formulas` computes every closed formula for one graph on facet masks and
-returns one `FormulaRecord`, and `checked_strand` checks it.
-`analyze_record` is the one composition of a graph's answer: the facets of
+returns one `FormulaRecord`, and `checked_strand` checks it.  `_answer` is
+the one composition of a graph's answer: the facets of
 `chordal._decompose_masks` on the complement, `formulas` on them and
-`checked_strand` on the record, as one document.  `classify`, `edgering
-analyze`, `survey` and the `match` flag of `edgering oracle` all read that
-document; the sweeps call `formulas` alone and check the record against
-their own references.  The verdict is always the direct comparison
-pd == max_deg.  The structural witness (a free vertex in a facet of size
-r_min + 2 attached to the rest along all of its other vertices) is computed
-independently; witness implies holds is checked, and the converse exercised
-by the sweeps.
+`checked_strand` on the record, as one `_Answer` tuple.  Thin views read it:
+`analyze_record` formats it as the `edgering analyze` document, `classify`
+as a `ConjectureReport`, `cli.survey_record` as a survey line, and the
+`match` flag of `edgering oracle` reads its Betti strand.  The sweeps call
+`formulas` alone and check the record against their own references.  The
+verdict is always the direct comparison pd == max_deg.  The structural
+witness (a free vertex in a facet of size r_min + 2 attached to the rest
+along all of its other vertices) is computed independently; witness implies
+holds is checked, and the converse exercised by the sweeps.
 """
 
 from __future__ import annotations
@@ -146,47 +147,75 @@ ANALYZE_KEYS = (
 )
 
 
-def analyze_record(g: Graph) -> dict:
-    """The full analyze document; formula fields are null when the complement
-    is not chordal."""
+class _Answer(NamedTuple):
+    """A graph's answer: its graph6 and maximum degree, and either the
+    chordless cycle of its complement or the facet masks of the complement's
+    quasi-forest with their checked record, numerator and Betti strand."""
+
+    graph6: str
+    max_deg: int
+    cycle: tuple[int, ...] | None
+    facets: list[int] | None
+    record: FormulaRecord | None
+    numerator: tuple[int, ...] | None
+    strand: dict[tuple[int, int], int] | None
+
+
+def _answer(g: Graph) -> _Answer:
+    """The one composition of a graph's answer: the facets of
+    `chordal._decompose_masks` on the complement, `formulas` on them and
+    `checked_strand` on the record."""
     if g.n < 1:
         raise UndefinedInputError("analysis needs at least one vertex")
-    rec: dict = {key: None for key in ANALYZE_KEYS}
-    rec["n"] = g.n
-    rec["max_deg"] = max_degree(g)
-    rec["notes"] = []
-    rec["input"] = to_graph6(g)
+    max_deg = max_degree(g)
+    graph6 = to_graph6(g)
     res, facets = chordal._decompose_masks(complement(g))
     if facets is None:
-        rec["complement_chordal"] = False
-        rec["chordless_cycle"] = list(res.cycle)
+        return _Answer(graph6, max_deg, res.cycle, None, None, None, None)
+    f = formulas(g.n, facets, max_deg)
+    num, strand = checked_strand(f, g.n, max_deg, graph6)
+    return _Answer(graph6, max_deg, None, facets, f, num, strand)
+
+
+def _witness(f: FormulaRecord) -> dict | None:
+    """The free-vertex witness of a record as a document field."""
+    if f.witness is None:
+        return None
+    facet, vertex = f.witness
+    return {"facet": list(bits(facet)), "vertex": vertex}
+
+
+def analyze_record(g: Graph) -> dict:
+    """The full analyze document of `_answer(g)`; formula fields are null
+    when the complement is not chordal."""
+    a = _answer(g)
+    rec: dict = {key: None for key in ANALYZE_KEYS}
+    rec.update(input=a.graph6, n=g.n, max_deg=a.max_deg, notes=[])
+    f = a.record
+    if f is None:
+        rec.update(complement_chordal=False, chordless_cycle=list(a.cycle))
         return rec
-    f = formulas(g.n, facets, rec["max_deg"])
-    num, betti = checked_strand(f, g.n, rec["max_deg"], rec["input"])
     rec.update(
-        complement_chordal=True, facets=[list(bits(m)) for m in facets], d=list(f.dims),
-        r=list(f.attach_dims), r_min=f.r_min, hilbert_numerator=list(num),
-        betti=[[i, j, v] for (i, j), v in betti.items()], pd=f.pd, depth=f.depth, dim=f.dim, cm=f.cm,
+        complement_chordal=True, facets=[list(bits(m)) for m in a.facets], d=list(f.dims),
+        r=list(f.attach_dims), r_min=f.r_min, hilbert_numerator=list(a.numerator),
+        betti=[[i, j, v] for (i, j), v in a.strand.items()], pd=f.pd, depth=f.depth, dim=f.dim, cm=f.cm,
         d_tree=sorted(f.dims, reverse=True) if f.d_tree else None, conjecture_holds=f.holds,
-        gap=f.pd - rec["max_deg"],
+        gap=f.pd - a.max_deg, witness=_witness(f),
     )
-    if f.witness is not None:
-        facet, vertex = f.witness
-        rec["witness"] = {"facet": list(bits(facet)), "vertex": vertex}
     return rec
 
 
 def classify(g: Graph) -> ConjectureReport:
-    """The verdict of `analyze_record(g)`: pd, maximum degree, gap and witness
+    """The verdict of `_answer(g)`: pd, maximum degree, gap and witness
     when the complement of g is chordal."""
-    rec = analyze_record(g)
-    if not rec["complement_chordal"]:
-        return ConjectureReport(graph6=rec["input"], has_2linear=False)
-    witness = rec["witness"]
+    a = _answer(g)
+    f = a.record
+    if f is None:
+        return ConjectureReport(graph6=a.graph6, has_2linear=False)
     return ConjectureReport(
-        graph6=rec["input"], has_2linear=True, single_facet=len(rec["facets"]) == 1,
-        r_min=rec["r_min"], pd=rec["pd"], max_deg=rec["max_deg"], holds=rec["conjecture_holds"],
-        gap=rec["gap"], witness=witness and (frozenset(witness["facet"]), witness["vertex"]),
+        graph6=a.graph6, has_2linear=True, single_facet=len(a.facets) == 1, r_min=f.r_min, pd=f.pd,
+        max_deg=a.max_deg, holds=f.holds, gap=f.pd - a.max_deg,
+        witness=f.witness and (frozenset(bits(f.witness[0])), f.witness[1]),
     )
 
 

@@ -4,15 +4,20 @@ Vertices are 0-indexed.  Adjacency is stored as one int per vertex whose bit u
 is set iff {v, u} is an edge, so edge membership and neighbor sets are O(1)
 bit operations.  Graphs are immutable and safe to share between workers.
 
-The graph6 codecs and the symmetry check of `Graph` do their bit work at C
-level on strings of '0'/'1': a row is `format`ted into a string or read back
-with `int(..., 2)`, and column v of an n x n matrix held as one string of n*n
-characters is its stride slice [v::n], so no Python loop runs per bit.
-graph6 packs six bits per byte as base64 does, so `binascii` and a
-`bytes.translate` of the alphabet turn bytes into that string and back.  A
-graph parsed from graph6 with zero padding bits keeps the stripped text, its
-canonical encoding, for `to_graph6` to echo; it is held outside the dataclass
-fields, so equality, hash and repr ignore it.
+No Python loop runs per bit.  An edge mask in graph6 column order decodes
+to rows in `rows_from_edge_mask`: row v below the diagonal is one shift and
+mask of the edge mask, and the part above it is the transpose of those lower
+rows, taken as one 64 x 64 bit matrix by `_transpose64` in six rounds of
+block swaps on a single 4096-bit int (Warren, Hacker's Delight, 7-3), so
+the decoder assumes n <= 64.  graph6 packs six bits per byte as base64
+does, so `binascii` and a `bytes.translate` of the alphabet turn its bit
+section into bytes, and `parse_graph6` reads those, last bit first, as the
+edge mask.  The encoder and the symmetry check of `Graph` still work at C
+level on strings of '0'/'1': a row is `format`ted into a string, and column
+v of an n x n matrix held as one string of n*n characters is its stride
+slice [v::n].  A graph parsed from graph6 with zero padding bits keeps the
+stripped text, its canonical encoding, for `to_graph6` to echo; it is held
+outside the dataclass fields, so equality, hash and repr ignore it.
 
 Supported interchange formats:
   * graph6 (short form only, n <= 62): leading byte n+63, then the upper
@@ -24,6 +29,7 @@ Supported interchange formats:
 from __future__ import annotations
 
 import os
+import struct
 from binascii import a2b_base64, b2a_base64
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -39,6 +45,20 @@ _GRAPH6_BYTES = bytes(range(63, 127))
 _BASE64_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_BYTES)
 _FROM_BASE64 = bytes.maketrans(_BASE64_BYTES, _GRAPH6_BYTES)
+# byte b <-> b with its eight bits in reverse order
+_REVERSED_BITS = bytes([int(f"{b:08b}"[::-1], 2) for b in range(256)])
+
+# one round of `_transpose64` per bit j of a row or column index: (63j, the
+# positions 64r + c with bit j clear in r and set in c, that is the columns'
+# pattern times a 1 at bit 64r of each such row)
+_TRANSPOSE_ROUNDS = tuple(
+    (63 * j, sum(1 << c for c in range(64) if c & j) * sum(1 << 64 * r for r in range(64) if not r & j))
+    for j in (32, 16, 8, 4, 2, 1)
+)
+# row v below the diagonal is `mask >> at & low` of an edge mask
+_LOWER_PARTS = tuple((v * (v - 1) // 2, (1 << v) - 1) for v in range(64))
+# k rows <-> the bytes of the low 64k bits of a bit matrix held as one int
+_WORDS = [struct.Struct(f"<{k}Q") for k in range(65)]
 
 
 @dataclass(frozen=True)
@@ -92,7 +112,7 @@ class Graph:
         """Graph whose edges are the set bits of `mask` in graph6 column order."""
         if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
             raise MalformedInputError(f"edge mask {mask} outside 0..2^{n * (n - 1) // 2} - 1 for n={n}")
-        return cls(n, tuple(rows_from_edge_mask(n, mask)))
+        return _valid_graph(n, tuple(rows_from_edge_mask(n, mask)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -122,18 +142,27 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def rows_from_edge_mask(n: int, mask: int) -> list[int]:
-    """Adjacency rows for an edge bitmask in column order (0,1),(0,2),(1,2),...;
-    column v is row v below the diagonal, and each of its bits u sets bit v of row u."""
-    rows = [0] * n
-    i = 0
-    for v in range(1, n):
-        rows[v] = col = mask >> i & ((1 << v) - 1)
-        i += v
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= 1 << v
-            col ^= low
-    return rows
+    """Adjacency rows for an edge bitmask in column order (0,1),(0,2),(1,2),...,
+    for n <= 64: column v is row v below the diagonal, and the parts above it
+    are the transpose of those lower parts.  The rows are symmetric,
+    loop-free and in range by construction."""
+    words = _WORDS[n]
+    lower = int.from_bytes(words.pack(*[mask >> at & low for at, low in _LOWER_PARTS[:n]]), "little")
+    return list(words.unpack((lower | _transpose64(lower)).to_bytes(8 * n, "little")))
+
+
+def _transpose64(x: int) -> int:
+    """The transpose of a 64 x 64 bit matrix held as one int, bit c of row r
+    at 64r + c.
+
+    Transposing swaps each bit of r with the same bit of c.  For bit j, that
+    exchanges the positions with j clear in r and set in c with those 63j
+    above them, one delta swap of five int operations.
+    """
+    for shift, block in _TRANSPOSE_ROUNDS:
+        t = (x ^ x >> shift) & block
+        x ^= t ^ t << shift
+    return x
 
 
 def parse_graph6(text: str | bytes) -> Graph:
@@ -159,21 +188,13 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise MalformedInputError(
             f"bit section has {len(data) - 1} bytes, expected {nbytes} for n={n}"
         )
-    # column v is the v bits (0,v),(1,v),..,(v-1,v): bit u of row v below the
-    # diagonal.  Padded to n and joined into t, the stride slice t[v::n] is
-    # the bits above it, here read from u = n-1 down.  The body, zero-padded
-    # to whole base64 quanta of 24 bits, decodes to the bit string s at C level.
+    # bit i of the edge mask is bit i of the bit section: reversing the bits
+    # of each byte and then their order puts it there.  The body is first
+    # zero-padded to whole base64 quanta of 24 bits; those bits, and the
+    # padding bits of graph6, land above the mask.
     body = data[1:].translate(_TO_BASE64) + b"A" * (-nbytes % 4)
-    raw = a2b_base64(body)
-    s = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    pad = "0" * n
-    cols = [s[v * (v - 1) // 2 : v * (v + 1) // 2] + pad[v:] for v in range(n)]
-    t = "".join(cols)
-    last = n * n - n
-    # row v is col v below the diagonal and the bits (v, u), u > v, above
-    # it, so the rows are symmetric, loop-free and in range by construction
-    rows = [int(col[::-1], 2) | int(t[last + v :: -n], 2) for v, col in enumerate(cols)]
-    g = _valid_graph(n, tuple(rows))
+    mask = int.from_bytes(a2b_base64(body).translate(_REVERSED_BITS), "little") & (1 << nbits) - 1
+    g = _valid_graph(n, tuple(rows_from_edge_mask(n, mask)))
     if (data[-1] - 63) & ((1 << 6 * nbytes - nbits) - 1) == 0:
         # zero padding bits: the canonical encoding of g, which `to_graph6` echoes
         g.__dict__["_graph6"] = data.decode("ascii")
@@ -231,7 +252,7 @@ def complement(g: Graph) -> Graph:
     construction, so the checks of `Graph.__post_init__` are not re-run.
     """
     full = (1 << g.n) - 1
-    return _valid_graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.rows)))
+    return _valid_graph(g.n, tuple([full ^ 1 << v ^ row for v, row in enumerate(g.rows)]))
 
 
 def _valid_graph(n: int, rows: tuple[int, ...]) -> Graph:

@@ -23,7 +23,7 @@ those rows too: `_clique_counts` counts the cliques of the complement by
 size without listing them, so it shares no facet with the record.
 `_check` works on the labeled complement: it takes the facets of `chordal`
 (the maximal cliques in MCS order) and hands them to `conjecture.formulas`,
-the one function that `conjecture.analyze_record` also calls, so it
+the one function that `conjecture._answer` also calls, so it
 computes no formula of its own; it compares the record's fields with the
 references, with the Betti numbers read off the record's numerator held
 to the oracle's table, and returns the violated kinds, adding a 2-linear

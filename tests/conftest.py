@@ -4,12 +4,15 @@ The checkers are deliberately written set-based and naively, without reusing
 the package's bitmask machinery, so that library results are checked against
 genuinely independent code paths.  The `ref_*` functions at the end are the
 straightforward earlier forms of the hot-path kernels (linear-scan search,
-an induced-cycle walk over the vertex subsets, bit-by-bit graph6, one add
+an induced-cycle walk over the vertex subsets, bit-by-bit graph6, edge
+masks and bit-matrix transposes, one add
 per facet, pairwise frozenset checks, a Kruskal clique forest walked in
 preorder, a Hochster sum that keys every subset and folds a missed key to
 its core, dense Bareiss elimination for exact rank);
 the property tests require the package's kernels to agree with them exactly,
 or, for the facet order, on everything but the order within a component.
+`graphs` is the Hypothesis strategy of mixed random graphs that several
+test modules draw from.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from itertools import combinations, permutations
 from unittest.mock import patch
 
 import pytest
+from hypothesis import strategies as st
 
 from edgering.complexes import (
     SimplicialComplex,
@@ -34,7 +38,7 @@ from edgering.errors import (
     InternalInvariantError,
     MalformedInputError,
 )
-from edgering.graphs import Graph, bits
+from edgering.graphs import MAX_VERTICES, Graph, bits, complement
 from edgering.invariants import one_minus_t_pow
 
 
@@ -170,6 +174,23 @@ def chordal_graph(rng: random.Random, n: int, full_p: float, components: int) ->
     return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
+@st.composite
+def graphs(draw, max_n=MAX_VERTICES, min_n=0):
+    """A graph on min_n..max_n vertices: G(n, p) for p in {1/2, 1/4, 1/8},
+    or a chordal graph or its complement."""
+    n = draw(st.integers(min_n, max_n))
+    kind = draw(st.sampled_from(["gnp", "chordal", "cochordal"]))
+    if kind == "gnp" or n < 2:
+        width = n * (n - 1) // 2
+        mask = draw(st.integers(0, (1 << width) - 1))
+        for _ in range(draw(st.integers(0, 2))):
+            mask &= draw(st.integers(0, (1 << width) - 1))
+        return Graph.from_edge_mask(n, mask)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = chordal_graph(rng, n, draw(st.sampled_from([0.2, 0.5, 0.9])), draw(st.integers(1, min(n, 4))))
+    return g if kind == "chordal" else complement(g)
+
+
 def random_quasi_forest_facets(
     rng: random.Random, max_n: int = 10, stop: float = 0.25
 ) -> list[frozenset[int]]:
@@ -237,6 +258,25 @@ def ref_has_long_induced_cycle(n: int, rows) -> bool:
             if reached == s:
                 return True
     return False
+
+
+def ref_rows_from_edge_mask(n: int, mask: int) -> list[int]:
+    """Adjacency rows of an edge mask in graph6 column order, one bit at a time."""
+    rows = [0] * n
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if mask >> i & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            i += 1
+    return rows
+
+
+def ref_transpose64(x: int) -> int:
+    """The transpose of a 64 x 64 bit matrix held as one int, bit c of row r
+    at 64r + c, one bit at a time."""
+    return sum(1 << 64 * c + r for r in range(64) for c in range(64) if x >> 64 * r + c & 1)
 
 
 def ref_graph6_rows(data: bytes) -> list[int]:

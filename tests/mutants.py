@@ -209,14 +209,13 @@ MUTANTS = [
     (
         "the oracle's match flag is true wherever the formulas apply, whatever the table",
         "cli.py",
-        [('"match": None if betti is None else betti == strand,', '"match": betti is not None,')],
+        [('"match": None if strand is None else strand == table.entries,', '"match": strand is not None,')],
         ["tests/test_cli.py::TestOracle::test_mismatched_table_is_match_false"],
     ),
     (
-        "classify drops the free-vertex witness of the analyze record",
+        "classify drops the free-vertex witness of the answer",
         "conjecture.py",
-        [('gap=rec["gap"], witness=witness and (frozenset(witness["facet"]), witness["vertex"]),',
-          'gap=rec["gap"],')],
+        [("witness=f.witness and (frozenset(bits(f.witness[0])), f.witness[1]),", "")],
         ["tests/test_conjecture.py::TestFormulaRecord::test_consistency"],
     ),
     (
@@ -228,9 +227,20 @@ MUTANTS = [
     (
         "the graph6 decoder drops the bits above the diagonal, so its rows are not symmetric",
         "graphs.py",
-        [("rows = [int(col[::-1], 2) | int(t[last + v :: -n], 2) for v, col in enumerate(cols)]",
-          "rows = [int(col[::-1], 2) for v, col in enumerate(cols)]")],
+        [("(lower | _transpose64(lower)).to_bytes", "lower.to_bytes")],
         ["tests/test_kernels.py::test_graph6_decodes_to_valid_rows"],
+    ),
+    (
+        "the bit-matrix transpose skips its round for bit 0 of the row and column indices",
+        "graphs.py",
+        [("for j in (32, 16, 8, 4, 2, 1)", "for j in (32, 16, 8, 4, 2)")],
+        ["tests/test_kernels.py::test_transpose64_matches_bitwise"],
+    ),
+    (
+        "the answer skips `checked_strand`, so a survey line is never checked",
+        "conjecture.py",
+        [("num, strand = checked_strand(f, g.n, max_deg, graph6)", "num, strand = f.numerator, {}")],
+        ["tests/test_cli.py::TestSurvey::test_line_runs_the_strand_check"],
     ),
 ]
 

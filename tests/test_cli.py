@@ -216,6 +216,21 @@ class TestSurvey:
         assert main(["survey", "--jobs", "1"]) == 5
         assert capsys.readouterr().err == "internal error: simulated contract bug\n"
 
+    def test_line_runs_the_strand_check(self, monkeypatch, capsys):
+        """A survey line reads none of the numerator or the strand, but its
+        record is checked as analyze's is: a CM flag that disagrees with
+        depth = dim is an internal error."""
+        real = conjecture.formulas
+
+        def flipped(*args):
+            rec = real(*args)
+            return rec._replace(cm=not rec.cm)
+
+        monkeypatch.setattr(conjecture, "formulas", flipped)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(K4_G6 + "\n"))
+        assert main(["survey", "--jobs", "1"]) == 5
+        assert capsys.readouterr() == ("", "internal error: CM structural test disagrees with depth = dim\n")
+
     def test_streams_stdin(self, monkeypatch):
         out = io.StringIO()
         stdout_at_read = []

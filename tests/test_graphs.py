@@ -17,7 +17,7 @@ from edgering.graphs import (
     parse_graph6,
     to_graph6,
 )
-from conftest import raised, random_graph, ref_check_rows
+from conftest import raised, random_graph, ref_check_rows, ref_rows_from_edge_mask
 
 
 def k(n):
@@ -198,6 +198,19 @@ class TestValidation:
     def test_edge_mask_out_of_range(self, n, mask):
         with pytest.raises(MalformedInputError, match="edge mask"):
             Graph.from_edge_mask(n, mask)
+
+    def test_edge_mask_graph_is_the_checked_graph(self):
+        """`from_edge_mask` builds its graph without the checks of `Graph`:
+        on every mask for n <= 5 and on sampled masks for n = 6 and 7, the
+        rows are the bitwise decoding, which `Graph` accepts into an equal
+        graph with the same hash and repr."""
+        rng = random.Random(67)
+        masks = [(n, mask) for n in range(6) for mask in range(1 << n * (n - 1) // 2)]
+        masks += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in (6, 7) for _ in range(500)]
+        for n, mask in masks:
+            g = Graph.from_edge_mask(n, mask)
+            checked = Graph(n, tuple(ref_rows_from_edge_mask(n, mask)))
+            assert type(g) is Graph and g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
 
     def test_edge_mask_extremes(self):
         assert Graph.from_edge_mask(3, 7) == k(3)

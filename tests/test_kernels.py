@@ -1,8 +1,9 @@
 """The hot-path kernels against their reference forms in conftest: bucket
-maximum cardinality search, string-level graph6 (and the canonical text a
-parsed graph echoes), the grouped Hilbert numerator, and the incidence-mask
-checks of a quasi-forest decomposition, both in its constructor and on
-facet masks, on facet lists up to survey size.  Each must agree exactly, down
+maximum cardinality search, the edge-mask decoder and its bit-matrix
+transpose, graph6 (and the canonical text a parsed graph echoes), the
+grouped Hilbert numerator, and the incidence-mask checks of a quasi-forest
+decomposition, both in its constructor and on facet masks, on facet lists
+up to survey size.  Each must agree exactly, down
 to the exception class and message.  The facet order of `decompose` (MCS
 completion order) is held to the Kruskal clique forest on everything but
 the order within a component.  The Hochster
@@ -39,6 +40,7 @@ from edgering.graphs import (
     GRAPH6_HEADER,
     MAX_VERTICES,
     Graph,
+    _transpose64,
     bits,
     complement,
     parse_graph6,
@@ -50,6 +52,7 @@ from conftest import (
     NON_FLAG_COMPLEXES,
     assert_exact_calls_hold_cores,
     chordal_graph,
+    graphs,
     raised,
     random_quasi_forest_facets,
     recording_exact_calls,
@@ -61,27 +64,12 @@ from conftest import (
     ref_graph6_rows,
     ref_numerator,
     ref_quasi_forest_masks,
+    ref_rows_from_edge_mask,
     ref_to_graph6,
+    ref_transpose64,
     restriction_sum,
     sparse_rows,
 )
-
-
-@st.composite
-def graphs(draw, max_n=MAX_VERTICES):
-    """A graph on 0..max_n vertices: G(n, p) for p in {1/2, 1/4, 1/8}, or a
-    chordal graph or its complement."""
-    n = draw(st.integers(0, max_n))
-    kind = draw(st.sampled_from(["gnp", "chordal", "cochordal"]))
-    if kind == "gnp" or n < 2:
-        width = n * (n - 1) // 2
-        mask = draw(st.integers(0, (1 << width) - 1))
-        for _ in range(draw(st.integers(0, 2))):
-            mask &= draw(st.integers(0, (1 << width) - 1))
-        return Graph.from_edge_mask(n, mask)
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    g = chordal_graph(rng, n, draw(st.sampled_from([0.2, 0.5, 0.9])), draw(st.integers(1, min(n, 4))))
-    return g if kind == "chordal" else complement(g)
 
 
 @settings(max_examples=400, deadline=None)
@@ -140,6 +128,27 @@ def test_graph6_decodes_to_valid_rows(data):
     checked = Graph(g.n, g.rows)
     assert list(g.rows) == ref_graph6_rows(data)
     assert type(g) is Graph and g == checked and hash(g) == hash(checked) and repr(g) == repr(checked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=64, max_size=64))
+def test_transpose64_matches_bitwise(words):
+    x = sum(w << 64 * r for r, w in enumerate(words))
+    assert _transpose64(x) == ref_transpose64(x)
+    assert _transpose64(_transpose64(x)) == x
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[st.integers(0, (1 << n * (n - 1) // 2) - 1) for n in range(MAX_VERTICES + 1)]),
+       st.integers(0, 2))
+def test_edge_mask_decoder_matches_bitwise(masks, thinning):
+    """One mask for every n from 0 to 62, thinned by shifted copies of
+    itself so that sparse rows come up too."""
+    for n, mask in enumerate(masks):
+        for k in range(thinning):
+            mask &= mask >> k + 1
+        rows = rows_from_edge_mask(n, mask)
+        assert type(rows) is list and rows == ref_rows_from_edge_mask(n, mask)
 
 
 def test_graph6_every_size():

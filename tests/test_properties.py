@@ -4,8 +4,9 @@ complement against networkx as one more independent recognizer, the deletion
 of a dominated vertex, or of a vertex with an acyclic link in a flag complex,
 against uncollapsed homology, the Hochster oracle against a sum over
 restricted complexes and against the closed formulas, pd and the verdict
-against the vertex connectivity of the complement, and the CLI on random
-argument lists."""
+against the vertex connectivity of the complement, a survey line against
+its projection of the analyze document, and the CLI on random argument
+lists."""
 
 import contextlib
 import io
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from edgering.chordal import _decompose_masks
-from edgering.cli import analyze_record, main
+from edgering.cli import analyze_record, main, survey_record
 from edgering.complexes import (
     SimplicialComplex,
     _canonical_facets,
@@ -38,6 +39,7 @@ from edgering.errors import ContractViolationError, EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.oracle import _graph_step, hochster_betti
 from conftest import ACYCLIC_LINK_H, chordal_graph, induced, packed_ranks, ref_core_key, ref_hochster_masks
+from conftest import graphs as mixed_graphs
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
 
@@ -282,6 +284,23 @@ def cli_runs(draw):
         argv.append("--bogus")
     stdin = "\n".join(draw(st.lists(st.sampled_from(GRAPH6_VALUES[:12]), max_size=4)))
     return argv, stdin
+
+
+SURVEY_KEYS = ("input", "n", "complement_chordal", "r_min", "pd", "max_deg", "cm", "d_tree", "witness", "gap")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs(min_n=1))
+def test_survey_line_is_the_projection_of_analyze(g):
+    """A survey line, read off the answer on its own, is the projection of
+    the analyze document that surveys printed before: ten of its keys and
+    conjecture_holds as holds."""
+    full = analyze_record(g)
+    expected = {k: full[k] for k in SURVEY_KEYS}
+    expected["holds"] = full["conjecture_holds"]
+    line = survey_record(g)
+    assert line == expected
+    assert json.dumps(line, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 @settings(max_examples=150, deadline=None)
