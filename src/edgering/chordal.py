@@ -1,15 +1,19 @@
 """Chordality recognition with certificates and quasi-forest decompositions.
 
-Recognition runs maximum cardinality search (ties broken toward the lowest
-vertex index) in its bucket form, O(n·Δ) word operations for maximum degree
-Δ, and verifies the reversed visit order as a perfect elimination ordering.
-When it is not one, a single search finds a chordless cycle: it walks the
-PEO violations (v, x, y) in the order the test meets them and returns v
-with the first shortest x-y path through later vertices not adjacent to v.
-Some violation always has such a path, for any elimination order: the
-first-eliminated vertex v of any chordless cycle C has two later,
-non-adjacent neighbours on C, and the rest of C joins them through later
-vertices not adjacent to v.  The cycle is re-checked in O(k) mask
+Recognition is one loop, `_mcs`: maximum cardinality search (ties broken
+toward the lowest vertex index) in its bucket form, O(n·Δ) word operations
+for maximum degree Δ, which tests as it visits each vertex that its
+earlier-visited neighbours form a clique, the perfect elimination test of
+the reversed visit order (zero fill-in, Tarjan & Yannakakis 1984).  A
+caller that needs only chordal-or-not and the PEO stops at the first
+failure.  The certificate path, `is_chordal`, runs the search to the end
+and, when the order is no PEO, finds a chordless cycle in one search: it
+walks the PEO violations (v, x, y) in the order the test meets them and
+returns v with the first shortest x-y path through later vertices not
+adjacent to v.  Some violation always has such a path, for any elimination
+order: the first-eliminated vertex v of any chordless cycle C has two
+later, non-adjacent neighbours on C, and the rest of C joins them through
+later vertices not adjacent to v.  The cycle is re-checked in O(k) mask
 operations before it is returned.
 
 Facets come in the order the search completes them as maximal cliques:
@@ -19,16 +23,22 @@ with attachment dimension -1 whenever a new connected component starts.
 Components come in order of their smallest vertex, and the first facet is
 the lexicographically smallest maximal clique containing vertex 0.
 
-`_decompose_masks` (one MCS, maximal cliques read off its verified PEO in
-that order) is the one route from a graph to facet masks, which every
-per-graph caller reads as they are; only the public `decompose` builds a
-frozenset `QuasiForestDecomposition`.  Both forms pass one checker,
-`_check_facet_masks`, in O(sum |F_i|).
+Two routes lead from a graph to those facet masks, both through one MCS
+and the maximal cliques read off its verified PEO: `_facet_masks`, which
+builds no certificate and which every per-graph answer reads, and
+`_decompose_masks`, which also returns the certificate and serves
+`decompose`, `edgering decompose` and the complex recognizer; only the
+public `decompose` builds a frozenset `QuasiForestDecomposition`.  Every
+facet list passes one checker, `_check_facet_masks`, in O(k log k) word
+operations on its prefix unions and attachments.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import and_, or_
 from typing import Sequence
 
 from .errors import ContractViolationError, InternalInvariantError, UndefinedInputError
@@ -52,8 +62,10 @@ class NotChordal:
 ChordalityResult = Chordal | NotChordal
 
 
-def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
-    """Maximum cardinality search, ties broken toward the lowest vertex index.
+def _mcs(n: int, rows: Sequence[int], whole: bool = False) -> tuple[list[int], bool]:
+    """Maximum cardinality search, ties broken toward the lowest vertex
+    index, fused with the perfect elimination test of its reversed order:
+    (visit order, is a PEO).
 
     Bucket form (Tarjan & Yannakakis, SIAM J. Comput. 13, 1984): buckets[w]
     is the mask of unvisited vertices of weight w.  Each step visits the
@@ -61,11 +73,19 @@ def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
     neighbours up one bucket, one AND/XOR/OR per bucket from the top down
     until none is left: at most Δ + 1 bucket operations per visit, so a
     search costs O(n·Δ) word operations.
+
+    A vertex's weight is its number of earlier-visited neighbours, which
+    are its later neighbours in the reversed order; the order is a PEO
+    exactly when each such set is a clique, tested as the vertex is visited
+    in one mask operation per member.  The search stops at the first vertex
+    that fails and returns the order so far, unless `whole` is set: the
+    certificate path of `is_chordal` then runs it to the end, untested.
     """
     order = []
     buckets = [0] * (n + 1)
     buckets[0] = unvisited = (1 << n) - 1
     top = 0
+    peo = True
     for _ in range(n):
         while not buckets[top]:
             top -= 1
@@ -74,6 +94,17 @@ def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
         v = low.bit_length() - 1
         order.append(v)
         unvisited ^= low
+        if peo and top > 1:
+            # each earlier neighbour x must be adjacent to the ones above it
+            m = rows[v] & ~unvisited
+            while m & m - 1:
+                x = m & -m
+                m ^= x
+                if m & ~rows[x.bit_length() - 1]:
+                    if not whole:
+                        return order, False
+                    peo = False
+                    break
         m = rows[v] & unvisited
         if m:
             w = top
@@ -85,23 +116,7 @@ def _mcs_order(n: int, rows: Sequence[int]) -> list[int]:
                     buckets[w + 1] |= moved
                     m ^= moved
                 w -= 1
-    return order
-
-
-def _is_peo(n: int, rows: Sequence[int], elim: Sequence[int]) -> bool:
-    """Is `elim` a perfect elimination ordering: are the later neighbours of
-    every vertex a clique?"""
-    remaining = (1 << n) - 1
-    for v in elim:
-        remaining ^= 1 << v
-        lm = rows[v] & remaining
-        m = lm
-        while m:
-            low = m & -m
-            m ^= low
-            if lm & ~rows[low.bit_length() - 1] & ~low:
-                return False
-    return True
+    return order, peo
 
 
 def _bfs_path(rows: Sequence[int], allowed: int, s: int, t: int) -> list[int] | None:
@@ -189,10 +204,11 @@ def _normalize_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 def is_chordal(g: Graph) -> ChordalityResult:
     """Chordality with a verified certificate either way: the reversed MCS
     order if it passes the PEO test, else the chordless cycle that
-    `_chordless_cycle` finds from that order's violations."""
+    `_chordless_cycle` finds from the violations of the whole order."""
     n, rows = g.n, g.rows
-    elim = _mcs_order(n, rows)[::-1]
-    if _is_peo(n, rows, elim):
+    order, peo = _mcs(n, rows, whole=True)
+    elim = order[::-1]
+    if peo:
         return Chordal(tuple(elim))
     cycle = _chordless_cycle(n, rows, elim)
     if not _is_chordless_cycle(rows, cycle):
@@ -238,45 +254,53 @@ def _attach_dims(facets: Sequence[int]) -> list[int]:
 def _check_facet_masks(facets: Sequence[int], n: int) -> None:
     """Check a quasi-forest ordering of facet masks over positions 0..n-1:
     at least one facet, none empty, inclusion-free, each attachment inside a
-    single earlier facet, each facet adding a vertex, the union all n vertices.
-    One pass in O(sum |F_i|) on inc[v], the mask of the facets that hold v,
-    and the union of the earlier facets: F_i is inclusion-free iff its inc
-    masks AND to 1 << i, and its attachment F_i & union lies in one earlier
-    facet iff theirs share a bit below i."""
+    single earlier facet, each facet adding a vertex, the union all n
+    vertices; else raise the first fault in facet order.
+
+    Decided in O(k log k) word operations on the prefix unions U_t = F_0 |
+    ... | F_t and the attachments A_i = F_i & U_(i-1), i >= 1.  A list of
+    nonempty facets with union 0..n-1 passes all the checks iff
+      (a) each A_i lies in F_q, q = min{t : A_i <= U_t} (a bisection, since
+          A_i & U_t grows with t), and
+      (b) no A_i equals a facet.
+    Proof.  For a valid list, (b) holds: A_i = F_j puts F_j inside F_i, or
+    for j = i says F_i adds no vertex.  (a) holds: A_i lies in some earlier
+    F_p, and p >= q since A_i <= F_p <= U_p.  If p > q, then A_i <= F_p & U_q
+    <= A_p, which lies in an earlier facet again; this descends to p = q.
+    Conversely, (a) puts each attachment in an earlier facet, and (b) with
+    j = i makes each facet add a vertex.  A facet inside an earlier one is
+    its own attachment.  A facet F_a inside a later F_b lies in A_b, so in
+    F_q with q < b: either A_b = F_a, or F_a lies in F_q and the argument
+    repeats on q.  Both end at an attachment equal to a facet, against (b).
+
+    Only a rejected list pays for the ordered walk that names its first
+    fault, in O(k^2) mask operations.
+    """
+    unions = list(accumulate(facets, or_))
+    if facets and all(facets) and unions[-1] == (1 << n) - 1:
+        atts = list(map(and_, facets[1:], unions))
+        if set(facets).isdisjoint(atts) and not any(
+            a & ~facets[bisect_left(unions, a, 0, i, key=a.__and__)] for i, a in enumerate(atts, 1)
+        ):
+            return
     if not facets:
         raise ContractViolationError("a quasi-forest has at least one facet")
-    inc = [0] * max(map(int.bit_length, facets))
-    for i, f in enumerate(facets):
-        while f:
-            low = f & -f
-            inc[low.bit_length() - 1] |= 1 << i
-            f ^= low
     union = 0
     for i, f in enumerate(facets):
         if not f:
             raise ContractViolationError("empty facet")
-        common = -1
-        m = f
-        while m:
-            low = m & -m
-            common &= inc[low.bit_length() - 1]
-            m ^= low
-        if common != 1 << i:
+        if any(not f & ~g for j, g in enumerate(facets) if j != i):
             raise ContractViolationError("facets must be inclusion-free")
         if i:
             att = f & union
             if att == f:
                 raise InternalInvariantError("facet adds no new vertex")
-            common = (1 << i) - 1
-            while att:
-                low = att & -att
-                common &= inc[low.bit_length() - 1]
-                att ^= low
-            if not common:
+            if all(att & ~g for g in facets[:i]):
                 raise ContractViolationError("attachment is not a face of a single earlier facet")
         union |= f
     if union != (1 << n) - 1:
         raise InternalInvariantError("vertex count does not match facet union")
+    raise InternalInvariantError("the facet check rejects a valid quasi-forest ordering")
 
 
 @dataclass(frozen=True)
@@ -315,6 +339,21 @@ class QuasiForestDecomposition:
         return min(self.attach_dims) if self.attach_dims else None
 
 
+def _checked_facets(n: int, rows: Sequence[int], elim: Sequence[int]) -> list[int]:
+    """`_clique_masks_from_peo`, checked by `_check_facet_masks`."""
+    facets = _clique_masks_from_peo(n, rows, elim)
+    _check_facet_masks(facets, n)
+    return facets
+
+
+def _facet_masks(g: Graph) -> list[int] | None:
+    """The facet masks of the flag complex of g in MCS order, checked, when
+    g is chordal, else None: the search stops at its first non-clique
+    neighbourhood and no certificate is built.  g has a vertex."""
+    order, peo = _mcs(g.n, g.rows)
+    return _checked_facets(g.n, g.rows, order[::-1]) if peo else None
+
+
 def _decompose_masks(g: Graph) -> tuple[ChordalityResult, list[int] | None]:
     """`decompose` on masks: the chordality certificate of g and, when g is
     chordal, its facet masks in MCS order, checked by `_check_facet_masks`."""
@@ -323,9 +362,7 @@ def _decompose_masks(g: Graph) -> tuple[ChordalityResult, list[int] | None]:
     res = is_chordal(g)
     if isinstance(res, NotChordal):
         return res, None
-    facets = _clique_masks_from_peo(g.n, g.rows, res.peo)
-    _check_facet_masks(facets, g.n)
-    return res, facets
+    return res, _checked_facets(g.n, g.rows, res.peo)
 
 
 def decompose(g: Graph) -> tuple[ChordalityResult, QuasiForestDecomposition | None]:

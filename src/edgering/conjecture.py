@@ -8,11 +8,15 @@ the complement's maximal cliques, and pd comes from the closed formula.
 `formulas` computes every closed formula for one graph on facet masks and
 returns one `FormulaRecord`, and `checked_strand` checks it.  `_answer` is
 the one composition of a graph's answer: the facets of
-`chordal._decompose_masks` on the complement, `formulas` on them and
-`checked_strand` on the record, as one `_Answer` tuple.  Thin views read it:
-`analyze_record` formats it as the `edgering analyze` document, `classify`
-as a `ConjectureReport`, `cli.survey_record` as a survey line, and the
-`match` flag of `edgering oracle` reads its Betti strand.  The sweeps call
+`chordal._facet_masks` on the complement, `formulas` on them and
+`checked_strand` on the record, as one `_Answer` tuple.  It reads only
+chordal-or-not and the PEO, so a complement that is not chordal costs an
+MCS that stops at its first non-clique neighbourhood, and no chordless
+cycle.  Thin views read it: `analyze_record` formats it as the `edgering
+analyze` document, asking `chordal.is_chordal` for the cycle of a
+complement that is not chordal, `classify` as a `ConjectureReport`,
+`cli.survey_record` as a survey line, and the `match` flag of `edgering
+oracle` reads its Betti strand.  The sweeps call
 `formulas` alone and check the record against their own references.  The
 verdict is always the direct comparison pd == max_deg.  The structural
 witness (a free vertex in a facet of size r_min + 2 attached to the rest
@@ -106,7 +110,7 @@ class FormulaRecord(NamedTuple):
 def formulas(n: int, facets: list[int], max_deg: int) -> FormulaRecord:
     """The record of a graph G of maximum degree max_deg on n vertices, from
     the facet masks of its complement's quasi-forest in a quasi-forest
-    ordering, such as the MCS order of `chordal._decompose_masks`.
+    ordering, such as the MCS order of `chordal._facet_masks`.
 
     The one place that composes the `invariants` formulas and the witness.
     """
@@ -148,13 +152,12 @@ ANALYZE_KEYS = (
 
 
 class _Answer(NamedTuple):
-    """A graph's answer: its graph6 and maximum degree, and either the
-    chordless cycle of its complement or the facet masks of the complement's
-    quasi-forest with their checked record, numerator and Betti strand."""
+    """A graph's answer: its graph6 and maximum degree and, when its
+    complement is chordal, the facet masks of the complement's quasi-forest
+    with their checked record, numerator and Betti strand, else None."""
 
     graph6: str
     max_deg: int
-    cycle: tuple[int, ...] | None
     facets: list[int] | None
     record: FormulaRecord | None
     numerator: tuple[int, ...] | None
@@ -163,18 +166,20 @@ class _Answer(NamedTuple):
 
 def _answer(g: Graph) -> _Answer:
     """The one composition of a graph's answer: the facets of
-    `chordal._decompose_masks` on the complement, `formulas` on them and
-    `checked_strand` on the record."""
+    `chordal._facet_masks` on the complement, `formulas` on them and
+    `checked_strand` on the record.  A complement that is not chordal
+    costs the search up to its first non-clique neighbourhood and no
+    chordless cycle."""
     if g.n < 1:
         raise UndefinedInputError("analysis needs at least one vertex")
     max_deg = max_degree(g)
     graph6 = to_graph6(g)
-    res, facets = chordal._decompose_masks(complement(g))
+    facets = chordal._facet_masks(complement(g))
     if facets is None:
-        return _Answer(graph6, max_deg, res.cycle, None, None, None, None)
+        return _Answer(graph6, max_deg, None, None, None, None)
     f = formulas(g.n, facets, max_deg)
     num, strand = checked_strand(f, g.n, max_deg, graph6)
-    return _Answer(graph6, max_deg, None, facets, f, num, strand)
+    return _Answer(graph6, max_deg, facets, f, num, strand)
 
 
 def _witness(f: FormulaRecord) -> dict | None:
@@ -187,13 +192,14 @@ def _witness(f: FormulaRecord) -> dict | None:
 
 def analyze_record(g: Graph) -> dict:
     """The full analyze document of `_answer(g)`; formula fields are null
-    when the complement is not chordal."""
+    when the complement is not chordal, and the certificate path,
+    `chordal.is_chordal`, gives its chordless cycle."""
     a = _answer(g)
     rec: dict = {key: None for key in ANALYZE_KEYS}
     rec.update(input=a.graph6, n=g.n, max_deg=a.max_deg, notes=[])
     f = a.record
     if f is None:
-        rec.update(complement_chordal=False, chordless_cycle=list(a.cycle))
+        rec.update(complement_chordal=False, chordless_cycle=list(chordal.is_chordal(complement(g)).cycle))
         return rec
     rec.update(
         complement_chordal=True, facets=[list(bits(m)) for m in a.facets], d=list(f.dims),

@@ -267,7 +267,7 @@ def _valid_graph(n: int, rows: tuple[int, ...]) -> Graph:
 def max_degree(g: Graph) -> int:
     if g.n == 0:
         raise UndefinedInputError("max degree of the empty graph is undefined")
-    return max(row.bit_count() for row in g.rows)
+    return max(map(int.bit_count, g.rows))
 
 
 ENUMERATION_CAP = 7

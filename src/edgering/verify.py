@@ -12,9 +12,10 @@ entry by entry.
 A chunk decodes the rows of its first complement; each later mask differs
 from the one before it in the bits of its carry, about two on average,
 and the rows are updated in place by flipping those edges at both ends.
-Per mask the sweep runs MCS and the PEO test on those rows and makes two
-calls.  `_references` computes what the graph is held to, each apart from
-its record and unchanged by relabelling: the brute-force induced-cycle
+Per mask the sweep runs one MCS on those rows, which stops at the first
+vertex whose earlier neighbours are not a clique, and makes two calls.
+`_references` computes what the graph is held to, each apart from its
+record and unchanged by relabelling: the brute-force induced-cycle
 flag, the numerator of the f-vector series where a check reads it (on the
 chordal masks, and on every mask with the oracle) and, in the oracle
 variant, the Hochster Betti table, which the oracle's graph kernel computes
@@ -42,7 +43,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from . import conjecture
-from .chordal import _clique_masks_from_peo, _is_peo, _mcs_order
+from .chordal import _clique_masks_from_peo, _mcs
 from .complexes import _clique_counts, _maximal_clique_masks
 from .errors import ContractViolationError
 from .graphs import Graph, _pool_size, mask_count, rows_from_edge_mask, to_graph6
@@ -158,10 +159,9 @@ def sweep_chunk(n: int, start: int, stop: int, with_oracle: bool) -> SweepResult
             for u, v_bit, v, u_bit in flips[:(mask ^ mask - 1).bit_length()]:
                 crow[u] ^= v_bit
                 crow[v] ^= u_bit
-        elim = _mcs_order(n, crow)[::-1]
-        chordal = _is_peo(n, crow, elim)
+        order, chordal = _mcs(n, crow)
         refs = references(n, crow, all_pairs ^ mask, chordal, with_oracle)
-        kinds = check(n, crow, elim, chordal, refs, counts)
+        kinds = check(n, crow, order, chordal, refs, counts)
         if kinds:
             g6 = to_graph6(Graph.from_edge_mask(n, mask))
             for kind in kinds:
@@ -180,10 +180,11 @@ def _references(n: int, crow: list[int], h_mask: int, chordal: bool, with_oracle
     return has_long_induced_cycle(n, h_mask), fnum, _hochster_graph(n, crow) if with_oracle else None
 
 
-def _check(n, crow, elim, chordal, refs, counts) -> list[str]:
-    """The violation kinds of the graph whose complement has rows `crow`, an
-    elimination order `elim` and chordality `chordal`, against its
-    references; a 2-linear graph's counts are added to `counts` in place."""
+def _check(n, crow, order, chordal, refs, counts) -> list[str]:
+    """The violation kinds of the graph whose complement has rows `crow`,
+    MCS visit order `order` (whole when the complement is chordal) and
+    chordality `chordal`, against its references; a 2-linear graph's counts
+    are added to `counts` in place."""
     cyclic, fnum, table = refs
     kinds = []
     if chordal == cyclic:
@@ -196,7 +197,7 @@ def _check(n, crow, elim, chordal, refs, counts) -> list[str]:
     if not chordal:
         return kinds
     counts["twolinear"] += 1
-    facets = _clique_masks_from_peo(n, crow, elim)
+    facets = _clique_masks_from_peo(n, crow, order[::-1])
     if table is not None and set(facets) != set(_maximal_clique_masks(n, crow)):
         kinds.append("clique_paths_disagree")
     f = conjecture.formulas(n, facets, n - 1 - min(map(int.bit_count, crow)))

@@ -239,6 +239,22 @@ def ref_mcs_order(n: int, rows) -> list[int]:
     return order
 
 
+def ref_is_peo(n: int, rows, elim) -> bool:
+    """Is `elim` a perfect elimination ordering: are the later neighbours of
+    every vertex a clique?"""
+    remaining = (1 << n) - 1
+    for v in elim:
+        remaining ^= 1 << v
+        lm = rows[v] & remaining
+        m = lm
+        while m:
+            low = m & -m
+            m ^= low
+            if lm & ~rows[low.bit_length() - 1] & ~low:
+                return False
+    return True
+
+
 def ref_has_long_induced_cycle(n: int, rows) -> bool:
     """Induced cycle of length >= 4 by a walk over every vertex subset of size
     >= 4: some subset must be 2-regular in the induced subgraph and connected."""

@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = "tests/test_oracle.py"
 SWEEPS_CLEAN = "tests/test_verify.py::TestSweepMachinery::test_small_sweeps_clean"
+FACET_VERDICTS = "tests/test_kernels.py::test_decomposition_checks_match_frozenset_form"
 
 # (what the mutant breaks, file under src/edgering, [(old, new), ...], tests)
 MUTANTS = [
@@ -77,10 +78,34 @@ MUTANTS = [
         ["tests/test_kernels.py::test_clique_counts_match_faces_and_networkx", SWEEPS_CLEAN],
     ),
     (
-        "the PEO test never finds two later neighbours that are not adjacent",
+        "the PEO test never finds two earlier-visited neighbours that are not adjacent",
         "chordal.py",
-        [("if lm & ~rows[low.bit_length() - 1] & ~low:", "if False:")],
+        [("if m & ~rows[x.bit_length() - 1]:", "if False:")],
         ["tests/test_chordal.py::TestIsChordal::test_c4_certificate", SWEEPS_CLEAN],
+    ),
+    (
+        "the clique test skips the first earlier-visited neighbour",
+        "chordal.py",
+        [("m = rows[v] & ~unvisited\n", "m = rows[v] & ~unvisited\n            m &= m - 1\n")],
+        ["tests/test_kernels.py::test_mcs_order_matches_linear_scan_exhaustive"],
+    ),
+    (
+        "the fast facet check drops its test that no attachment equals a facet",
+        "chordal.py",
+        [("if set(facets).isdisjoint(atts) and not any(", "if not any(")],
+        [FACET_VERDICTS],
+    ),
+    (
+        "the fast facet check takes the facet before F_i as the parent of its attachment",
+        "chordal.py",
+        [("a & ~facets[bisect_left(unions, a, 0, i, key=a.__and__)]", "a & ~facets[i - 1]")],
+        [FACET_VERDICTS],
+    ),
+    (
+        "the fast facet check ignores a union short of the n vertices",
+        "chordal.py",
+        [("if facets and all(facets) and unions[-1] == (1 << n) - 1:", "if facets and all(facets):")],
+        [FACET_VERDICTS],
     ),
     (
         "the witness facet has r_min + 3 vertices",

@@ -13,7 +13,7 @@ from edgering.chordal import (
     _check_facet_masks,
     _chordless_cycle,
     _is_chordless_cycle,
-    _mcs_order,
+    _mcs,
     decompose,
     is_chordal,
 )
@@ -126,7 +126,7 @@ class TestChordlessCycleSearch:
                 cycle = _chordless_cycle(n, g.rows, range(n))
                 assert check_chordless_cycle(g, cycle)
                 first_try_failed += (cycle[0], cycle[1], cycle[-1]) != first_violation(g, range(n))
-                assert check_chordless_cycle(g, _chordless_cycle(n, g.rows, _mcs_order(n, g.rows)[::-1]))
+                assert check_chordless_cycle(g, _chordless_cycle(n, g.rows, _mcs(n, g.rows, whole=True)[0][::-1]))
         assert nonchordal == 14_819
         assert first_try_failed == 3_013
 

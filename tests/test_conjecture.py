@@ -1,18 +1,22 @@
+import json
+import random
+
 import pytest
 
-from edgering import conjecture
+from edgering import chordal, conjecture, verify
 from edgering.chordal import decompose
 from edgering.complexes import flag_complex
 from edgering.conjecture import (
     KRR_GAP_NOTE,
     _free_vertex_witness_masks,
+    analyze_record,
     build_family,
     classify,
     family_report,
     formulas,
     gap_series,
 )
-from edgering.cli import main
+from edgering.cli import main, survey_record
 from edgering.errors import InternalInvariantError, UndefinedInputError
 from edgering.graphs import Graph, bits, complement, max_degree, to_graph6
 from edgering.oracle import hochster_betti
@@ -81,6 +85,32 @@ class TestClassify:
 
     def test_graph6_matches_input(self):
         assert classify(C4).graph6 == to_graph6(C4)
+
+
+class TestAnswerBuildsNoCycle:
+    """Every view of the answer but analyze reads only chordal-or-not and
+    the facets, so none of them reaches the chordless-cycle search."""
+
+    class Reached(Exception):
+        pass
+
+    def test_views_never_search_for_a_cycle(self, monkeypatch, capsys):
+        def reached(*args):
+            raise self.Reached
+
+        monkeypatch.setattr(chordal, "_chordless_cycle", reached)
+        # complements C4, C5 and a G(9, 1/2) draw with a chordless cycle
+        graphs = [complement(C4), complement(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))]
+        graphs.append(next(g for g in (random_graph(random.Random(s), 9) for s in range(99))
+                           if not classify(g).has_2linear))
+        for g in graphs:
+            assert survey_record(g)["complement_chordal"] is False
+            assert classify(g).has_2linear is False
+            assert main(["oracle", to_graph6(g)]) == 0
+            assert json.loads(capsys.readouterr().out)["match"] is None
+            with pytest.raises(self.Reached):
+                analyze_record(g)
+        assert verify.sweep_chunk(5, 0, 1024, False).counts["twolinear"] < 1024
 
 
 class TestFormulaRecord:

@@ -1,9 +1,9 @@
 """The hot-path kernels against their reference forms in conftest: bucket
-maximum cardinality search, the edge-mask decoder and its bit-matrix
-transpose, graph6 (and the canonical text a parsed graph echoes), the
-grouped Hilbert numerator, and the incidence-mask checks of a quasi-forest
-decomposition, both in its constructor and on facet masks, on facet lists
-up to survey size.  Each must agree exactly, down
+maximum cardinality search with its PEO test and early stop, the edge-mask
+decoder and its bit-matrix transpose, graph6 (and the canonical text a
+parsed graph echoes), the grouped Hilbert numerator, and the O(k log k)
+checks of a quasi-forest decomposition, both in its constructor and on
+facet masks, on facet lists up to survey size.  Each must agree exactly, down
 to the exception class and message.  The facet order of `decompose` (MCS
 completion order) is held to the Kruskal clique forest on everything but
 the order within a component.  The Hochster
@@ -18,13 +18,14 @@ gives the sweep its f-vector is held to the faces of the maximal cliques
 and to networkx."""
 
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from edgering import intlinalg, oracle
-from edgering.chordal import QuasiForestDecomposition, _check_facet_masks, _mcs_order, decompose
+from edgering.chordal import QuasiForestDecomposition, _check_facet_masks, _mcs, decompose
 from edgering.complexes import (
     SimplicialComplex,
     _boundary,
@@ -60,6 +61,7 @@ from conftest import (
     ref_check_decomposition,
     ref_dominated_pairs,
     ref_hochster_masks,
+    ref_is_peo,
     ref_mcs_order,
     ref_graph6_rows,
     ref_numerator,
@@ -72,17 +74,37 @@ from conftest import (
 )
 
 
+def first_non_clique(rows, order) -> int | None:
+    """The index of the first vertex of `order` whose earlier neighbours are
+    not pairwise adjacent, or None."""
+    for j, v in enumerate(order):
+        earlier = [u for u in order[:j] if rows[v] >> u & 1]
+        if any(not rows[a] >> b & 1 for a, b in combinations(earlier, 2)):
+            return j
+    return None
+
+
+def assert_mcs_matches_reference(n, rows):
+    # the fused search is the linear-scan MCS order plus the PEO test of its
+    # reverse, and without `whole` it stops at the first failing vertex
+    ref = ref_mcs_order(n, rows)
+    peo = ref_is_peo(n, rows, ref[::-1])
+    assert _mcs(n, rows, whole=True) == (ref, peo)
+    stop = first_non_clique(rows, ref)
+    assert (stop is None) == peo
+    assert _mcs(n, rows) == ((ref, True) if peo else (ref[:stop + 1], False))
+
+
 @settings(max_examples=400, deadline=None)
 @given(graphs())
 def test_mcs_order_matches_linear_scan(g):
-    assert _mcs_order(g.n, g.rows) == ref_mcs_order(g.n, g.rows)
+    assert_mcs_matches_reference(g.n, g.rows)
 
 
 def test_mcs_order_matches_linear_scan_exhaustive():
     for n in range(7):
         for mask in range(1 << (n * (n - 1) // 2)):
-            rows = rows_from_edge_mask(n, mask)
-            assert _mcs_order(n, rows) == ref_mcs_order(n, rows)
+            assert_mcs_matches_reference(n, rows_from_edge_mask(n, mask))
 
 
 @settings(max_examples=300, deadline=None)
@@ -243,7 +265,24 @@ def consistent_lists(facets):
     return dims, attach, len(union)
 
 
+def sets(*facets):
+    return [frozenset(f) for f in facets]
+
+
+# the edge cases of the O(k log k) mask check, with consistent dimension
+# lists (attach_shift_at 2 is past each list's two attachments):
+# F_0 inside F_2 while A_2 lies in no single earlier facet, which is still
+# "inclusion-free" at facet 0; an attachment equal to an earlier facet;
+# duplicate facets; empty attachments; a valid list whose attachment
+# {0, 1} lies in F_0 but not in F_1, the latest facet before it, and the
+# same list on a vertex too many
 @settings(max_examples=500, deadline=None)
+@example(sets({0, 1}, {1, 2}, {0, 1, 2, 3}), 0, 2, 0)
+@example(sets({0, 1}, {2, 3}, {0, 1, 4}), 0, 2, 0)
+@example(sets({0, 1}, {1, 2}, {0, 1}), 0, 2, 0)
+@example(sets({0, 1}, {2}, {1, 3}), 0, 2, 0)
+@example(sets({0, 1, 2}, {1, 3}, {0, 1, 4}), 0, 2, 0)
+@example(sets({0, 1, 2}, {1, 3}, {0, 1, 4}), 0, 2, 1)
 @given(
     st.lists(st.frozensets(st.integers(-3, 9), max_size=5), max_size=6),
     st.integers(-1, 1),

@@ -19,9 +19,9 @@ from pathlib import Path
 import jsonschema
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from edgering.chordal import _decompose_masks
+from edgering.chordal import _chordless_cycle, _decompose_masks, _normalize_cycle
 from edgering.cli import analyze_record, main, survey_record
 from edgering.complexes import (
     SimplicialComplex,
@@ -38,7 +38,16 @@ from edgering.conjecture import checked_strand, classify, formulas
 from edgering.errors import ContractViolationError, EdgeRingError
 from edgering.graphs import Graph, bits, complement, parse_edge_list, parse_graph6, to_graph6
 from edgering.oracle import _graph_step, hochster_betti
-from conftest import ACYCLIC_LINK_H, chordal_graph, induced, packed_ranks, ref_core_key, ref_hochster_masks
+from conftest import (
+    ACYCLIC_LINK_H,
+    chordal_graph,
+    induced,
+    packed_ranks,
+    ref_core_key,
+    ref_hochster_masks,
+    ref_is_peo,
+    ref_mcs_order,
+)
 from conftest import graphs as mixed_graphs
 
 PARSERS = (parse_graph6, parse_edge_list, parse_complex)
@@ -301,6 +310,19 @@ def test_survey_line_is_the_projection_of_analyze(g):
     line = survey_record(g)
     assert line == expected
     assert json.dumps(line, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs(min_n=4))
+def test_analyze_cycle_is_the_certificate_of_the_whole_search(g):
+    """The answer's search stops at the complement's first non-clique
+    neighbourhood, yet analyze prints the cycle that `_chordless_cycle`
+    finds from the whole MCS order, as before the search stopped early."""
+    h = complement(g)
+    elim = ref_mcs_order(h.n, h.rows)[::-1]
+    assume(not ref_is_peo(h.n, h.rows, elim))
+    cycle = _normalize_cycle(_chordless_cycle(h.n, h.rows, elim))
+    assert analyze_record(g)["chordless_cycle"] == list(cycle)
 
 
 @settings(max_examples=150, deadline=None)
